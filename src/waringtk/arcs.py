@@ -27,7 +27,6 @@ import numpy as np
 
 from waringtk.arith import sieve_primes
 from waringtk.errors import PreconditionError, ResourceError
-from waringtk.expsums import s_form
 from waringtk.integral import U_major
 from waringtk.params import ProblemParams
 from waringtk.powersets import (

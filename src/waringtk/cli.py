@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import io
 import json
 import math
@@ -57,21 +58,21 @@ def cache_path(cache_dir: str, l: int, t: int, N: int) -> str:
 
 
 def _load_config(path: str) -> dict:
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise PreconditionError(f"config file {path!r} is not text: {exc}") from exc
     conf = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise PreconditionError(f"config line not key=value: {line!r}")
-            key, val = line.split("=", 1)
-            conf[key.strip()] = val.strip()
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise PreconditionError(f"config line not key=value: {line!r}")
+        key, val = line.split("=", 1)
+        conf[key.strip()] = val.strip()
     return conf
-
-
-def _int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x]
 
 
 def _add_global_flags(p, leaf: bool) -> None:
@@ -80,8 +81,289 @@ def _add_global_flags(p, leaf: bool) -> None:
     p.add_argument("--out", default=d, help="output path (default stdout)")
     p.add_argument("--cache-dir", default=d)
     p.add_argument("--config", default=d, help="key=value config file")
-    p.add_argument("--threads", type=int, default=0 if not leaf else d,
-                   help="worker cap (0 = all cores)")
+
+
+# ---------------------------------------------------------------------------
+# row functions: (module, args, header) -> rows; header collects the
+# `#` provenance lines
+# ---------------------------------------------------------------------------
+
+
+def _sieve(powersets, args, header):
+    cache_dir = args.cache_dir or os.environ.get("WFC_CACHE_DIR", DEFAULT_CACHE_DIR)
+    path = cache_path(cache_dir, args.l, args.t, args.limit)
+    try:
+        table = powersets.read_table_cache(path) if os.path.exists(path) else None
+    except (OSError, PreconditionError):  # a damaged file is a miss and is rewritten
+        table = None
+    if table is not None and (table.l, table.t, table.limit) == (args.l, args.t, args.limit):
+        header.append(f"cache=hit path={path}")
+    else:
+        table = powersets.rep_count_table(args.l, args.t, args.limit)
+        powersets.write_table_cache(table, path)
+        header.append(f"cache=miss path={path}")
+    return [
+        {
+            "l": args.l,
+            "t": args.t,
+            "limit": args.limit,
+            "distinct": powersets.distinct_count(table, args.limit),
+            "mass": sum(table.rho),
+        }
+    ]
+
+
+def _density(powersets, args, header):
+    grid = [int(y) for y in args.grid.split(",") if y] if args.grid else powersets.default_y_grid(args.r, args.l)
+    report = powersets.density_report(args.r, args.l, grid, args.eta)
+    header.append(f"grid_exponent={powersets.grid_exponent(report):.12g}")
+    return [dict(r) for r in report]
+
+
+def _expsum(expsums, args, header):
+    sk = expsums.s_k(args.q, args.a, args.k)
+    wv = expsums.w_q(args.q, args.a, args.k)
+    row = {
+        "q": args.q,
+        "a": args.a,
+        "k": args.k,
+        "sk_re": sk.real,
+        "sk_im": sk.imag,
+        "w_re": wv.real,
+        "w_im": wv.imag,
+        "wk_weight": expsums.w_k_weight(args.q, args.k),
+    }
+    if args.l is not None and args.t is not None:
+        sf = expsums.s_form(args.q, args.a, args.k, args.l, args.t)
+        row["form_re"] = sf.real
+        row["form_im"] = sf.imag
+    return [row]
+
+
+def _local(local, args, header):
+    fn = local.m_star_n if args.star else local.m_n
+    count = fn(args.p, args.h, args.n, args.k, args.l, args.t, args.s)
+    return [{"p": args.p, "h": args.h, "n": args.n, "which": "Mstar" if args.star else "M", "count": count}]
+
+
+def _series_trunc(singular, args, header):
+    res = singular.truncated_series(
+        args.n, args.Q, args.k, args.l, args.t, args.s, series=args.series, variant=args.variant
+    )
+    return [
+        {
+            "n": args.n,
+            "Q": args.Q,
+            "series": args.series,
+            "variant": args.variant,
+            "value": res.value,
+            "tail_estimate": res.tail_estimate,
+            "imag_residual": res.imag_residual,
+        }
+    ]
+
+
+def _series_snm(singular, args, header):
+    residual = singular.snm_identity_check(args.p, args.h, args.n, args.k, args.l, args.t, args.s)
+    return [{"p": args.p, "h": args.h, "n": args.n, "residual": residual}]
+
+
+def _series_positivity(singular, args, header):
+    rep = singular.positivity_sweep(
+        list(range(args.n_lo, args.n_hi + 1)), args.k, args.l, args.t, args.s, Q=args.Q, series=args.series
+    )
+    return [
+        {
+            "min_value": rep.min_value,
+            "argmin_n": rep.argmin_n,
+            "flagged": len(rep.flagged),
+            "prime_failures": ";".join(f"{p}:{why}" for p, why in rep.prime_failures),
+        }
+    ]
+
+
+def _integral_jprime(integral, args, header):
+    exact = integral.j_prime_exact(args.n, args.s, args.xi, args.k, args.l)
+    quad = integral.j_prime_quadrature(args.n, args.s, args.xi, args.k, args.l)
+    main, B = integral.j_prime_main_term(args.n, args.s, args.xi, args.k, args.l)
+    return [
+        {
+            "n": args.n,
+            "s": args.s,
+            "xi": args.xi,
+            "exact": exact,
+            "quadrature": quad,
+            "main": main,
+            "B": B,
+            "rel_dev": abs(exact - main) / main,
+        }
+    ]
+
+
+def _integral_jn(integral, args, header):
+    value, envelope = integral.j_singular_exact(args.n, args.s, args.k, args.l, args.t)
+    return [{"n": args.n, "s": args.s, "value": value, "envelope": envelope}]
+
+
+def _integral_udecay(integral, args, header):
+    header.append(f"seed={args.seed}")
+    ratio = integral.u_decay_check(args.n, args.t, args.k, args.l, args.samples, args.seed)
+    return [{"n": args.n, "samples": args.samples, "max_ratio": ratio}]
+
+
+def _arcs_residual(arcs, args, header):
+    header.append(f"seed={args.seed}")
+    worst = arcs.major_residual_sweep(args.n, args.k, args.l, args.t, args.Q, args.samples, args.seed)
+    return [{"n": args.n, "Q": args.Q, "samples": args.samples, "max_residual": worst}]
+
+
+def _arcs_weyl(arcs, args, header):
+    header.append(f"seed={args.seed}")
+    worst = arcs.weyl_bound_sweep(args.n, args.k, args.l, args.t, args.samples, args.seed)
+    return [{"n": args.n, "samples": args.samples, "max_ratio": worst}]
+
+
+def _arcs_classify(arcs, args, header):
+    if args.Q is not None:
+        ap = arcs.classify_major(args.alpha, args.n, args.Q)
+    elif args.M is not None:
+        ap = arcs.classify_mm(args.alpha, args.n, args.k, args.M)
+    else:
+        raise PreconditionError("classify needs --Q (major/minor) or --M (mM)")
+    return [{"alpha": ap.alpha, "a": ap.a, "q": ap.q, "beta": ap.beta, "classification": ap.classification}]
+
+
+def _arcs_vmv(arcs, args, header):
+    J = arcs.vinogradov_mean_value(args.s, args.ksys, args.r, args.Y, args.l, args.eta)
+    return [{"s": args.s, "k_sys": args.ksys, "r": args.r, "Y": args.Y, "J": J}]
+
+
+def _count_conje(represent, args, header):
+    vec = represent.count_conje(args.nmax, args.k, args.l, args.t, args.s, args.r)
+    header.append(f"provenance={vec.provenance}")
+    return [{"n": n, "count": c} for n, c in enumerate(vec.entries)]
+
+
+def _count_thm13(represent, args, header):
+    vec = represent.count_theorem13(args.nmax, args.k, args.l, args.xi, args.s, weighted=not args.set)
+    header.append(f"provenance={vec.provenance}")
+    return [{"n": n, "count": c} for n, c in enumerate(vec.entries)]
+
+
+def _count_main_term(represent, args, header):
+    vec = represent.count_theorem13(args.n, args.k, args.l, args.xi, args.s)
+    mt = represent.main_term(args.n, args.k, args.l, args.xi, args.s, args.Q)
+    return [{"n": args.n, "count": vec[args.n], "main_term": mt, "ratio": vec[args.n] / mt if mt > 0 else math.nan}]
+
+
+def _count_qm(represent, args, header):
+    from waringtk.params import ProblemParams
+
+    params = ProblemParams(k=args.k, l=args.l, t=args.t, n=args.n)
+    vec = represent.q_m_table(params, eta=args.eta)
+    supp = max((i for i, e in enumerate(vec.entries) if e), default=0)
+    return [{"n": args.n, "max_support": supp, "half_n": args.n // 2, "mass": vec.mass}]
+
+
+def _count_k2(represent, args, header):
+    diag, off = represent.k2_mean_value(args.t, args.X, args.l, args.Y)
+    return [{"t": args.t, "X": args.X, "diagonal": diag, "offdiagonal": off}]
+
+
+def _report(singular, args, header):
+    from waringtk.params import ProblemParams, varphi, xi0
+
+    params = ProblemParams(k=args.k, l=args.l, t=args.t, n=args.n, xi=args.xi)
+    series = singular.truncated_series(args.n, 100, args.k, args.l, args.t, 1).value
+    return [
+        {
+            "k": args.k,
+            "l": args.l,
+            "t": args.t,
+            "xi": args.xi,
+            "n": args.n,
+            "X": params.X,
+            "P": params.P,
+            "C1": params.c1,
+            "C2": params.c2,
+            "C3": params.c3,
+            "P1": params.p1,
+            "P2": params.p2,
+            "varphi": varphi(args.k, params.t1, args.l),
+            "xi0": xi0(args.k, args.l),
+            "series_Q100_s1": series,
+        }
+    ]
+
+
+# ---------------------------------------------------------------------------
+# the command tree: path -> (waringtk module the row function receives,
+# row function, {flag: add_argument keyword arguments}); argparse lists
+# the commands and flags in this order
+# ---------------------------------------------------------------------------
+
+_INT = {"type": int, "required": True}
+_SERIES = {"choices": ("Sn", "SnPrime"), "default": "Sn"}
+_ETA = {"type": float, "default": 0.25}
+
+
+def _ints(*flags: str) -> dict:
+    return {flag: _INT for flag in flags}
+
+
+def _sampled(samples: int) -> dict:
+    return {"--samples": {"type": int, "default": samples}, "--seed": {"type": int, "default": 0}}
+
+
+COMMANDS: dict[tuple[str, ...], tuple] = {
+    ("sieve",): ("powersets", _sieve, _ints("--l", "--t", "--limit")),
+    ("density",): ("powersets", _density, {
+        **_ints("--r", "--l"),
+        "--grid": {"type": str, "default": None,
+                   "help": "comma-separated Y values (default: budget-aware doubling grid)"},
+        "--eta": _ETA,
+    }),
+    ("expsum",): ("expsums", _expsum, {
+        **_ints("--q", "--a", "--k"), "--l": {"type": int, "default": None}, "--t": {"type": int, "default": None},
+    }),
+    ("local",): ("local", _local, {
+        **_ints("--p", "--h", "--n", "--k", "--l", "--t", "--s"), "--star": {"action": "store_true"},
+    }),
+    ("series", "trunc"): ("singular", _series_trunc, {
+        **_ints("--n", "--Q", "--k", "--l", "--t", "--s"),
+        "--series": _SERIES, "--variant": {"choices": ("full", "prime"), "default": "full"},
+    }),
+    ("series", "snm"): ("singular", _series_snm, _ints("--p", "--h", "--k", "--l", "--t", "--s", "--n")),
+    ("series", "positivity"): ("singular", _series_positivity, {
+        **_ints("--n-lo", "--n-hi", "--k", "--l", "--t", "--s"),
+        "--Q": {"type": int, "default": 200}, "--series": _SERIES,
+    }),
+    ("integral", "jprime"): ("integral", _integral_jprime, _ints("--n", "--s", "--xi", "--k", "--l")),
+    ("integral", "jn"): ("integral", _integral_jn, _ints("--n", "--s", "--k", "--l", "--t")),
+    ("integral", "udecay"): ("integral", _integral_udecay, {**_ints("--n", "--t", "--k", "--l"), **_sampled(50)}),
+    ("arcs", "residual"): ("arcs", _arcs_residual, {**_ints("--n", "--k", "--l", "--t", "--Q"), **_sampled(24)}),
+    ("arcs", "weyl"): ("arcs", _arcs_weyl, {**_ints("--n", "--k", "--l", "--t"), **_sampled(24)}),
+    ("arcs", "classify"): ("arcs", _arcs_classify, {
+        "--alpha": {"type": float, "required": True}, "--n": _INT, "--Q": {"type": int, "default": None},
+        "--M": {"type": float, "default": None}, "--k": {"type": int, "default": 2},
+    }),
+    ("arcs", "vmv"): ("arcs", _arcs_vmv, {
+        **_ints("--s", "--ksys", "--r", "--Y"), "--l": {"type": int, "default": 2}, "--eta": _ETA,
+    }),
+    ("count", "conje"): ("represent", _count_conje, _ints("--nmax", "--k", "--l", "--t", "--s", "--r")),
+    ("count", "thm13"): ("represent", _count_thm13, {
+        **_ints("--nmax", "--k", "--l", "--xi", "--s"),
+        "--set": {"action": "store_true", "help": "unweighted (value-set) counts"},
+    }),
+    ("count", "main-term"): ("represent", _count_main_term, {
+        **_ints("--k", "--l", "--xi", "--s", "--n"), "--Q": {"type": int, "default": 100},
+    }),
+    ("count", "qm"): ("represent", _count_qm, {**_ints("--n", "--k", "--l", "--t"), "--eta": _ETA}),
+    ("count", "k2"): ("represent", _count_k2, {
+        **_ints("--t", "--X"), "--l": {"type": int, "default": 2}, "--Y": {"type": int, "default": None},
+    }),
+    ("report",): ("singular", _report, _ints("--k", "--l", "--t", "--xi", "--n")),
+}
 
 
 def build_parser() -> _Parser:
@@ -89,387 +371,59 @@ def build_parser() -> _Parser:
     _add_global_flags(p, leaf=False)
     common = argparse.ArgumentParser(add_help=False)
     _add_global_flags(common, leaf=True)
-
-    class _Sub:
-        """add_parser shim attaching the global flags to every leaf."""
-
-        def __init__(self, sub):
-            self._sub = sub
-
-        def add_parser(self, name, **kw):
-            return self._sub.add_parser(name, parents=[common], **kw)
-
-    sub = _Sub(p.add_subparsers(dest="cmd", required=True))
-
-    sp = sub.add_parser("sieve")
-    sp.add_argument("--l", type=int, required=True)
-    sp.add_argument("--t", type=int, required=True)
-    sp.add_argument("--limit", type=int, required=True)
-
-    sp = sub.add_parser("density")
-    sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--l", type=int, required=True)
-    sp.add_argument("--grid", type=str, default=None, help="comma-separated Y values (default: budget-aware doubling grid)")
-    sp.add_argument("--eta", type=float, default=0.25)
-
-    sp = sub.add_parser("expsum")
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--a", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--l", type=int, default=None)
-    sp.add_argument("--t", type=int, default=None)
-
-    sp = sub.add_parser("local")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--h", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--l", type=int, required=True)
-    sp.add_argument("--t", type=int, required=True)
-    sp.add_argument("--s", type=int, required=True)
-    sp.add_argument("--star", action="store_true")
-
-    ser = sub.add_parser("series")
-    ssub = _Sub(ser.add_subparsers(dest="sub", required=True))
-    sp = ssub.add_parser("trunc")
-    for flag in ("--n", "--Q", "--k", "--l", "--t", "--s"):
-        sp.add_argument(flag, type=int, required=True)
-    sp.add_argument("--series", choices=("Sn", "SnPrime"), default="Sn")
-    sp.add_argument("--variant", choices=("full", "prime"), default="full")
-    sp = ssub.add_parser("snm")
-    for flag in ("--p", "--h", "--k", "--l", "--t", "--s", "--n"):
-        sp.add_argument(flag, type=int, required=True)
-    sp = ssub.add_parser("positivity")
-    for flag in ("--n-lo", "--n-hi", "--k", "--l", "--t", "--s"):
-        sp.add_argument(flag, type=int, required=True)
-    sp.add_argument("--Q", type=int, default=200)
-    sp.add_argument("--series", choices=("Sn", "SnPrime"), default="Sn")
-
-    integ = sub.add_parser("integral")
-    isub = _Sub(integ.add_subparsers(dest="sub", required=True))
-    sp = isub.add_parser("jprime")
-    for flag in ("--n", "--s", "--xi", "--k", "--l"):
-        sp.add_argument(flag, type=int, required=True)
-    sp = isub.add_parser("jn")
-    for flag in ("--n", "--s", "--k", "--l", "--t"):
-        sp.add_argument(flag, type=int, required=True)
-    sp = isub.add_parser("udecay")
-    for flag in ("--n", "--t", "--k", "--l"):
-        sp.add_argument(flag, type=int, required=True)
-    sp.add_argument("--samples", type=int, default=50)
-    sp.add_argument("--seed", type=int, default=0)
-
-    arcs_p = sub.add_parser("arcs")
-    asub = _Sub(arcs_p.add_subparsers(dest="sub", required=True))
-    sp = asub.add_parser("residual")
-    for flag in ("--n", "--k", "--l", "--t", "--Q"):
-        sp.add_argument(flag, type=int, required=True)
-    sp.add_argument("--samples", type=int, default=24)
-    sp.add_argument("--seed", type=int, default=0)
-    sp = asub.add_parser("weyl")
-    for flag in ("--n", "--k", "--l", "--t"):
-        sp.add_argument(flag, type=int, required=True)
-    sp.add_argument("--samples", type=int, default=24)
-    sp.add_argument("--seed", type=int, default=0)
-    sp = asub.add_parser("classify")
-    sp.add_argument("--alpha", type=float, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--Q", type=int, default=None)
-    sp.add_argument("--M", type=float, default=None)
-    sp.add_argument("--k", type=int, default=2)
-    sp = asub.add_parser("vmv")
-    sp.add_argument("--s", type=int, required=True)
-    sp.add_argument("--ksys", type=int, required=True)
-    sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--Y", type=int, required=True)
-    sp.add_argument("--l", type=int, default=2)
-    sp.add_argument("--eta", type=float, default=0.25)
-
-    cnt = sub.add_parser("count")
-    csub = _Sub(cnt.add_subparsers(dest="sub", required=True))
-    sp = csub.add_parser("conje")
-    for flag in ("--nmax", "--k", "--l", "--t", "--s", "--r"):
-        sp.add_argument(flag, type=int, required=True)
-    sp = csub.add_parser("thm13")
-    for flag in ("--nmax", "--k", "--l", "--xi", "--s"):
-        sp.add_argument(flag, type=int, required=True)
-    sp.add_argument("--set", action="store_true", help="unweighted (value-set) counts")
-    sp = csub.add_parser("main-term")
-    for flag in ("--k", "--l", "--xi", "--s", "--n"):
-        sp.add_argument(flag, type=int, required=True)
-    sp.add_argument("--Q", type=int, default=100)
-    sp = csub.add_parser("qm")
-    for flag in ("--n", "--k", "--l", "--t"):
-        sp.add_argument(flag, type=int, required=True)
-    sp.add_argument("--eta", type=float, default=0.25)
-    sp = csub.add_parser("k2")
-    sp.add_argument("--t", type=int, required=True)
-    sp.add_argument("--X", type=int, required=True)
-    sp.add_argument("--l", type=int, default=2)
-    sp.add_argument("--Y", type=int, default=None)
-
-    sp = sub.add_parser("report")
-    for flag in ("--k", "--l", "--t", "--xi", "--n"):
-        sp.add_argument(flag, type=int, required=True)
-
+    # subparsers of each group, keyed by the group's path; every parser
+    # below the top carries the global flags
+    subs = {(): p.add_subparsers(dest="cmd", required=True)}
+    for path, (_, _, flags) in COMMANDS.items():
+        group = path[:-1]
+        if group not in subs:
+            grp = subs[()].add_parser(group[0], parents=[common])
+            subs[group] = grp.add_subparsers(dest="sub", required=True)
+        leaf = subs[group].add_parser(path[-1], parents=[common])
+        for flag, kwargs in flags.items():
+            leaf.add_argument(flag, **kwargs)
+        leaf.set_defaults(command=path)
     return p
 
 
 def _dispatch(args) -> tuple[list[dict], list[str]]:
-    """Returns (rows, header_lines)."""
-    rows: list[dict] = []
+    """Returns (rows, header_lines); imports only the leaf's module."""
+    module, rows_of, _ = COMMANDS[args.command]
     header: list[str] = []
-    cmd = args.cmd
-    cache_dir = args.cache_dir or os.environ.get("WFC_CACHE_DIR", DEFAULT_CACHE_DIR)
-
-    if cmd == "sieve":
-        from waringtk import powersets
-
-        path = cache_path(cache_dir, args.l, args.t, args.limit)
-        if os.path.exists(path):
-            table = powersets.read_table_cache(path)
-            header.append(f"cache=hit path={path}")
-        else:
-            table = powersets.rep_count_table(args.l, args.t, args.limit)
-            powersets.write_table_cache(table, path)
-            header.append(f"cache=miss path={path}")
-        rows.append(
-            {
-                "l": args.l,
-                "t": args.t,
-                "limit": args.limit,
-                "distinct": powersets.distinct_count(table, args.limit),
-                "mass": sum(table.rho),
-            }
-        )
-    elif cmd == "density":
-        from waringtk import powersets
-
-        grid = _int_list(args.grid) if args.grid else powersets.default_y_grid(args.r, args.l)
-        report = powersets.density_report(args.r, args.l, grid, args.eta)
-        rows = [dict(r) for r in report]
-        header.append(f"grid_exponent={powersets.grid_exponent(report):.12g}")
-    elif cmd == "expsum":
-        from waringtk import expsums
-
-        sk = expsums.s_k(args.q, args.a, args.k)
-        wv = expsums.w_q(args.q, args.a, args.k)
-        row = {
-            "q": args.q,
-            "a": args.a,
-            "k": args.k,
-            "sk_re": sk.real,
-            "sk_im": sk.imag,
-            "w_re": wv.real,
-            "w_im": wv.imag,
-            "wk_weight": expsums.w_k_weight(args.q, args.k),
-        }
-        if args.l is not None and args.t is not None:
-            sf = expsums.s_form(args.q, args.a, args.k, args.l, args.t)
-            row["form_re"] = sf.real
-            row["form_im"] = sf.imag
-        rows.append(row)
-    elif cmd == "local":
-        from waringtk import local
-
-        fn = local.m_star_n if args.star else local.m_n
-        count = fn(args.p, args.h, args.n, args.k, args.l, args.t, args.s)
-        rows.append(
-            {
-                "p": args.p,
-                "h": args.h,
-                "n": args.n,
-                "which": "Mstar" if args.star else "M",
-                "count": count,
-            }
-        )
-    elif cmd == "series":
-        from waringtk import singular
-
-        if args.sub == "trunc":
-            res = singular.truncated_series(
-                args.n, args.Q, args.k, args.l, args.t, args.s,
-                series=args.series, variant=args.variant,
-            )
-            rows.append(
-                {
-                    "n": args.n,
-                    "Q": args.Q,
-                    "series": args.series,
-                    "variant": args.variant,
-                    "value": res.value,
-                    "tail_estimate": res.tail_estimate,
-                    "imag_residual": res.imag_residual,
-                }
-            )
-        elif args.sub == "snm":
-            residual = singular.snm_identity_check(
-                args.p, args.h, args.n, args.k, args.l, args.t, args.s
-            )
-            rows.append({"p": args.p, "h": args.h, "n": args.n, "residual": residual})
-        else:
-            rep = singular.positivity_sweep(
-                list(range(args.n_lo, args.n_hi + 1)),
-                args.k, args.l, args.t, args.s, Q=args.Q, series=args.series,
-            )
-            rows.append(
-                {
-                    "min_value": rep.min_value,
-                    "argmin_n": rep.argmin_n,
-                    "flagged": len(rep.flagged),
-                    "prime_failures": ";".join(f"{p}:{why}" for p, why in rep.prime_failures),
-                }
-            )
-    elif cmd == "integral":
-        from waringtk import integral
-
-        if args.sub == "jprime":
-            exact = integral.j_prime_exact(args.n, args.s, args.xi, args.k, args.l)
-            quad = integral.j_prime_quadrature(args.n, args.s, args.xi, args.k, args.l)
-            main, B = integral.j_prime_main_term(args.n, args.s, args.xi, args.k, args.l)
-            rows.append(
-                {
-                    "n": args.n,
-                    "s": args.s,
-                    "xi": args.xi,
-                    "exact": exact,
-                    "quadrature": quad,
-                    "main": main,
-                    "B": B,
-                    "rel_dev": abs(exact - main) / main,
-                }
-            )
-        elif args.sub == "jn":
-            value, envelope = integral.j_singular_exact(args.n, args.s, args.k, args.l, args.t)
-            rows.append({"n": args.n, "s": args.s, "value": value, "envelope": envelope})
-        else:
-            header.append(f"seed={args.seed}")
-            ratio = integral.u_decay_check(args.n, args.t, args.k, args.l, args.samples, args.seed)
-            rows.append({"n": args.n, "samples": args.samples, "max_ratio": ratio})
-    elif cmd == "arcs":
-        from waringtk import arcs
-
-        if args.sub == "residual":
-            header.append(f"seed={args.seed}")
-            worst = arcs.major_residual_sweep(
-                args.n, args.k, args.l, args.t, args.Q, args.samples, args.seed
-            )
-            rows.append({"n": args.n, "Q": args.Q, "samples": args.samples, "max_residual": worst})
-        elif args.sub == "weyl":
-            header.append(f"seed={args.seed}")
-            worst = arcs.weyl_bound_sweep(args.n, args.k, args.l, args.t, args.samples, args.seed)
-            rows.append({"n": args.n, "samples": args.samples, "max_ratio": worst})
-        elif args.sub == "classify":
-            if args.Q is not None:
-                ap = arcs.classify_major(args.alpha, args.n, args.Q)
-            elif args.M is not None:
-                ap = arcs.classify_mm(args.alpha, args.n, args.k, args.M)
-            else:
-                raise PreconditionError("classify needs --Q (major/minor) or --M (mM)")
-            rows.append(
-                {
-                    "alpha": ap.alpha,
-                    "a": ap.a,
-                    "q": ap.q,
-                    "beta": ap.beta,
-                    "classification": ap.classification,
-                }
-            )
-        else:
-            J = arcs.vinogradov_mean_value(args.s, args.ksys, args.r, args.Y, args.l, args.eta)
-            rows.append({"s": args.s, "k_sys": args.ksys, "r": args.r, "Y": args.Y, "J": J})
-    elif cmd == "count":
-        from waringtk import represent
-
-        if args.sub == "conje":
-            vec = represent.count_conje(args.nmax, args.k, args.l, args.t, args.s, args.r)
-            rows = [{"n": n, "count": c} for n, c in enumerate(vec.entries)]
-            header.append(f"provenance={vec.provenance}")
-        elif args.sub == "thm13":
-            vec = represent.count_theorem13(
-                args.nmax, args.k, args.l, args.xi, args.s, weighted=not args.set
-            )
-            rows = [{"n": n, "count": c} for n, c in enumerate(vec.entries)]
-            header.append(f"provenance={vec.provenance}")
-        elif args.sub == "main-term":
-            vec = represent.count_theorem13(args.n, args.k, args.l, args.xi, args.s)
-            mt = represent.main_term(args.n, args.k, args.l, args.xi, args.s, args.Q)
-            rows.append(
-                {
-                    "n": args.n,
-                    "count": vec[args.n],
-                    "main_term": mt,
-                    "ratio": vec[args.n] / mt if mt > 0 else math.nan,
-                }
-            )
-        elif args.sub == "qm":
-            from waringtk.params import ProblemParams
-
-            params = ProblemParams(k=args.k, l=args.l, t=args.t, n=args.n)
-            vec = represent.q_m_table(params, eta=args.eta)
-            supp = max((i for i, e in enumerate(vec.entries) if e), default=0)
-            rows.append({"n": args.n, "max_support": supp, "half_n": args.n // 2, "mass": vec.mass})
-        else:
-            diag, off = represent.k2_mean_value(args.t, args.X, args.l, args.Y)
-            rows.append({"t": args.t, "X": args.X, "diagonal": diag, "offdiagonal": off})
-    elif cmd == "report":
-        from waringtk import singular
-        from waringtk.params import ProblemParams, varphi, xi0
-
-        params = ProblemParams(k=args.k, l=args.l, t=args.t, n=args.n, xi=args.xi)
-        series = singular.truncated_series(args.n, 100, args.k, args.l, args.t, 1).value
-        rows.append(
-            {
-                "k": args.k,
-                "l": args.l,
-                "t": args.t,
-                "xi": args.xi,
-                "n": args.n,
-                "X": params.X,
-                "P": params.P,
-                "C1": params.c1,
-                "C2": params.c2,
-                "C3": params.c3,
-                "P1": params.p1,
-                "P2": params.p2,
-                "varphi": varphi(args.k, params.t1, args.l),
-                "xi0": xi0(args.k, args.l),
-                "series_Q100_s1": series,
-            }
-        )
+    rows = rows_of(importlib.import_module(f"waringtk.{module}"), args, header)
     return rows, header
 
 
 def run(argv: list[str]) -> int:
     parser = build_parser()
-    # config file: values become defaults, explicit flags win
-    if "--config" in argv:
-        idx = argv.index("--config")
-        conf = _load_config(argv[idx + 1])
-        extra: list[str] = []
-        for key, val in conf.items():
-            if f"--{key}" not in argv:
-                extra += [f"--{key}", val]
-        argv = argv + extra
     try:
+        # config file: values become defaults, explicit flags win
+        if "--config" in argv:
+            idx = argv.index("--config")
+            if idx + 1 == len(argv):
+                parser.error("argument --config: expected one argument")
+            extra: list[str] = []
+            for key, val in _load_config(argv[idx + 1]).items():
+                if f"--{key}" not in argv:
+                    extra += [f"--{key}", val]
+            argv = argv + extra
         args = parser.parse_args(argv)
         rows, header = _dispatch(args)
+        buf = io.StringIO()
+        emit_report(rows, args.format, buf, header)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(buf.getvalue())
+        else:
+            sys.stdout.write(buf.getvalue())
     except SystemExit as exc:
         return int(exc.code or 0)
-    except PreconditionError as exc:
+    except (PreconditionError, OSError) as exc:
         print(f"precondition violation: {exc}", file=sys.stderr)
         return 2
     except ResourceError as exc:
         print(f"resource budget exceeded: {exc}", file=sys.stderr)
         return 3
-    buf = io.StringIO()
-    emit_report(rows, args.format, buf, header)
-    text = buf.getvalue()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return 0
 
 

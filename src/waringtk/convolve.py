@@ -165,36 +165,30 @@ def cyclic_convolve(a: list[int], b: list[int], m: int) -> list[int]:
     return out
 
 
+def _binary_power(base: list[int], t: int, mul) -> list[int]:
+    """The t-fold product of base under mul, by binary powering."""
+    if t < 1:
+        raise PreconditionError(f"a convolution power needs t >= 1, got t={t}")
+    result: list[int] | None = None
+    sq = base
+    while t:
+        if t & 1:
+            result = sq if result is None else mul(result, sq)
+        t >>= 1
+        if t:
+            sq = mul(sq, sq)
+    return result
+
+
 def convolution_power(base: list[int], t: int, trunc: int) -> list[int]:
     """base^(*t) truncated to trunc entries, by binary powering."""
-    if t < 1:
-        raise PreconditionError("convolution_power needs t >= 1")
-    result: list[int] | None = None
-    sq = list(base[:trunc])
-    e = t
-    while e:
-        if e & 1:
-            result = sq if result is None else exact_convolve(result, sq, trunc=trunc)
-        e >>= 1
-        if e:
-            sq = exact_convolve(sq, sq, trunc=trunc)
-    assert result is not None
+    result = _binary_power(list(base[:trunc]), t, lambda a, b: exact_convolve(a, b, trunc=trunc))
     return result + [0] * (trunc - len(result))
 
 
 def cyclic_power(base: list[int], t: int, m: int) -> list[int]:
     """t-fold cyclic convolution power of a length-m histogram."""
-    result: list[int] | None = None
-    sq = list(base)
-    e = t
-    while e:
-        if e & 1:
-            result = sq if result is None else cyclic_convolve(result, sq, m)
-        e >>= 1
-        if e:
-            sq = cyclic_convolve(sq, sq, m)
-    assert result is not None
-    return result
+    return _binary_power(list(base), t, lambda a, b: cyclic_convolve(a, b, m))
 
 
 def float_convolve(a: np.ndarray, b: np.ndarray, trunc: int | None = None) -> np.ndarray:

@@ -19,6 +19,7 @@ from functools import lru_cache
 from waringtk.arith import gamma_exponent, nu_exponent, p_adic_valuation
 from waringtk.convolve import cyclic_convolve, cyclic_power
 from waringtk.errors import PreconditionError, ResourceError
+from waringtk.expsums import power_residue_histogram
 
 FORM_HIST_BUDGET = 10**5
 MN_BUDGET = 10**4
@@ -56,14 +57,9 @@ class ResidueHistogram:
         return ResidueHistogram(self.modulus, tuple(cyclic_power(list(self.counts), t, self.modulus)))
 
 
-def power_histogram(q: int, expo: int, p: int | None = None, units_only: bool = False) -> ResidueHistogram:
-    """Histogram of x^expo mod q over x in [0, q), optionally unit x."""
-    counts = [0] * q
-    for x in range(q):
-        if units_only and p is not None and x % p == 0:
-            continue
-        counts[pow(x, expo, q)] += 1
-    return ResidueHistogram(q, tuple(counts))
+def power_histogram(q: int, expo: int, units_only: bool = False) -> ResidueHistogram:
+    """Histogram of x^expo mod q over x in [1, q], optionally unit x."""
+    return ResidueHistogram(q, power_residue_histogram(q, expo, units_only))
 
 
 def pushforward_power(hist: ResidueHistogram, expo: int) -> ResidueHistogram:
@@ -90,7 +86,7 @@ def form_histogram(p: int, h: int, l: int, t: int, restrict_first_unit: bool = F
         raise ResourceError(f"p^h = {q} exceeds the histogram budget {FORM_HIST_BUDGET}")
     base = power_histogram(q, l)
     if restrict_first_unit:
-        first = power_histogram(q, l, p=p, units_only=True)
+        first = power_histogram(q, l, units_only=True)
         out = first if t == 1 else first.convolve(base.power(t - 1))
     else:
         out = base.power(t)
@@ -102,7 +98,7 @@ def _m_n_histogram(p: int, h: int, k: int, l: int, t: int, s: int) -> ResidueHis
     q = p**h
     if q > MN_BUDGET:
         raise ResourceError(f"p^h = {q} exceeds the local-count budget {MN_BUDGET}")
-    unitpow = power_histogram(q, k, p=p, units_only=True)
+    unitpow = power_histogram(q, k, units_only=True)
     allpow = power_histogram(q, k)
     acc = unitpow.convolve(unitpow).convolve(allpow).convolve(allpow)
     if s > 0:
@@ -203,7 +199,6 @@ def verify_local_solubility(
         level = gamma_exponent(p, k) if which == "M" else nu_exponent(p, k, l)
     if level == 0:
         return SolubilityReport(p=p, level=0, which=which, counts=(1,))
-    q = p**level
     if which == "M":
         hist = _m_n_histogram(p, level, k, l, t, s)
     else:

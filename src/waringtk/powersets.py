@@ -22,6 +22,7 @@ N_BUDGET = 10**7
 DEFAULT_ETA = 0.25
 CACHE_MAGIC = b"WFC1"
 CACHE_VERSION = 1
+CACHE_HEADER_BYTES = 32  # magic, version u32, l/t/limit u64
 
 
 @dataclass(frozen=True)
@@ -200,25 +201,37 @@ def grid_exponent(rows: list[dict]) -> float:
 
 
 def write_table_cache(table: PowerSumTable, path: str) -> None:
-    """Binary cache: magic, version u32, l/t/N u64 LE, then u64 counts."""
+    """Binary cache: magic, version u32, l/t/N u64 LE, then u64 counts.
+
+    The file is written under a temporary name and renamed into place,
+    so a reader never sees a partly written table."""
     if any(c >= 1 << 64 for c in table.rho):
         raise PreconditionError("a count exceeds u64; refusing to write cache")
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "wb") as fh:
+    tmp = f"{path}.{os.getpid()}.tmp"
+    with open(tmp, "wb") as fh:
         fh.write(CACHE_MAGIC)
         fh.write(struct.pack("<I", CACHE_VERSION))
         fh.write(struct.pack("<QQQ", table.l, table.t, table.limit))
         fh.write(struct.pack(f"<{len(table.rho)}Q", *table.rho))
+    os.replace(tmp, path)
 
 
 def read_table_cache(path: str) -> PowerSumTable:
+    """Inverse of write_table_cache; PreconditionError unless the file is
+    one whole table (header, then exactly limit + 1 counts)."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != CACHE_MAGIC:
-            raise PreconditionError(f"bad cache magic {magic!r}")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != CACHE_VERSION:
-            raise PreconditionError(f"unsupported cache version {version}")
-        l, t, limit = struct.unpack("<QQQ", fh.read(24))
-        rho = struct.unpack(f"<{limit + 1}Q", fh.read(8 * (limit + 1)))
+        data = fh.read()
+    if data[:4] != CACHE_MAGIC:
+        raise PreconditionError(f"bad cache magic {data[:4]!r}")
+    if len(data) < CACHE_HEADER_BYTES:
+        raise PreconditionError(f"cache file {path} ends inside its header")
+    (version,) = struct.unpack_from("<I", data, 4)
+    if version != CACHE_VERSION:
+        raise PreconditionError(f"unsupported cache version {version}")
+    l, t, limit = struct.unpack_from("<QQQ", data, 8)
+    want = CACHE_HEADER_BYTES + 8 * (limit + 1)
+    if len(data) != want:
+        raise PreconditionError(f"cache file {path} has {len(data)} bytes, its header needs {want}")
+    rho = struct.unpack_from(f"<{limit + 1}Q", data, CACHE_HEADER_BYTES)
     return PowerSumTable(l=l, t=t, limit=limit, rho=rho)

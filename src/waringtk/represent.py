@@ -25,7 +25,7 @@ from waringtk.convolve import convolution_power, exact_convolve
 from waringtk.errors import PreconditionError, ResourceError
 from waringtk.integral import c_tl
 from waringtk.params import ProblemParams
-from waringtk.powersets import DEFAULT_ETA, rep_count_table, restricted_power_sums
+from waringtk.powersets import DEFAULT_ETA, power_indicator, rep_count_table, restricted_power_sums
 from waringtk.singular import _d_table, truncated_series
 
 N_MAX_BUDGET = 10**6
@@ -76,15 +76,6 @@ def form_power_base(n_max: int, k: int, l: int, t: int) -> list[int]:
     return base
 
 
-def plain_power_base(n_max: int, k: int) -> list[int]:
-    base = [0] * (n_max + 1)
-    x = 1
-    while x**k <= n_max:
-        base[x**k] = 1
-        x += 1
-    return base
-
-
 def count_conje(n_max: int, k: int, l: int, t: int, s: int, r_extra: int) -> CountVector:
     """Ordered solutions of n = sum_i T_t(x_i)^k + sum_j y_j^k, all
     variables positive integers."""
@@ -97,7 +88,7 @@ def count_conje(n_max: int, k: int, l: int, t: int, s: int, r_extra: int) -> Cou
     if s > 0:
         acc = convolution_power(form_power_base(n_max, k, l, t), s, trunc)
     if r_extra > 0:
-        powers = convolution_power(plain_power_base(n_max, k), r_extra, trunc)
+        powers = convolution_power(power_indicator(k, n_max), r_extra, trunc)
         acc = powers if acc is None else exact_convolve(acc, powers, trunc=trunc)
     assert acc is not None
     acc = acc + [0] * (trunc - len(acc))
@@ -135,7 +126,7 @@ def count_oracle(n_max: int, k: int, l: int, t: int, s: int, r_extra: int) -> li
                     if block[v]:
                         nxt[i + v] += c * block[v]
         out = nxt
-    power = plain_power_base(n_max, k)
+    power = power_indicator(k, n_max)
     for _ in range(r_extra):
         nxt = [0] * (n_max + 1)
         for i, c in enumerate(out):

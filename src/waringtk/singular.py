@@ -67,7 +67,6 @@ def _d_table(q: int, k: int, l: int, t: int, s: int, variant: str) -> np.ndarray
     elif variant != "form_only":
         raise PreconditionError(f"unknown variant {variant!r}")
     om = omega_table(q)
-    m = np.arange(q, dtype=np.int64)
     out = np.empty(q, dtype=np.complex128)
     for i in range(q):
         out[i] = np.dot(coef, om[(-units * i) % q])

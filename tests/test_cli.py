@@ -1,11 +1,15 @@
+import contextlib
 import csv
 import io
 import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from waringtk.cli import run
+from waringtk.cli import COMMANDS, run
+from waringtk.powersets import rep_count_table, write_table_cache
 
 
 def run_capture(argv, capsys):
@@ -129,3 +133,83 @@ def test_report_runs(capsys):
     )
     assert code == 0
     assert parse_csv(out)
+
+
+@pytest.mark.parametrize(
+    "config, code",
+    [(None, 1), ("missing", 2), ("q=5\nnot a pair\n", 2)],
+    ids=["dangling-flag", "missing-file", "malformed-line"],
+)
+def test_config_errors_map_to_exit_codes(tmp_path, capsys, config, code):
+    argv = ["expsum", "--q", "5", "--a", "2", "--k", "2", "--config"]
+    if config is not None:
+        path = os.path.join(tmp_path, "cfg")
+        if config != "missing":
+            with open(path, "w") as fh:
+                fh.write(config)
+        argv.append(path)
+    assert run(argv) == code
+    assert capsys.readouterr().err
+
+
+def test_out_unwritable_exits_two(tmp_path, capsys):
+    path = os.path.join(tmp_path, "no-such-dir", "x.csv")
+    assert run(["expsum", "--q", "7", "--a", "3", "--k", "2", "--out", path]) == 2
+    assert "precondition violation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", ["truncated", "wrong-limit"])
+def test_bad_cache_file_is_a_miss(tmp_path, capsys, damage):
+    argv = ["sieve", "--l", "2", "--t", "4", "--limit", "200", "--cache-dir", str(tmp_path)]
+    _, fresh = run_capture(argv, capsys)
+    path = os.path.join(tmp_path, "tables", "l2_t4_N200.bin")
+    if damage == "truncated":
+        with open(path, "r+b") as fh:
+            fh.truncate(100)
+    else:  # a whole, valid table, but for limit 100, under the limit-200 name
+        write_table_cache(rep_count_table(2, 4, 100), path)
+    code, out = run_capture(argv, capsys)
+    assert code == 0 and "cache=miss" in out
+    strip = lambda s: [ln for ln in s.splitlines() if not ln.startswith("#")]
+    assert strip(out) == strip(fresh)
+    _, again = run_capture(argv, capsys)  # the miss rewrote the file
+    assert "cache=hit" in again
+
+
+_NOISE = (["--bogus", "1"], ["--format", "xml"], ["--out", "/nonexistent/dir/x.csv"], ["--config", "/nonexistent/cfg"])
+
+
+@st.composite
+def malformed_argv(draw):
+    """argv for one leaf of COMMANDS with at least one defect that argparse
+    or the config loader rejects, so that no example starts a computation."""
+    path = draw(st.sampled_from(list(COMMANDS)))
+    flags = COMMANDS[path][2]
+    broken = draw(st.sampled_from([f for f, kw in flags.items() if kw.get("required")]))
+    defect = draw(st.sampled_from(["omitted", "not-a-number", "no-value"]))
+    argv = list(path)
+    for flag, kwargs in flags.items():
+        if flag == broken:
+            if defect == "not-a-number":
+                argv += [flag, draw(st.sampled_from(["x", "1.5e", "", "--"]))]
+        elif kwargs.get("action") == "store_true":
+            argv += [flag] if draw(st.booleans()) else []
+        elif kwargs.get("required") or draw(st.booleans()):
+            argv += [flag, draw(st.sampled_from(["1", "2", "0", "-1"]))]
+    for noise in draw(st.lists(st.sampled_from(_NOISE), max_size=2)):
+        argv += noise
+    if defect == "no-value":
+        argv.append(broken)
+    if draw(st.booleans()):
+        argv.append("--config")
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(malformed_argv())
+def test_malformed_argv_exits_cleanly(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (1, 2), (code, argv)
+    assert "Traceback" not in err.getvalue()

@@ -93,7 +93,7 @@ def test_histogram_convolve_is_cyclic():
 
 
 def test_power_histogram_units():
-    h = power_histogram(9, 2, p=3, units_only=True)
+    h = power_histogram(9, 2, units_only=True)
     assert h.mass == 6
     assert h.counts[0] == 0
 
