@@ -394,20 +394,46 @@ def _dispatch(args) -> tuple[list[dict], list[str]]:
     return rows, header
 
 
+_SWITCHES = {
+    flag for _, _, flags in COMMANDS.values() for flag, kw in flags.items() if kw.get("action") == "store_true"
+}
+_TRUE, _FALSE = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
+
+
+def _with_config(argv: list[str], parser: _Parser) -> list[str]:
+    """argv plus the flags of its --config file (`--config FILE` or
+    `--config=FILE`, the last one wins); a flag given in argv wins over
+    the file. A switch (`star=1`) is added bare when true, left off when
+    false."""
+    path = None
+    for i, tok in enumerate(argv):
+        if tok == "--config":
+            if i + 1 == len(argv):
+                parser.error("argument --config: expected one argument")
+            path = argv[i + 1]
+        elif tok.startswith("--config="):
+            path = tok[len("--config=") :]
+    if path is None:
+        return argv
+    given = {tok.split("=", 1)[0] for tok in argv}
+    extra: list[str] = []
+    for key, val in _load_config(path).items():
+        flag = f"--{key}"
+        if flag in given:
+            continue
+        if flag not in _SWITCHES:
+            extra += [flag, val]
+        elif val.lower() in _TRUE:
+            extra.append(flag)
+        elif val.lower() not in _FALSE:
+            raise PreconditionError(f"config value {key}={val!r} is not one of {_TRUE + _FALSE}")
+    return argv + extra
+
+
 def run(argv: list[str]) -> int:
     parser = build_parser()
     try:
-        # config file: values become defaults, explicit flags win
-        if "--config" in argv:
-            idx = argv.index("--config")
-            if idx + 1 == len(argv):
-                parser.error("argument --config: expected one argument")
-            extra: list[str] = []
-            for key, val in _load_config(argv[idx + 1]).items():
-                if f"--{key}" not in argv:
-                    extra += [f"--{key}", val]
-            argv = argv + extra
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_with_config(argv, parser))
         rows, header = _dispatch(args)
         buf = io.StringIO()
         emit_report(rows, args.format, buf, header)

@@ -4,6 +4,14 @@ number-theoretic transforms with CRT reconstruction for long ones.
 The NTT primes are < 2^31 so that modular products fit in int64 and the
 transforms vectorise with numpy; exactness for arbitrarily large counts
 comes from using as many primes as the a-priori output bound requires.
+Each transform builds its tables in O(n): one table of the powers of the
+n-th root of unity (every stage's twiddles are a strided view of it) and
+the bit-reversal permutation, both by doubling a filled prefix; its
+butterflies reduce the sums every second stage only. A square (the same
+object passed twice, as binary powering does) costs one forward
+transform per prime instead of two. The residues are combined by Garner's
+mixed-radix method in int64, with one Python-int pass at the end only
+when the primes' product exceeds 2^63. Nothing is cached across calls.
 Results are bit-identical between the two paths (property-tested).
 """
 
@@ -43,91 +51,116 @@ def schoolbook_convolve(a: list[int], b: list[int]) -> list[int]:
 
 
 def _pow_table(base: int, length: int, p: int) -> np.ndarray:
-    """[base^0, ..., base^(length-1)] mod p, vectorised over the bits of j."""
-    j = np.arange(length, dtype=np.int64)
-    out = np.ones(length, dtype=np.int64)
-    sq = base % p
-    bit = 0
-    while (1 << bit) < length:
-        mask = (j >> bit) & 1 == 1
-        out[mask] = out[mask] * sq % p
-        sq = sq * sq % p
-        bit += 1
+    """[base^0, ..., base^(length-1)] mod p in O(length): each pass fills
+    the next block from the filled prefix, out[f:2f] = out[:f] * base^f."""
+    out = np.empty(length, dtype=np.int64)
+    out[:1] = 1
+    f = 1
+    while f < length:
+        m = min(f, length - f)
+        np.multiply(out[:m], pow(base, f, p), out=out[f : f + m])
+        out[f : f + m] %= p
+        f *= 2
     return out
 
 
 def _bit_reverse(n: int) -> np.ndarray:
-    levels = n.bit_length() - 1
-    idx = np.arange(n, dtype=np.int64)
+    """The bit-reversal permutation of range(n), n a power of two, in O(n):
+    the permutation for 2m is the one for m doubled, then doubled plus one."""
     rev = np.zeros(n, dtype=np.int64)
-    for i in range(levels):
-        rev = (rev << 1) | ((idx >> i) & 1)
+    m = 1
+    while m < n:
+        rev[:m] *= 2
+        np.add(rev[:m], 1, out=rev[m : 2 * m])
+        m *= 2
     return rev
 
 
 def _ntt(a: np.ndarray, p: int, g: int, invert: bool) -> np.ndarray:
+    """Iterative radix-2 transform of a (length n, a power of two, entries
+    in [0, p)) mod p; with invert, n times the inverse transform.
+
+    One table of the powers of the n-th root of unity serves every stage:
+    the twiddles of a size-s stage are every (n/s)-th entry of it. Sums
+    are reduced every second stage only: after an unreduced stage the
+    entries lie in (-p, 2p), so the next stage's products stay below
+    2p^2 < 2^63 (p < 2^31) and its sums in (-2p, 3p)."""
     n = a.shape[0]
-    a = a[_bit_reverse(n)].copy()
-    # c * 2^e + 1 decomposition of p
-    e = 0
-    c = p - 1
-    while c % 2 == 0:
-        c //= 2
-        e += 1
+    e = ((p - 1) & (1 - p)).bit_length() - 1  # p = c * 2^e + 1, c odd
     if n > (1 << e):
         raise PreconditionError(f"transform size {n} too large for prime {p}")
+    a = a[_bit_reverse(n)]
+    w = pow(g, (p - 1) // n, p)
+    if invert:
+        w = pow(w, p - 2, p)
+    roots = _pow_table(w, n // 2, p)
+    buf = np.empty(n // 2, dtype=np.int64)
     size = 2
     while size <= n:
         half = size // 2
-        wn = pow(g, c << (e - size.bit_length() + 1), p)
-        if invert:
-            wn = pow(wn, p - 2, p)
-        w = _pow_table(wn, half, p)
         view = a.reshape(n // size, size)
-        left = view[:, :half].copy()
-        tmp = view[:, half:] * w % p
-        view[:, :half] = (left + tmp) % p
-        view[:, half:] = (left - tmp) % p
+        lo, hi = view[:, :half], view[:, half:]
+        tmp = buf.reshape(n // size, half)
+        if size == 2:  # the twiddle is 1
+            np.copyto(tmp, hi)
+        else:
+            np.multiply(hi, roots[:: n // size], out=tmp)
+            tmp %= p
+        np.subtract(lo, tmp, out=hi)
+        lo += tmp
+        if size.bit_length() % 2 == 1 or size == n:  # size 4, 16, ... or the last
+            a %= p
         size *= 2
-    if invert:
-        a = a * pow(n, p - 2, p) % p
     return a
 
 
-def _ntt_convolve_mod(a: list[int], b: list[int], p: int, g: int, out_len: int) -> np.ndarray:
-    size = 1
-    while size < out_len:
-        size *= 2
-    fa = np.zeros(size, dtype=np.int64)
-    fb = np.zeros(size, dtype=np.int64)
-    fa[: len(a)] = np.array([x % p for x in a], dtype=np.int64)
-    fb[: len(b)] = np.array([x % p for x in b], dtype=np.int64)
-    fa = _ntt(fa, p, g, invert=False)
-    fb = _ntt(fb, p, g, invert=False)
-    return _ntt(fa * fb % p, p, g, invert=True)[:out_len]
+def _int64_or_none(a: list[int]) -> np.ndarray | None:
+    """a as an int64 array, or None when an entry is 2^63 or more."""
+    try:
+        return np.array(a, dtype=np.int64)
+    except OverflowError:
+        return None
 
 
-def _garner(residue_rows: list[np.ndarray], primes: list[int], length: int) -> list[int]:
-    """CRT-reconstruct each index from its residues (mixed-radix)."""
-    mods = [1]
-    for p in primes[:-1]:
-        mods.append(mods[-1] * p)
-    invs = [pow(m % p, p - 2, p) for m, p in zip(mods, primes)]
-    out = [0] * length
-    for i in range(length):
-        x = 0
-        for row, p, m, inv in zip(residue_rows, primes, mods, invs):
-            tcoef = (int(row[i]) - x) % p * inv % p
-            x += tcoef * m
-        out[i] = x
+def _residues(a: list[int], arr: np.ndarray | None, p: int, size: int) -> np.ndarray:
+    """a mod p, zero-padded to size."""
+    out = np.zeros(size, dtype=np.int64)
+    if arr is not None:
+        np.remainder(arr, p, out=out[: len(a)])
+    else:
+        out[: len(a)] = [x % p for x in a]
     return out
+
+
+def _garner(residue_rows: list[np.ndarray], primes: list[int]) -> list[int]:
+    """CRT-reconstruct each index from its residues.
+
+    The mixed-radix digits v_i (x = v_0 + v_1 p_0 + v_2 p_0 p_1 + ...) are
+    int64 arrays: every factor is below 2^31, so every product fits. The
+    digits are summed in int64 while the modulus stays below 2^63, and in
+    one object-array (Python int) pass beyond that."""
+    digits: list[np.ndarray] = []
+    for row, p in zip(residue_rows, primes):
+        t = row
+        for v, q in zip(digits, primes):
+            t = (t - v) % p * pow(q, p - 2, p) % p
+        digits.append(t)
+    x, m = digits[0], primes[0]
+    for v, p in zip(digits[1:], primes[1:]):
+        if m * p >= 1 << 63:
+            x, v = np.asarray(x, dtype=object), v.astype(object)
+        x = x + v * m
+        m *= p
+    return x.tolist()
 
 
 def exact_convolve(a: list[int], b: list[int], trunc: int | None = None) -> list[int]:
     """Exact convolution of nonnegative integer vectors.
 
     trunc keeps only the first trunc output entries (those are still
-    exact: truncation only discards high-index terms).
+    exact: truncation only discards high-index terms). Passing the same
+    object as a and b (a square) costs one forward transform per prime
+    instead of two.
     """
     if not a or not b:
         return []
@@ -150,8 +183,19 @@ def exact_convolve(a: list[int], b: list[int], trunc: int | None = None) -> list
         mod *= pg[0]
     if mod < bound:
         raise PreconditionError("output bound exceeds the CRT capacity of the prime set")
-    rows = [_ntt_convolve_mod(a, b, p, g, out_len) for p, g in primes]
-    return _garner(rows, [p for p, _ in primes], out_len_keep)
+    if not primes:  # bound 1: a or b is all zeros
+        return [0] * out_len_keep
+    size = 1 << (out_len - 1).bit_length()
+    square = b is a
+    arr_a = _int64_or_none(a)
+    arr_b = arr_a if square else _int64_or_none(b)
+    rows = []
+    for p, g in primes:
+        fa = _ntt(_residues(a, arr_a, p, size), p, g, invert=False)
+        fb = fa if square else _ntt(_residues(b, arr_b, p, size), p, g, invert=False)
+        row = _ntt(fa * fb % p, p, g, invert=True)[:out_len_keep]
+        rows.append(row * pow(size, p - 2, p) % p)
+    return _garner(rows, [p for p, _ in primes])
 
 
 def cyclic_convolve(a: list[int], b: list[int], m: int) -> list[int]:

@@ -40,7 +40,7 @@ class CountVector:
     provenance: str
 
     def __post_init__(self):
-        if any(e < 0 for e in self.entries):
+        if min(self.entries, default=0) < 0:
             raise PreconditionError("counts must be nonnegative")
 
     @property

@@ -3,11 +3,14 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import waringtk
 from waringtk.cli import COMMANDS, run
 from waringtk.powersets import rep_count_table, write_table_cache
 
@@ -108,6 +111,55 @@ def test_config_file(tmp_path, capsys):
     _, override = run_capture(["expsum", "--config", cfg, "--a", "3"], capsys)
     _, want = run_capture(["expsum", "--q", "5", "--a", "3", "--k", "2"], capsys)
     assert override == want
+
+
+def test_config_equals_spelling(tmp_path, capsys):
+    cfg = os.path.join(tmp_path, "cfg")
+    with open(cfg, "w") as fh:
+        fh.write("q=5\na=2\nk=2\n")
+    code, via_cfg = run_capture(["expsum", f"--config={cfg}"], capsys)
+    _, direct = run_capture(["expsum", "--q", "5", "--a", "2", "--k", "2"], capsys)
+    assert code == 0
+    assert via_cfg == direct
+    _, override = run_capture(["expsum", f"--config={cfg}", "--a=3"], capsys)
+    _, want = run_capture(["expsum", "--q", "5", "--a", "3", "--k", "2"], capsys)
+    assert override == want
+
+
+_LOCAL = ["local", "--p", "3", "--h", "2", "--n", "4"]
+_LOCAL_REST = ["--k", "2", "--l", "2", "--t", "8", "--s", "2"]
+
+
+@pytest.mark.parametrize("value, flagged", [("1", True), ("true", True), ("Yes", True), ("on", True),
+                                            ("0", False), ("false", False), ("no", False), ("OFF", False)])
+def test_config_sets_switch(tmp_path, capsys, value, flagged):
+    cfg = os.path.join(tmp_path, "cfg")
+    with open(cfg, "w") as fh:
+        fh.write(f"star={value}\nk=2\nl=2\nt=8\ns=2\n")
+    code, via_cfg = run_capture(_LOCAL + ["--config", cfg], capsys)
+    _, direct = run_capture(_LOCAL + _LOCAL_REST + (["--star"] if flagged else []), capsys)
+    assert code == 0
+    assert via_cfg == direct
+    assert ("Mstar" in via_cfg) == flagged
+
+
+def test_config_switch_bad_value_exits_two(tmp_path, capsys):
+    cfg = os.path.join(tmp_path, "cfg")
+    with open(cfg, "w") as fh:
+        fh.write("star=maybe\nk=2\nl=2\nt=8\ns=2\n")
+    assert run(_LOCAL + [f"--config={cfg}"]) == 2
+    err = capsys.readouterr().err
+    assert "star='maybe'" in err and "Traceback" not in err
+
+
+def test_python_dash_m_runs_cli(capsys):
+    argv = ["expsum", "--q", "5", "--a", "2", "--k", "2"]
+    _, want = run_capture(argv, capsys)
+    src = os.path.dirname(os.path.dirname(waringtk.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "waringtk", *argv], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == want
 
 
 def test_seed_recorded_in_header(capsys):
