@@ -8,7 +8,7 @@ the representation problem
 Submodules:
 
   arith      exact integer / modular / multiplicative-function machinery
-  convolve   exact integer convolution (schoolbook + multi-prime NTT/CRT)
+  convolve   exact integer convolution (direct int64 kernel + multi-prime NTT/CRT)
   powersets  power-sum value sets, smooth sets, density diagnostics
   expsums    complete exponential sums S_k, S(q,a), W(q,a) and the weight w_k
   local      p-adic solution counts M_n(p^h), M*_n(p^h)

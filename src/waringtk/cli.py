@@ -366,9 +366,22 @@ COMMANDS: dict[tuple[str, ...], tuple] = {
 }
 
 
-def build_parser() -> _Parser:
-    p = _Parser(prog="waringtk", description="circle-method toolkit for diagonal-form powers")
-    _add_global_flags(p, leaf=False)
+class _ArgvError(Exception):
+    """argv does not parse; raised instead of printing usage and exiting."""
+
+
+class _ExplicitParser(_Parser):
+    def error(self, message):
+        raise _ArgvError(message)
+
+
+def build_parser(explicit: bool = False) -> _Parser:
+    """The argparse tree of COMMANDS. With explicit, no flag is required or
+    has a default and there is no -h, so the namespace holds exactly the
+    flags that argv gives, and a parse error raises _ArgvError."""
+    cls, helps = (_ExplicitParser, False) if explicit else (_Parser, True)
+    p = cls(prog="waringtk", description="circle-method toolkit for diagonal-form powers", add_help=helps)
+    _add_global_flags(p, leaf=explicit)
     common = argparse.ArgumentParser(add_help=False)
     _add_global_flags(common, leaf=True)
     # subparsers of each group, keyed by the group's path; every parser
@@ -377,10 +390,12 @@ def build_parser() -> _Parser:
     for path, (_, _, flags) in COMMANDS.items():
         group = path[:-1]
         if group not in subs:
-            grp = subs[()].add_parser(group[0], parents=[common])
+            grp = subs[()].add_parser(group[0], parents=[common], add_help=helps)
             subs[group] = grp.add_subparsers(dest="sub", required=True)
-        leaf = subs[group].add_parser(path[-1], parents=[common])
+        leaf = subs[group].add_parser(path[-1], parents=[common], add_help=helps)
         for flag, kwargs in flags.items():
+            if explicit:
+                kwargs = {**kwargs, "required": False, "default": argparse.SUPPRESS}
             leaf.add_argument(flag, **kwargs)
         leaf.set_defaults(command=path)
     return p
@@ -400,26 +415,28 @@ _SWITCHES = {
 _TRUE, _FALSE = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
 
 
-def _with_config(argv: list[str], parser: _Parser) -> list[str]:
-    """argv plus the flags of its --config file (`--config FILE` or
-    `--config=FILE`, the last one wins); a flag given in argv wins over
-    the file. A switch (`star=1`) is added bare when true, left off when
-    false."""
-    path = None
-    for i, tok in enumerate(argv):
-        if tok == "--config":
-            if i + 1 == len(argv):
-                parser.error("argument --config: expected one argument")
-            path = argv[i + 1]
-        elif tok.startswith("--config="):
-            path = tok[len("--config=") :]
-    if path is None:
+def _with_config(argv: list[str]) -> list[str]:
+    """argv plus the flags of its --config file; a flag given in argv wins
+    over the file. The config path and the flags given are read by
+    argparse itself, so abbreviations (`--conf FILE`, `--co=FILE`, `--a 3`)
+    and `--flag=value` count as they do in the real parse; argv that does
+    not parse is returned as it is, for the real parse to report. A switch
+    (`star=1`) is added bare when true, left off when false."""
+    # the explicit parse builds a second parser (about 7 ms): skip it when
+    # no token can be a prefix of --config
+    heads = {tok.split("=", 1)[0] for tok in argv}
+    if not any(len(h) > 2 and "--config".startswith(h) for h in heads):
         return argv
-    given = {tok.split("=", 1)[0] for tok in argv}
+    try:
+        given = vars(build_parser(explicit=True).parse_known_args(argv)[0])
+    except _ArgvError:
+        return argv
+    if "config" not in given:
+        return argv
     extra: list[str] = []
-    for key, val in _load_config(path).items():
+    for key, val in _load_config(given["config"]).items():
         flag = f"--{key}"
-        if flag in given:
+        if key.replace("-", "_") in given:
             continue
         if flag not in _SWITCHES:
             extra += [flag, val]
@@ -433,7 +450,7 @@ def _with_config(argv: list[str], parser: _Parser) -> list[str]:
 def run(argv: list[str]) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(_with_config(argv, parser))
+        args = parser.parse_args(_with_config(argv))
         rows, header = _dispatch(args)
         buf = io.StringIO()
         emit_report(rows, args.format, buf, header)

@@ -1,18 +1,36 @@
-"""Exact integer convolution: schoolbook for short vectors, multi-prime
-number-theoretic transforms with CRT reconstruction for long ones.
+"""Exact integer convolution with two kernels, and float convolution.
 
-The NTT primes are < 2^31 so that modular products fit in int64 and the
-transforms vectorise with numpy; exactness for arbitrarily large counts
-comes from using as many primes as the a-priori output bound requires.
-Each transform builds its tables in O(n): one table of the powers of the
-n-th root of unity (every stage's twiddles are a strided view of it) and
-the bit-reversal permutation, both by doubling a filled prefix; its
-butterflies reduce the sums every second stage only. A square (the same
-object passed twice, as binary powering does) costs one forward
-transform per prime instead of two. The residues are combined by Garner's
-mixed-radix method in int64, with one Python-int pass at the end only
-when the primes' product exceeds 2^63. Nothing is cached across calls.
-Results are bit-identical between the two paths (property-tested).
+The direct kernel works on int64 numpy arrays. For each nonzero of the
+operand with fewer nonzeros it adds a shifted, scaled copy of the other
+operand (a row); when the other operand is sparse too, or the product is
+short, it scatter-adds the outer product of the two nonzero sets
+instead. It truncates as it goes, so its work is about
+nnz_small * min(nnz_other * _PAIR_COST, kept length) multiply-adds.
+The NTT kernel runs multi-prime number-theoretic transforms: 3 transforms
+(2 for a square, the same object passed twice as binary powering does)
+of size * log2(size) butterfly points per prime.
+
+exact_convolve takes the direct kernel for every short product
+(len(a) * len(b) <= _SCHOOLBOOK_CAP) and for a long one whose work is at
+most the NTT kernel's, counting a butterfly point as _NTT_COST
+multiply-adds and, in residues, a reduced multiply-add as _RESIDUE_COST.
+Both kernels work from the a-priori bound on the output entries,
+min(sum(a) * max(b), sum(b) * max(a)): below 2^63 the direct kernel
+accumulates in plain int64 (every partial sum of nonnegative terms is at
+most the bound); otherwise either kernel works per CRT prime in
+residues, with as many of NTT_PRIMES as the bound needs, and Garner's
+mixed-radix method combines them (in int64, with one Python-int pass
+when the primes' product exceeds 2^63). schoolbook_convolve is the reference the tests compare
+against, and the route for short products with negative entries or
+entries of 2^63 or more. Results are bit-identical across the routes
+(property-tested).
+
+The NTT primes are < 2^31 so that modular products fit in int64. Each
+transform builds its tables in O(n): one table of the powers of the n-th
+root of unity (every stage's twiddles are a strided view of it) and the
+bit-reversal permutation, both by doubling a filled prefix; its
+butterflies reduce the sums every second stage only. Nothing is cached
+across calls.
 """
 
 from __future__ import annotations
@@ -33,7 +51,15 @@ NTT_PRIMES: tuple[tuple[int, int], ...] = (
     (998244353, 3),  # 119 * 2^23 + 1
 )
 
-_SCHOOLBOOK_CAP = 1 << 17  # len(a)*len(b) below this: quadratic big-int path
+_SCHOOLBOOK_CAP = 1 << 17  # len(a)*len(b) at most this: a short product
+# Work weights of the dispatch, in int64 multiply-adds of the direct
+# kernel's rows (about 0.6 ns each; measured with numpy 2.4 on a 2-core
+# x86-64 VM, where a butterfly point costs 10-13 ns and the two kernels
+# break even at 17-30 multiply-adds per point for int64 products and at
+# about 3.5 residue terms per point):
+_NTT_COST = 20  # one butterfly point of one stage, for one prime
+_RESIDUE_COST = 5  # one multiply-add reduced mod a CRT prime
+_PAIR_COST = 16  # one scatter-added pair of the outer product
 
 
 def schoolbook_convolve(a: list[int], b: list[int]) -> list[int]:
@@ -114,25 +140,44 @@ def _ntt(a: np.ndarray, p: int, g: int, invert: bool) -> np.ndarray:
     return a
 
 
-def _int64_or_none(a: list[int]) -> np.ndarray | None:
-    """a as an int64 array, or None when an entry is 2^63 or more."""
+def _array(a: list[int]) -> np.ndarray:
+    """a as an int64 array, or as an object array when an entry is outside
+    int64."""
     try:
         return np.array(a, dtype=np.int64)
     except OverflowError:
-        return None
+        return np.array(a, dtype=object)
 
 
-def _residues(a: list[int], arr: np.ndarray | None, p: int, size: int) -> np.ndarray:
-    """a mod p, zero-padded to size."""
+def _total(arr: np.ndarray) -> int:
+    """sum(arr) as a Python int; int64 summation only where it cannot wrap."""
+    if arr.dtype == object or int(arr.max()) * len(arr) >= 1 << 63:
+        return sum(arr.tolist())
+    return int(arr.sum())
+
+
+def _residues(arr: np.ndarray, p: int, size: int) -> np.ndarray:
+    """arr mod p as int64, zero-padded to size."""
     out = np.zeros(size, dtype=np.int64)
-    if arr is not None:
-        np.remainder(arr, p, out=out[: len(a)])
-    else:
-        out[: len(a)] = [x % p for x in a]
+    out[: len(arr)] = arr % p
     return out
 
 
-def _garner(residue_rows: list[np.ndarray], primes: list[int]) -> list[int]:
+def _crt_primes(bound: int) -> list[tuple[int, int]]:
+    """The leading NTT primes, as few as make a modulus of at least bound."""
+    primes: list[tuple[int, int]] = []
+    mod = 1
+    for pg in NTT_PRIMES:
+        if mod >= bound:
+            break
+        primes.append(pg)
+        mod *= pg[0]
+    if mod < bound:
+        raise PreconditionError("output bound exceeds the CRT capacity of the prime set")
+    return primes
+
+
+def _garner(residue_rows: list[np.ndarray], primes: list[int]) -> np.ndarray:
     """CRT-reconstruct each index from its residues.
 
     The mixed-radix digits v_i (x = v_0 + v_1 p_0 + v_2 p_0 p_1 + ...) are
@@ -151,62 +196,122 @@ def _garner(residue_rows: list[np.ndarray], primes: list[int]) -> list[int]:
             x, v = np.asarray(x, dtype=object), v.astype(object)
         x = x + v * m
         m *= p
-    return x.tolist()
+    return x
+
+
+def _direct(a: np.ndarray, b: np.ndarray, keep: int, p: int | None = None) -> np.ndarray:
+    """The first keep entries of a*b from the nonzeros of the sparser
+    operand, as int64; with p, mod p (entries of a and b in [0, p)).
+
+    Without p every partial sum is at most the final entry, so the caller
+    guarantees the output bound is below 2^63. With p < 2^31 each product
+    is reduced before it is added, so a sum of fewer than 2^32 terms fits.
+    Each nonzero a[i] adds the row a[i] * b shifted by i; when b is sparse
+    too (or the product is short, where the per-row call overhead would
+    dominate), the outer product of the two nonzero sets is scatter-added
+    in blocks of at most _SCHOOLBOOK_CAP pairs instead."""
+    ia, ib = np.flatnonzero(a[:keep]), np.flatnonzero(b[:keep])
+    if len(ia) > len(ib):
+        a, b, ia, ib = b, a, ib, ia
+    out = np.zeros(keep, dtype=np.int64)
+    if len(a) * len(b) <= _SCHOOLBOOK_CAP or len(ib) * _PAIR_COST < min(len(b), keep):
+        vb = b[ib]
+        step = max(1, _SCHOOLBOOK_CAP // max(1, len(ib)))
+        for lo in range(0, len(ia), step):
+            rows = ia[lo : lo + step]
+            pos = (rows[:, None] + ib).ravel()
+            val = (a[rows][:, None] * vb).ravel()
+            if p is not None:
+                val %= p
+            inside = pos < keep
+            np.add.at(out, pos[inside], val[inside])
+    else:
+        buf = np.empty(min(len(b), keep), dtype=np.int64)
+        for i in ia.tolist():
+            n = min(len(b), keep - i)
+            row = buf[:n]
+            np.multiply(b[:n], a[i], out=row)
+            if p is not None:
+                row %= p
+            out[i : i + n] += row
+    if p is not None:
+        out %= p
+    return out
+
+
+def _direct_work(arr_a: np.ndarray, arr_b: np.ndarray, keep: int) -> int:
+    """The direct kernel's work on a product, in int64 multiply-adds."""
+    na, nb = np.count_nonzero(arr_a[:keep]), np.count_nonzero(arr_b[:keep])
+    small, other = (na, arr_b) if na <= nb else (nb, arr_a)
+    return small * min(max(na, nb) * _PAIR_COST, len(other), keep)
+
+
+def _product(a: list[int], b: list[int], trunc: int | None) -> np.ndarray:
+    """The first trunc entries (all when None) of the exact product of two
+    nonempty vectors: int64 when every entry fits, object otherwise."""
+    out_len = len(a) + len(b) - 1
+    keep = out_len if trunc is None else min(trunc, out_len)
+    square = b is a
+    arr_a = _array(a)
+    arr_b = arr_a if square else _array(b)
+    short = len(a) * len(b) <= _SCHOOLBOOK_CAP
+    negative = arr_a.min() < 0 or arr_b.min() < 0
+    if short and (negative or arr_a.dtype == object or arr_b.dtype == object):
+        return np.array(schoolbook_convolve(a, b)[:keep], dtype=object)
+    if negative:
+        raise PreconditionError("exact_convolve needs nonnegative entries beyond the schoolbook cap")
+    bound = min(_total(arr_a) * int(arr_b.max()), _total(arr_b) * int(arr_a.max())) + 1
+    wide = bound > 1 << 63
+    primes = _crt_primes(bound)
+    size = 1 << (out_len - 1).bit_length()
+    direct = short
+    if not short:
+        ntt = (2 if square else 3) * size * (size.bit_length() - 1) * _NTT_COST
+        work = _direct_work(arr_a, arr_b, keep)
+        if wide:  # both kernels run once per prime
+            direct = work * _RESIDUE_COST <= ntt
+        else:
+            direct = work <= ntt * len(primes)
+    if direct and not wide:
+        return _direct(arr_a, arr_b, keep)
+    rows = []
+    for p, g in primes:
+        if direct:
+            rows.append(_direct(_residues(arr_a, p, len(a)), _residues(arr_b, p, len(b)), keep, p))
+            continue
+        fa = _ntt(_residues(arr_a, p, size), p, g, invert=False)
+        fb = fa if square else _ntt(_residues(arr_b, p, size), p, g, invert=False)
+        row = _ntt(fa * fb % p, p, g, invert=True)[:keep]
+        rows.append(row * pow(size, p - 2, p) % p)
+    return _garner(rows, [p for p, _ in primes])
 
 
 def exact_convolve(a: list[int], b: list[int], trunc: int | None = None) -> list[int]:
-    """Exact convolution of nonnegative integer vectors.
+    """Exact convolution of integer vectors (nonnegative beyond the
+    schoolbook cap).
 
     trunc keeps only the first trunc output entries (those are still
     exact: truncation only discards high-index terms). Passing the same
     object as a and b (a square) costs one forward transform per prime
-    instead of two.
+    instead of two on the NTT kernel.
     """
+    if trunc is not None and trunc < 0:
+        raise PreconditionError(f"trunc must be nonnegative, got {trunc}")
     if not a or not b:
         return []
-    out_len = len(a) + len(b) - 1
-    if trunc is not None:
-        out_len_keep = min(trunc, out_len)
-    else:
-        out_len_keep = out_len
-    if len(a) * len(b) <= _SCHOOLBOOK_CAP:
-        return schoolbook_convolve(a, b)[:out_len_keep]
-    if min(a) < 0 or min(b) < 0:
-        raise PreconditionError("NTT path requires nonnegative entries")
-    bound = min(sum(a) * max(b), sum(b) * max(a)) + 1
-    primes: list[tuple[int, int]] = []
-    mod = 1
-    for pg in NTT_PRIMES:
-        if mod >= bound:
-            break
-        primes.append(pg)
-        mod *= pg[0]
-    if mod < bound:
-        raise PreconditionError("output bound exceeds the CRT capacity of the prime set")
-    if not primes:  # bound 1: a or b is all zeros
-        return [0] * out_len_keep
-    size = 1 << (out_len - 1).bit_length()
-    square = b is a
-    arr_a = _int64_or_none(a)
-    arr_b = arr_a if square else _int64_or_none(b)
-    rows = []
-    for p, g in primes:
-        fa = _ntt(_residues(a, arr_a, p, size), p, g, invert=False)
-        fb = fa if square else _ntt(_residues(b, arr_b, p, size), p, g, invert=False)
-        row = _ntt(fa * fb % p, p, g, invert=True)[:out_len_keep]
-        rows.append(row * pow(size, p - 2, p) % p)
-    return _garner(rows, [p for p, _ in primes])
+    return _product(a, b, trunc).tolist()
 
 
 def cyclic_convolve(a: list[int], b: list[int], m: int) -> list[int]:
     """Exact cyclic convolution modulo index m (histogram composition)."""
     if len(a) != m or len(b) != m:
         raise PreconditionError("cyclic_convolve needs both vectors of length m")
-    lin = exact_convolve(a, b)
-    out = [0] * m
-    for i, v in enumerate(lin):
-        out[i % m] += v
-    return out
+    if not m:
+        return []
+    lin = _product(a, b, None)
+    out = lin[:m].copy()
+    out[: m - 1] += lin[m:]
+    return out.tolist()
 
 
 def _binary_power(base: list[int], t: int, mul) -> list[int]:
@@ -226,6 +331,8 @@ def _binary_power(base: list[int], t: int, mul) -> list[int]:
 
 def convolution_power(base: list[int], t: int, trunc: int) -> list[int]:
     """base^(*t) truncated to trunc entries, by binary powering."""
+    if trunc < 0:
+        raise PreconditionError(f"trunc must be nonnegative, got {trunc}")
     result = _binary_power(list(base[:trunc]), t, lambda a, b: exact_convolve(a, b, trunc=trunc))
     return result + [0] * (trunc - len(result))
 

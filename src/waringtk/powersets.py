@@ -136,8 +136,8 @@ def restricted_power_sums(
     budget: int = N_BUDGET,
 ) -> SmoothPowerSumSet:
     """S_r(Y): distinct sums of r l-th powers of smooth integers."""
-    if r < 1:
-        raise PreconditionError("need r >= 1")
+    if r < 1 or Y < 0:
+        raise PreconditionError(f"need r >= 1 and Y >= 0, got r={r}, Y={Y}")
     if r * Y**l > budget:
         raise ResourceError(f"r * Y^l = {r * Y ** l} exceeds budget")
     if R is None:

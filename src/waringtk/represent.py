@@ -81,6 +81,8 @@ def count_conje(n_max: int, k: int, l: int, t: int, s: int, r_extra: int) -> Cou
     variables positive integers."""
     if n_max > N_MAX_BUDGET:
         raise ResourceError(f"n_max {n_max} exceeds budget {N_MAX_BUDGET}")
+    if n_max < 0:
+        raise PreconditionError(f"need n_max >= 0, got {n_max}")
     if s < 0 or r_extra < 0 or s + r_extra < 1:
         raise PreconditionError("need s, r_extra >= 0 and s + r_extra >= 1")
     trunc = n_max + 1
@@ -102,6 +104,8 @@ def count_theorem13(
     of the xi-variable form; weighted=True counts preimage tuples."""
     if n_max > N_MAX_BUDGET:
         raise ResourceError(f"n_max {n_max} exceeds budget {N_MAX_BUDGET}")
+    if n_max < 0:
+        raise PreconditionError(f"need n_max >= 0, got {n_max}")
     if s < 1:
         raise PreconditionError("need s >= 1")
     base = form_power_base(n_max, k, l, xi)
@@ -273,6 +277,8 @@ def k2_mean_value(
     Split by x_1 = x_2 vs x_1 != x_2; the y-pairs enter only through the
     histogram of y_1^2 + y_2^2 values, joined across the two sides.
     """
+    if X_cap < 0:
+        raise PreconditionError(f"need X >= 0, got {X_cap}")
     if Y is None:
         Y = max(2, math.floor(X_cap ** (1.0 / l)))
     values = restricted_power_sums(t, l, Y, eta).values

@@ -126,6 +126,58 @@ def test_config_equals_spelling(tmp_path, capsys):
     assert override == want
 
 
+@pytest.mark.parametrize("spelling", ["--conf {}", "--conf={}", "--co {}", "--co={}", "--config {}"])
+def test_config_abbreviations(tmp_path, capsys, spelling):
+    """argparse accepts a unique prefix of --config, so the file is read
+    for each spelling, before or after the subcommand."""
+    cfg = os.path.join(tmp_path, "cfg")
+    with open(cfg, "w") as fh:
+        fh.write("q=5\na=2\nk=2\n")
+    flag = spelling.format(cfg).split(" ")
+    _, direct = run_capture(["expsum", "--q", "5", "--a", "2", "--k", "2"], capsys)
+    for argv in (["expsum", *flag], [*flag, "expsum"]):
+        code, via_cfg = run_capture(argv, capsys)
+        assert code == 0, argv
+        assert via_cfg == direct
+
+
+@pytest.mark.parametrize("given", [["--nm", "30"], ["--nm=30"], ["--nmax", "30"]])
+def test_abbreviated_flag_wins_over_config(tmp_path, capsys, given):
+    cfg = os.path.join(tmp_path, "cfg")
+    with open(cfg, "w") as fh:
+        fh.write("nmax=20\nk=2\nl=2\nxi=5\ns=2\n")
+    _, want = run_capture(["count", "thm13", "--nmax", "30", "--k", "2", "--l", "2", "--xi", "5", "--s", "2"], capsys)
+    for argv in (["count", "thm13", "--co", cfg, *given], ["count", "thm13", *given, f"--conf={cfg}"]):
+        code, out = run_capture(argv, capsys)
+        assert code == 0, argv
+        assert out == want
+
+
+def test_ambiguous_config_prefix_is_a_usage_error(tmp_path, capsys):
+    cfg = os.path.join(tmp_path, "cfg")
+    with open(cfg, "w") as fh:
+        fh.write("q=5\na=2\nk=2\n")
+    assert run(["expsum", "--c", cfg]) == 1  # --cache-dir or --config
+    assert "ambiguous option" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "thm13", "--nmax", "-5", "--k", "2", "--l", "2", "--xi", "5", "--s", "2"],
+        ["count", "conje", "--nmax", "-3", "--k", "2", "--l", "2", "--t", "8", "--s", "1", "--r", "1"],
+        ["count", "main-term", "--k", "2", "--l", "2", "--xi", "5", "--s", "6", "--n", "-5"],
+        ["count", "k2", "--t", "2", "--X", "-30"],
+        ["count", "k2", "--t", "2", "--X", "30", "--Y", "-3"],
+    ],
+    ids=["thm13", "conje", "main-term", "k2-X", "k2-Y"],
+)
+def test_negative_size_is_a_precondition_violation(capsys, argv):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "precondition violation" in err and "Traceback" not in err
+
+
 _LOCAL = ["local", "--p", "3", "--h", "2", "--n", "4"]
 _LOCAL_REST = ["--k", "2", "--l", "2", "--t", "8", "--s", "2"]
 

@@ -1,10 +1,14 @@
+import contextlib
+import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from waringtk import convolve
 from waringtk.convolve import (
     NTT_PRIMES,
     _SCHOOLBOOK_CAP,
@@ -18,6 +22,7 @@ from waringtk.convolve import (
     float_convolve,
     schoolbook_convolve,
 )
+from waringtk.errors import PreconditionError
 
 vec = st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=300)
 
@@ -97,11 +102,29 @@ def test_power_mass_conservation(t):
     assert sum(out) == sum(base) ** t
 
 
-# lengths of at least 400 put len(a) * len(b) above _SCHOOLBOOK_CAP, so
-# every example below runs the NTT + CRT path; 2^70 entries are beyond
-# int64 and take the per-entry residue conversion
 def _vector(rng: random.Random, length: int, bits: int) -> list[int]:
     return [rng.getrandbits(bits) if bits else 0 for _ in range(length)]
+
+
+@contextlib.contextmanager
+def _kernel(name: str):
+    """Send every long product to one kernel, by setting the dispatch's
+    crossover weight to an extreme; yields the list of _ntt calls made."""
+    calls = []
+    real = convolve._ntt
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape[0])
+        return real(*args, **kwargs)
+
+    weight = {"ntt": 0, "direct": 10**30}[name]
+    with mock.patch.object(convolve, "_NTT_COST", weight), mock.patch.object(convolve, "_ntt", spy):
+        yield calls
+
+
+# lengths of at least 400 put len(a) * len(b) above _SCHOOLBOOK_CAP, so
+# every example below is a long product, sent to the NTT + CRT kernel;
+# 2^70 entries are beyond int64 and take the per-entry residue conversion
 
 
 @given(
@@ -118,10 +141,13 @@ def test_ntt_path_matches_schoolbook(seed, len_a, len_b, bits_a, bits_b, trunc):
     rng = random.Random(seed)
     a, b = _vector(rng, len_a, bits_a), _vector(rng, len_b, bits_b)
     want = schoolbook_convolve(a, b)
-    assert exact_convolve(a, b) == want
-    assert exact_convolve(a, b, trunc=trunc) == want[:trunc]
-    # a square passes the same object twice and skips one forward transform
-    assert exact_convolve(a, a, trunc=trunc) == schoolbook_convolve(a, a)[:trunc]
+    with _kernel("ntt") as ntt_calls:
+        assert exact_convolve(a, b) == want
+        assert exact_convolve(a, b, trunc=trunc) == want[:trunc]
+        # a square passes the same object twice and skips one forward transform
+        assert exact_convolve(a, a, trunc=trunc) == schoolbook_convolve(a, a)[:trunc]
+    # all-zero operands need no prime, so only they skip the transforms
+    assert bool(ntt_calls) == any(a)
 
 
 @pytest.mark.parametrize("k", range(13))
@@ -153,3 +179,87 @@ def test_ntt_matches_naive_dft(p, g, k):
         assert _ntt(np.array(a, dtype=np.int64), p, g, invert=False).tolist() == naive
         back = _ntt(np.array(naive, dtype=np.int64), p, g, invert=True)
         assert (back * pow(n, p - 2, p) % p).tolist() == a
+
+
+@st.composite
+def _sparse(draw, max_len: int) -> list[int]:
+    """A vector of up to max_len entries with at most 10 nonzeros."""
+    length = draw(st.integers(min_value=1, max_value=max_len))
+    bits = draw(st.sampled_from([1, 20, 40, 70]))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    out = [0] * length
+    for i in draw(st.lists(st.integers(min_value=0, max_value=length - 1), max_size=10)):
+        out[i] = rng.getrandbits(bits) | 1
+    return out
+
+
+@st.composite
+def _dense(draw, max_len: int) -> list[int]:
+    length = draw(st.integers(min_value=1, max_value=max_len))
+    bits = draw(st.sampled_from([1, 20, 40, 70]))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    return _vector(rng, length, bits)
+
+
+# entries of 40 and 70 bits put the output bound above 2^63, so those
+# examples run the direct kernel per CRT prime and reconstruct by Garner;
+# a dense operand (up to 600 entries) beside a long sparse one gives
+# shifted rows, two sparse ones give the outer product
+@given(
+    _sparse(200_000),
+    st.one_of(_sparse(200_000), _dense(600)),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=400_000)),
+)
+@example([0] * 150_000, [0] * 1000, None)
+@example([0] * 150_000, [3] + [0] * 149_999, 7)
+@example([2**62, 2**62], [3], None)  # sum(a) and the output just past int64
+@example([0] * 1000 + [2**70 - 1] * 8, [2**70 - 1] * 600, None)  # 8 overlapping residue rows
+@settings(max_examples=25, deadline=None)
+def test_direct_path_matches_schoolbook(a, b, trunc):
+    want = schoolbook_convolve(a, b)
+    with _kernel("direct") as ntt_calls:
+        assert exact_convolve(a, b) == want
+        assert exact_convolve(a, b, trunc=trunc) == want[:trunc]
+        assert exact_convolve(a, a, trunc=trunc) == schoolbook_convolve(a, a)[:trunc]
+    assert not ntt_calls
+
+
+def test_cyclic_matches_folded_schoolbook():
+    """Every length 1 ... 400: short products (direct kernel, or the
+    schoolbook fallback for 70-bit entries) and, from m = 363 on, long
+    ones."""
+    rng = random.Random(400)
+    for m in range(1, 401):
+        bits = (1, 20, 40, 70)[m % 4]
+        a, b = _vector(rng, m, bits), _vector(rng, m, bits)
+        folded = [0] * m
+        for i, v in enumerate(schoolbook_convolve(a, b)):
+            folded[i % m] += v
+        assert cyclic_convolve(a, b, m) == folded, m
+
+
+def test_sparse_square_skips_the_ntt(monkeypatch):
+    """The squares up to 2e5 have 447 nonzeros: their square is an outer
+    product of 447 x 447 pairs, far below a 2^19-point transform."""
+    n = 200_000
+    squares = [0] * (n + 1)
+    for x in range(math.isqrt(n) + 1):
+        squares[x * x] = 1
+    want = [0] * (n + 1)
+    for x in range(math.isqrt(n) + 1):
+        for y in range(math.isqrt(n - x * x) + 1):
+            want[x * x + y * y] += 1
+
+    def no_ntt(*args, **kwargs):
+        raise AssertionError("_ntt called for a sparse square")
+
+    monkeypatch.setattr(convolve, "_ntt", no_ntt)
+    assert exact_convolve(squares, squares, trunc=n + 1) == want
+    assert convolution_power(squares, 2, n + 1) == want
+
+
+def test_negative_trunc_is_a_precondition_error():
+    with pytest.raises(PreconditionError):
+        exact_convolve([1, 2], [3, 4], trunc=-1)
+    with pytest.raises(PreconditionError):
+        convolution_power([1, 2], 2, trunc=-1)
