@@ -422,11 +422,6 @@ def _with_config(argv: list[str]) -> list[str]:
     and `--flag=value` count as they do in the real parse; argv that does
     not parse is returned as it is, for the real parse to report. A switch
     (`star=1`) is added bare when true, left off when false."""
-    # the explicit parse builds a second parser (about 7 ms): skip it when
-    # no token can be a prefix of --config
-    heads = {tok.split("=", 1)[0] for tok in argv}
-    if not any(len(h) > 2 and "--config".startswith(h) for h in heads):
-        return argv
     try:
         given = vars(build_parser(explicit=True).parse_known_args(argv)[0])
     except _ArgvError:

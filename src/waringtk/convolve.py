@@ -2,28 +2,29 @@
 
 The direct kernel works on int64 numpy arrays. For each nonzero of the
 operand with fewer nonzeros it adds a shifted, scaled copy of the other
-operand (a row); when the other operand is sparse too, or the product is
-short, it scatter-adds the outer product of the two nonzero sets
-instead. It truncates as it goes, so its work is about
-nnz_small * min(nnz_other * _PAIR_COST, kept length) multiply-adds.
+operand (a row); when the other operand is sparse too it scatter-adds
+the outer product of the two nonzero sets instead. It truncates as it
+goes, so its work is about
+nnz_small * min(nnz_other * _PAIR_COST, kept row length + _ROW_COST)
+multiply-adds, _ROW_COST being the fixed cost of one row's numpy calls.
 The NTT kernel runs multi-prime number-theoretic transforms: 3 transforms
 (2 for a square, the same object passed twice as binary powering does)
 of size * log2(size) butterfly points per prime.
 
-exact_convolve takes the direct kernel for every short product
+Both kernels work from the a-priori bound on the output entries,
+min(sum(a) * max(b), sum(b) * max(a)). Below 2^63 the direct kernel
+accumulates in plain int64 (every partial sum of nonnegative terms is at
+most the bound), and exact_convolve takes it for every short product
 (len(a) * len(b) <= _SCHOOLBOOK_CAP) and for a long one whose work is at
 most the NTT kernel's, counting a butterfly point as _NTT_COST
-multiply-adds and, in residues, a reduced multiply-add as _RESIDUE_COST.
-Both kernels work from the a-priori bound on the output entries,
-min(sum(a) * max(b), sum(b) * max(a)): below 2^63 the direct kernel
-accumulates in plain int64 (every partial sum of nonnegative terms is at
-most the bound); otherwise either kernel works per CRT prime in
-residues, with as many of NTT_PRIMES as the bound needs, and Garner's
-mixed-radix method combines them (in int64, with one Python-int pass
-when the primes' product exceeds 2^63). schoolbook_convolve is the reference the tests compare
-against, and the route for short products with negative entries or
-entries of 2^63 or more. Results are bit-identical across the routes
-(property-tested).
+multiply-adds. From 2^63 on, a short product goes to
+schoolbook_convolve and a long one to the NTT kernel, which works per
+CRT prime in residues, with as many of NTT_PRIMES as the bound needs,
+and combines them by Garner's mixed-radix method (in int64, with one
+Python-int pass when the primes' product exceeds 2^63).
+schoolbook_convolve is also the reference the tests compare against,
+and the route for short products with negative entries. Results are
+bit-identical across the routes (property-tested).
 
 The NTT primes are < 2^31 so that modular products fit in int64. Each
 transform builds its tables in O(n): one table of the powers of the n-th
@@ -54,11 +55,13 @@ NTT_PRIMES: tuple[tuple[int, int], ...] = (
 _SCHOOLBOOK_CAP = 1 << 17  # len(a)*len(b) at most this: a short product
 # Work weights of the dispatch, in int64 multiply-adds of the direct
 # kernel's rows (about 0.6 ns each; measured with numpy 2.4 on a 2-core
-# x86-64 VM, where a butterfly point costs 10-13 ns and the two kernels
-# break even at 17-30 multiply-adds per point for int64 products and at
-# about 3.5 residue terms per point):
+# x86-64 VM, where a butterfly point costs 12-16 ns, a row's numpy calls
+# 2.5-4 us and a scatter-added pair 10-35 ns). The values minimise the
+# summed time of the chosen routes over the exact products of the
+# benchmark workloads and a sweep of dense and sparse products of
+# length 400-100000:
 _NTT_COST = 20  # one butterfly point of one stage, for one prime
-_RESIDUE_COST = 5  # one multiply-add reduced mod a CRT prime
+_ROW_COST = 4000  # the fixed cost of one row
 _PAIR_COST = 16  # one scatter-added pair of the outer product
 
 
@@ -199,30 +202,26 @@ def _garner(residue_rows: list[np.ndarray], primes: list[int]) -> np.ndarray:
     return x
 
 
-def _direct(a: np.ndarray, b: np.ndarray, keep: int, p: int | None = None) -> np.ndarray:
+def _direct(a: np.ndarray, b: np.ndarray, keep: int) -> np.ndarray:
     """The first keep entries of a*b from the nonzeros of the sparser
-    operand, as int64; with p, mod p (entries of a and b in [0, p)).
+    operand, as int64; the caller guarantees the output bound is below
+    2^63, and every partial sum is at most the final entry.
 
-    Without p every partial sum is at most the final entry, so the caller
-    guarantees the output bound is below 2^63. With p < 2^31 each product
-    is reduced before it is added, so a sum of fewer than 2^32 terms fits.
-    Each nonzero a[i] adds the row a[i] * b shifted by i; when b is sparse
-    too (or the product is short, where the per-row call overhead would
-    dominate), the outer product of the two nonzero sets is scatter-added
-    in blocks of at most _SCHOOLBOOK_CAP pairs instead."""
+    Each nonzero a[i] adds the row a[i] * b shifted by i; when b is
+    sparse enough that its pairs cost less than a row, the outer product
+    of the two nonzero sets is scatter-added in blocks of at most
+    _SCHOOLBOOK_CAP pairs instead."""
     ia, ib = np.flatnonzero(a[:keep]), np.flatnonzero(b[:keep])
     if len(ia) > len(ib):
         a, b, ia, ib = b, a, ib, ia
     out = np.zeros(keep, dtype=np.int64)
-    if len(a) * len(b) <= _SCHOOLBOOK_CAP or len(ib) * _PAIR_COST < min(len(b), keep):
+    if len(ib) * _PAIR_COST < min(len(b), keep) + _ROW_COST:
         vb = b[ib]
         step = max(1, _SCHOOLBOOK_CAP // max(1, len(ib)))
         for lo in range(0, len(ia), step):
             rows = ia[lo : lo + step]
             pos = (rows[:, None] + ib).ravel()
             val = (a[rows][:, None] * vb).ravel()
-            if p is not None:
-                val %= p
             inside = pos < keep
             np.add.at(out, pos[inside], val[inside])
     else:
@@ -231,11 +230,7 @@ def _direct(a: np.ndarray, b: np.ndarray, keep: int, p: int | None = None) -> np
             n = min(len(b), keep - i)
             row = buf[:n]
             np.multiply(b[:n], a[i], out=row)
-            if p is not None:
-                row %= p
             out[i : i + n] += row
-    if p is not None:
-        out %= p
     return out
 
 
@@ -243,7 +238,7 @@ def _direct_work(arr_a: np.ndarray, arr_b: np.ndarray, keep: int) -> int:
     """The direct kernel's work on a product, in int64 multiply-adds."""
     na, nb = np.count_nonzero(arr_a[:keep]), np.count_nonzero(arr_b[:keep])
     small, other = (na, arr_b) if na <= nb else (nb, arr_a)
-    return small * min(max(na, nb) * _PAIR_COST, len(other), keep)
+    return small * min(max(na, nb) * _PAIR_COST, min(len(other), keep) + _ROW_COST)
 
 
 def _product(a: list[int], b: list[int], trunc: int | None) -> np.ndarray:
@@ -255,30 +250,21 @@ def _product(a: list[int], b: list[int], trunc: int | None) -> np.ndarray:
     arr_a = _array(a)
     arr_b = arr_a if square else _array(b)
     short = len(a) * len(b) <= _SCHOOLBOOK_CAP
-    negative = arr_a.min() < 0 or arr_b.min() < 0
-    if short and (negative or arr_a.dtype == object or arr_b.dtype == object):
+    if arr_a.min() < 0 or arr_b.min() < 0:
+        if not short:
+            raise PreconditionError("exact_convolve needs nonnegative entries beyond the schoolbook cap")
         return np.array(schoolbook_convolve(a, b)[:keep], dtype=object)
-    if negative:
-        raise PreconditionError("exact_convolve needs nonnegative entries beyond the schoolbook cap")
     bound = min(_total(arr_a) * int(arr_b.max()), _total(arr_b) * int(arr_a.max())) + 1
-    wide = bound > 1 << 63
     primes = _crt_primes(bound)
     size = 1 << (out_len - 1).bit_length()
-    direct = short
-    if not short:
-        ntt = (2 if square else 3) * size * (size.bit_length() - 1) * _NTT_COST
-        work = _direct_work(arr_a, arr_b, keep)
-        if wide:  # both kernels run once per prime
-            direct = work * _RESIDUE_COST <= ntt
-        else:
-            direct = work <= ntt * len(primes)
-    if direct and not wide:
-        return _direct(arr_a, arr_b, keep)
+    if bound <= 1 << 63:
+        points = (2 if square else 3) * size * (size.bit_length() - 1) * len(primes)
+        if short or _direct_work(arr_a, arr_b, keep) <= points * _NTT_COST:
+            return _direct(arr_a, arr_b, keep)
+    elif short:
+        return np.array(schoolbook_convolve(a, b)[:keep], dtype=object)
     rows = []
     for p, g in primes:
-        if direct:
-            rows.append(_direct(_residues(arr_a, p, len(a)), _residues(arr_b, p, len(b)), keep, p))
-            continue
         fa = _ntt(_residues(arr_a, p, size), p, g, invert=False)
         fb = fa if square else _ntt(_residues(arr_b, p, size), p, g, invert=False)
         row = _ntt(fa * fb % p, p, g, invert=True)[:keep]

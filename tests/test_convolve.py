@@ -109,7 +109,9 @@ def _vector(rng: random.Random, length: int, bits: int) -> list[int]:
 @contextlib.contextmanager
 def _kernel(name: str):
     """Send every long product to one kernel, by setting the dispatch's
-    crossover weight to an extreme; yields the list of _ntt calls made."""
+    crossover weight to an extreme (the direct kernel still leaves the
+    products with an output bound of 2^63 or more to the NTT); yields the
+    list of _ntt calls made."""
     calls = []
     real = convolve._ntt
 
@@ -185,7 +187,7 @@ def test_ntt_matches_naive_dft(p, g, k):
 def _sparse(draw, max_len: int) -> list[int]:
     """A vector of up to max_len entries with at most 10 nonzeros."""
     length = draw(st.integers(min_value=1, max_value=max_len))
-    bits = draw(st.sampled_from([1, 20, 40, 70]))
+    bits = draw(st.sampled_from([1, 20, 30, 40, 70]))
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
     out = [0] * length
     for i in draw(st.lists(st.integers(min_value=0, max_value=length - 1), max_size=10)):
@@ -196,15 +198,22 @@ def _sparse(draw, max_len: int) -> list[int]:
 @st.composite
 def _dense(draw, max_len: int) -> list[int]:
     length = draw(st.integers(min_value=1, max_value=max_len))
-    bits = draw(st.sampled_from([1, 20, 40, 70]))
+    bits = draw(st.sampled_from([1, 20, 30, 40, 70]))
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
     return _vector(rng, length, bits)
 
 
-# entries of 40 and 70 bits put the output bound above 2^63, so those
-# examples run the direct kernel per CRT prime and reconstruct by Garner;
+def _wide_and_long(a: list[int], b: list[int]) -> bool:
+    """The product's output bound is 2^63 or more and it is not short:
+    the one kind of product the direct kernel leaves to the NTT."""
+    bound = min(sum(a) * max(b), sum(b) * max(a)) + 1
+    return bound > 1 << 63 and len(a) * len(b) > _SCHOOLBOOK_CAP
+
+
 # a dense operand (up to 600 entries) beside a long sparse one gives
-# shifted rows, two sparse ones give the outer product
+# shifted rows, two sparse ones give the outer product; entries of 30
+# bits and more put some output bounds at 2^63 or above, where a short
+# product goes to the schoolbook and a long one to the NTT kernel
 @given(
     _sparse(200_000),
     st.one_of(_sparse(200_000), _dense(600)),
@@ -213,7 +222,8 @@ def _dense(draw, max_len: int) -> list[int]:
 @example([0] * 150_000, [0] * 1000, None)
 @example([0] * 150_000, [3] + [0] * 149_999, 7)
 @example([2**62, 2**62], [3], None)  # sum(a) and the output just past int64
-@example([0] * 1000 + [2**70 - 1] * 8, [2**70 - 1] * 600, None)  # 8 overlapping residue rows
+@example([0] * 1000 + [2**30 - 1] * 8, [2**30 - 1] * 600, None)  # 8 overlapping rows, bound just below 2^63
+@example([0] * 1000 + [2**70 - 1] * 8, [2**70 - 1] * 600, None)  # the same beyond int64: the NTT
 @settings(max_examples=25, deadline=None)
 def test_direct_path_matches_schoolbook(a, b, trunc):
     want = schoolbook_convolve(a, b)
@@ -221,13 +231,13 @@ def test_direct_path_matches_schoolbook(a, b, trunc):
         assert exact_convolve(a, b) == want
         assert exact_convolve(a, b, trunc=trunc) == want[:trunc]
         assert exact_convolve(a, a, trunc=trunc) == schoolbook_convolve(a, a)[:trunc]
-    assert not ntt_calls
+    assert bool(ntt_calls) == (_wide_and_long(a, b) or _wide_and_long(a, a))
 
 
 def test_cyclic_matches_folded_schoolbook():
-    """Every length 1 ... 400: short products (direct kernel, or the
-    schoolbook fallback for 70-bit entries) and, from m = 363 on, long
-    ones."""
+    """Every length 1 ... 400: short products (the direct kernel, or the
+    schoolbook for output bounds of 2^63 and more) and, from m = 363 on,
+    long ones."""
     rng = random.Random(400)
     for m in range(1, 401):
         bits = (1, 20, 40, 70)[m % 4]
