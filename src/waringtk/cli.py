@@ -241,13 +241,13 @@ def _arcs_vmv(arcs, args, header):
 def _count_conje(represent, args, header):
     vec = represent.count_conje(args.nmax, args.k, args.l, args.t, args.s, args.r)
     header.append(f"provenance={vec.provenance}")
-    return [{"n": n, "count": c} for n, c in enumerate(vec.entries)]
+    return [{"n": n, "count": c} for n, c in enumerate(vec.entries.tolist())]
 
 
 def _count_thm13(represent, args, header):
     vec = represent.count_theorem13(args.nmax, args.k, args.l, args.xi, args.s, weighted=not args.set)
     header.append(f"provenance={vec.provenance}")
-    return [{"n": n, "count": c} for n, c in enumerate(vec.entries)]
+    return [{"n": n, "count": c} for n, c in enumerate(vec.entries.tolist())]
 
 
 def _count_main_term(represent, args, header):
@@ -257,11 +257,14 @@ def _count_main_term(represent, args, header):
 
 
 def _count_qm(represent, args, header):
+    import numpy as np
+
     from waringtk.params import ProblemParams
 
     params = ProblemParams(k=args.k, l=args.l, t=args.t, n=args.n)
     vec = represent.q_m_table(params, eta=args.eta)
-    supp = max((i for i, e in enumerate(vec.entries) if e), default=0)
+    support = np.flatnonzero(vec.entries)
+    supp = int(support[-1]) if len(support) else 0
     return [{"n": args.n, "max_support": supp, "half_n": args.n // 2, "mass": vec.mass}]
 
 

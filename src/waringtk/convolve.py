@@ -8,20 +8,27 @@ goes, so its work is about
 nnz_small * min(nnz_other * _PAIR_COST, kept row length + _ROW_COST)
 multiply-adds, _ROW_COST being the fixed cost of one row's numpy calls.
 The NTT kernel runs multi-prime number-theoretic transforms: 3 transforms
-(2 for a square, the same object passed twice as binary powering does)
-of size * log2(size) butterfly points per prime.
+(2 for a square, the same object passed twice) of size * log2(size)
+butterfly points per prime.
+
+Powers are taken left to right (Knuth, TAOCP vol. 2, 4.6.3): every
+product is a square or a product with the base, so the sparse base of a
+count goes to the direct kernel and a long square to the NTT kernel at
+two transforms per prime. convolution_power carries int64 arrays (object
+past 2^63) from product to product and returns one.
 
 Both kernels work from the a-priori bound on the output entries,
 min(sum(a) * max(b), sum(b) * max(a)). Below 2^63 the direct kernel
 accumulates in plain int64 (every partial sum of nonnegative terms is at
-most the bound), and exact_convolve takes it for every short product
+most the bound), and the dispatch (_product, behind exact_convolve,
+cyclic_convolve and the powers) takes it for every short product
 (len(a) * len(b) <= _SCHOOLBOOK_CAP) and for a long one whose work is at
 most the NTT kernel's, counting a butterfly point as _NTT_COST
 multiply-adds. From 2^63 on, a short product goes to
 schoolbook_convolve and a long one to the NTT kernel, which works per
 CRT prime in residues, with as many of NTT_PRIMES as the bound needs,
-and combines them by Garner's mixed-radix method (in int64, with one
-Python-int pass when the primes' product exceeds 2^63).
+and combines them by Garner's mixed-radix method (in int64, and in
+Python ints only when an entry reaches 2^63).
 schoolbook_convolve is also the reference the tests compare against,
 and the route for short products with negative entries. Results are
 bit-identical across the routes (property-tested).
@@ -53,6 +60,7 @@ NTT_PRIMES: tuple[tuple[int, int], ...] = (
 )
 
 _SCHOOLBOOK_CAP = 1 << 17  # len(a)*len(b) at most this: a short product
+_INT64_MAX = (1 << 63) - 1
 # Work weights of the dispatch, in int64 multiply-adds of the direct
 # kernel's rows (about 0.6 ns each; measured with numpy 2.4 on a 2-core
 # x86-64 VM, where a butterfly point costs 12-16 ns, a row's numpy calls
@@ -143,11 +151,11 @@ def _ntt(a: np.ndarray, p: int, g: int, invert: bool) -> np.ndarray:
     return a
 
 
-def _array(a: list[int]) -> np.ndarray:
-    """a as an int64 array, or as an object array when an entry is outside
-    int64."""
+def _array(a: list[int] | np.ndarray) -> np.ndarray:
+    """a (a list or an array) as an int64 array, or as an object array when
+    an entry is outside int64; an int64 array is returned as it is."""
     try:
-        return np.array(a, dtype=np.int64)
+        return np.asarray(a, dtype=np.int64)
     except OverflowError:
         return np.array(a, dtype=object)
 
@@ -186,7 +194,8 @@ def _garner(residue_rows: list[np.ndarray], primes: list[int]) -> np.ndarray:
     The mixed-radix digits v_i (x = v_0 + v_1 p_0 + v_2 p_0 p_1 + ...) are
     int64 arrays: every factor is below 2^31, so every product fits. The
     digits are summed in int64 while the modulus stays below 2^63, and in
-    one object-array (Python int) pass beyond that."""
+    one object-array (Python int) pass beyond that, so the result is int64
+    exactly when every entry is below 2^63."""
     digits: list[np.ndarray] = []
     for row, p in zip(residue_rows, primes):
         t = row
@@ -195,9 +204,16 @@ def _garner(residue_rows: list[np.ndarray], primes: list[int]) -> np.ndarray:
         digits.append(t)
     x, m = digits[0], primes[0]
     for v, p in zip(digits[1:], primes[1:]):
-        if m * p >= 1 << 63:
-            x, v = np.asarray(x, dtype=object), v.astype(object)
-        x = x + v * m
+        if x.dtype != object and m * p > 1 << 63:
+            # x + v * m stays int64 only if v * m fits beside every x < m;
+            # once m is past int64 that needs v == 0, and x is already final
+            room = (_INT64_MAX - x) // m if m <= _INT64_MAX else 0
+            if (v > room).any():
+                x = x.astype(object)
+        if x.dtype == object:
+            x = x + v.astype(object) * m
+        elif m <= _INT64_MAX:
+            x = x + v * m
         m *= p
     return x
 
@@ -241,35 +257,48 @@ def _direct_work(arr_a: np.ndarray, arr_b: np.ndarray, keep: int) -> int:
     return small * min(max(na, nb) * _PAIR_COST, min(len(other), keep) + _ROW_COST)
 
 
-def _product(a: list[int], b: list[int], trunc: int | None) -> np.ndarray:
+def _schoolbook(a: np.ndarray, b: np.ndarray, keep: int) -> np.ndarray:
+    """schoolbook_convolve of two arrays, truncated to keep entries; it
+    works on Python ints, since products of int64 entries could wrap."""
+    la = a.tolist()
+    return _array(schoolbook_convolve(la, la if b is a else b.tolist())[:keep])
+
+
+def _product(a: np.ndarray, b: np.ndarray, trunc: int | None) -> np.ndarray:
     """The first trunc entries (all when None) of the exact product of two
-    nonempty vectors: int64 when every entry fits, object otherwise."""
+    int64 or object arrays: int64 when every entry fits, object otherwise."""
+    if not len(a) or not len(b):
+        return np.zeros(0, dtype=np.int64)
     out_len = len(a) + len(b) - 1
     keep = out_len if trunc is None else min(trunc, out_len)
     square = b is a
-    arr_a = _array(a)
-    arr_b = arr_a if square else _array(b)
     short = len(a) * len(b) <= _SCHOOLBOOK_CAP
-    if arr_a.min() < 0 or arr_b.min() < 0:
+    if a.min() < 0 or b.min() < 0:
         if not short:
             raise PreconditionError("exact_convolve needs nonnegative entries beyond the schoolbook cap")
-        return np.array(schoolbook_convolve(a, b)[:keep], dtype=object)
-    bound = min(_total(arr_a) * int(arr_b.max()), _total(arr_b) * int(arr_a.max())) + 1
+        return _schoolbook(a, b, keep)
+    bound = min(_total(a) * int(b.max()), _total(b) * int(a.max())) + 1
+    if short and bound > 1 << 63:
+        return _schoolbook(a, b, keep)
     primes = _crt_primes(bound)
     size = 1 << (out_len - 1).bit_length()
     if bound <= 1 << 63:
         points = (2 if square else 3) * size * (size.bit_length() - 1) * len(primes)
-        if short or _direct_work(arr_a, arr_b, keep) <= points * _NTT_COST:
-            return _direct(arr_a, arr_b, keep)
-    elif short:
-        return np.array(schoolbook_convolve(a, b)[:keep], dtype=object)
+        if short or _direct_work(a, b, keep) <= points * _NTT_COST:
+            return _direct(a, b, keep)
     rows = []
     for p, g in primes:
-        fa = _ntt(_residues(arr_a, p, size), p, g, invert=False)
-        fb = fa if square else _ntt(_residues(arr_b, p, size), p, g, invert=False)
+        fa = _ntt(_residues(a, p, size), p, g, invert=False)
+        fb = fa if square else _ntt(_residues(b, p, size), p, g, invert=False)
         row = _ntt(fa * fb % p, p, g, invert=True)[:keep]
         rows.append(row * pow(size, p - 2, p) % p)
     return _garner(rows, [p for p, _ in primes])
+
+
+def _operands(a: list[int], b: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """a and b as arrays for _product, a square kept as one object."""
+    arr_a = _array(a)
+    return arr_a, arr_a if b is a else _array(b)
 
 
 def exact_convolve(a: list[int], b: list[int], trunc: int | None = None) -> list[int]:
@@ -283,9 +312,7 @@ def exact_convolve(a: list[int], b: list[int], trunc: int | None = None) -> list
     """
     if trunc is not None and trunc < 0:
         raise PreconditionError(f"trunc must be nonnegative, got {trunc}")
-    if not a or not b:
-        return []
-    return _product(a, b, trunc).tolist()
+    return _product(*_operands(a, b), trunc).tolist()
 
 
 def cyclic_convolve(a: list[int], b: list[int], m: int) -> list[int]:
@@ -294,33 +321,36 @@ def cyclic_convolve(a: list[int], b: list[int], m: int) -> list[int]:
         raise PreconditionError("cyclic_convolve needs both vectors of length m")
     if not m:
         return []
-    lin = _product(a, b, None)
+    lin = _product(*_operands(a, b), None)
     out = lin[:m].copy()
     out[: m - 1] += lin[m:]
     return out.tolist()
 
 
-def _binary_power(base: list[int], t: int, mul) -> list[int]:
-    """The t-fold product of base under mul, by binary powering."""
+def _binary_power(base, t: int, mul):
+    """The t-fold product of base under mul, by left-to-right binary
+    powering: for each bit of t after the leading one, square, then
+    multiply by base if the bit is set. That makes floor(log2 t) +
+    popcount(t) - 1 products, each a square or a product with base."""
     if t < 1:
         raise PreconditionError(f"a convolution power needs t >= 1, got t={t}")
-    result: list[int] | None = None
-    sq = base
-    while t:
-        if t & 1:
-            result = sq if result is None else mul(result, sq)
-        t >>= 1
-        if t:
-            sq = mul(sq, sq)
+    result = base
+    for bit in bin(t)[3:]:
+        result = mul(result, result)
+        if bit == "1":
+            result = mul(result, base)
     return result
 
 
-def convolution_power(base: list[int], t: int, trunc: int) -> list[int]:
-    """base^(*t) truncated to trunc entries, by binary powering."""
+def convolution_power(base: list[int] | np.ndarray, t: int, trunc: int) -> np.ndarray:
+    """base^(*t) truncated and zero-padded to trunc entries, by binary
+    powering, as an int64 array (object when an entry reaches 2^63)."""
     if trunc < 0:
         raise PreconditionError(f"trunc must be nonnegative, got {trunc}")
-    result = _binary_power(list(base[:trunc]), t, lambda a, b: exact_convolve(a, b, trunc=trunc))
-    return result + [0] * (trunc - len(result))
+    result = _binary_power(_array(base[:trunc]), t, lambda a, b: _product(a, b, trunc))
+    out = np.zeros(trunc, dtype=result.dtype)
+    out[: len(result)] = result
+    return out
 
 
 def cyclic_power(base: list[int], t: int, m: int) -> list[int]:

@@ -13,6 +13,8 @@ import os
 import struct
 from dataclasses import dataclass
 
+import numpy as np
+
 from waringtk.arith import smallest_prime_factors
 from waringtk.convolve import convolution_power
 from waringtk.errors import PreconditionError, ResourceError
@@ -50,9 +52,9 @@ class SmoothPowerSumSet:
     values: tuple[int, ...]
 
 
-def power_indicator(l: int, limit: int) -> list[int]:
-    """Vector with 1 at x^l for x >= 1, x^l <= limit."""
-    base = [0] * (limit + 1)
+def power_indicator(l: int, limit: int) -> np.ndarray:
+    """Vector with 1 at x^l for x >= 1, x^l <= limit, as an int64 array."""
+    base = np.zeros(limit + 1, dtype=np.int64)
     x = 1
     while x**l <= limit:
         base[x**l] = 1
@@ -70,7 +72,7 @@ def rep_count_table(l: int, t: int, limit: int, budget: int = N_BUDGET) -> Power
         raise ResourceError(f"limit {limit} exceeds budget {budget}")
     base = power_indicator(l, limit)
     rho = convolution_power(base, t, trunc=limit + 1)
-    return PowerSumTable(l=l, t=t, limit=limit, rho=tuple(rho))
+    return PowerSumTable(l=l, t=t, limit=limit, rho=tuple(rho.tolist()))
 
 
 def rep_count_enumerate(l: int, t: int, limit: int) -> list[int]:

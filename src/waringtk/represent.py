@@ -32,16 +32,25 @@ N_MAX_BUDGET = 10**6
 MAIN_TERM_Q = 100
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CountVector:
-    """Exact ordered-representation counts indexed 0..n_max."""
+    """Exact ordered-representation counts indexed 0..n_max.
 
-    entries: tuple[int, ...]
+    entries is a read-only copy of the given counts: an int64 array, or an
+    object array of Python ints when an entry reaches 2^63."""
+
+    entries: np.ndarray
     provenance: str
 
     def __post_init__(self):
-        if min(self.entries, default=0) < 0:
+        try:
+            entries = np.array(self.entries, dtype=np.int64)
+        except OverflowError:
+            entries = np.array(self.entries, dtype=object)
+        if len(entries) and entries.min() < 0:
             raise PreconditionError("counts must be nonnegative")
+        entries.flags.writeable = False
+        object.__setattr__(self, "entries", entries)
 
     @property
     def n_max(self) -> int:
@@ -49,10 +58,10 @@ class CountVector:
 
     @property
     def mass(self) -> int:
-        return sum(self.entries)
+        return sum(self.entries.tolist())
 
     def __getitem__(self, n: int) -> int:
-        return self.entries[n]
+        return int(self.entries[n])
 
 
 def _kth_power_cap(n_max: int, k: int) -> int:
@@ -65,14 +74,13 @@ def _kth_power_cap(n_max: int, k: int) -> int:
     return m
 
 
-def form_power_base(n_max: int, k: int, l: int, t: int) -> list[int]:
-    """Vector a with a[m^k] += rho_t[m]: one form block's contribution."""
+def form_power_base(n_max: int, k: int, l: int, t: int) -> np.ndarray:
+    """Vector a with a[m^k] = rho_t[m]: one form block's contribution, as
+    an int64 array (object when a weight reaches 2^63)."""
     cap = _kth_power_cap(n_max, k)
     rho = rep_count_table(l, t, cap).rho
-    base = [0] * (n_max + 1)
-    for m in range(1, cap + 1):
-        if rho[m]:
-            base[m**k] += rho[m]
+    base = np.zeros(n_max + 1, dtype=np.int64 if max(rho) < 1 << 63 else object)
+    base[np.arange(1, cap + 1) ** k] = rho[1:]
     return base
 
 
@@ -86,15 +94,13 @@ def count_conje(n_max: int, k: int, l: int, t: int, s: int, r_extra: int) -> Cou
     if s < 0 or r_extra < 0 or s + r_extra < 1:
         raise PreconditionError("need s, r_extra >= 0 and s + r_extra >= 1")
     trunc = n_max + 1
-    acc: list[int] | None = None
+    acc = None
     if s > 0:
         acc = convolution_power(form_power_base(n_max, k, l, t), s, trunc)
     if r_extra > 0:
         powers = convolution_power(power_indicator(k, n_max), r_extra, trunc)
         acc = powers if acc is None else exact_convolve(acc, powers, trunc=trunc)
-    assert acc is not None
-    acc = acc + [0] * (trunc - len(acc))
-    return CountVector(tuple(acc), f"conje k={k} l={l} t={t} s={s} r={r_extra}")
+    return CountVector(acc, f"conje k={k} l={l} t={t} s={s} r={r_extra}")
 
 
 def count_theorem13(
@@ -110,18 +116,17 @@ def count_theorem13(
         raise PreconditionError("need s >= 1")
     base = form_power_base(n_max, k, l, xi)
     if not weighted:
-        base = [1 if b > 0 else 0 for b in base]
+        base = (base > 0).astype(np.int64)
     acc = convolution_power(base, s, n_max + 1)
-    acc = acc + [0] * (n_max + 1 - len(acc))
     tag = "weighted" if weighted else "set"
-    return CountVector(tuple(acc), f"thm13 k={k} l={l} xi={xi} s={s} {tag}")
+    return CountVector(acc, f"thm13 k={k} l={l} xi={xi} s={s} {tag}")
 
 
 def count_oracle(n_max: int, k: int, l: int, t: int, s: int, r_extra: int) -> list[int]:
     """Iterated schoolbook accumulation: an NTT-free route to count_conje."""
     out = [0] * (n_max + 1)
     out[0] = 1
-    block = form_power_base(n_max, k, l, t)
+    block = form_power_base(n_max, k, l, t).tolist()
     for _ in range(s):
         nxt = [0] * (n_max + 1)
         for i, c in enumerate(out):
@@ -130,7 +135,7 @@ def count_oracle(n_max: int, k: int, l: int, t: int, s: int, r_extra: int) -> li
                     if block[v]:
                         nxt[i + v] += c * block[v]
         out = nxt
-    power = power_indicator(k, n_max)
+    power = power_indicator(k, n_max).tolist()
     for _ in range(r_extra):
         nxt = [0] * (n_max + 1)
         for i, c in enumerate(out):
@@ -220,7 +225,7 @@ def window_ratio(
         d = _d_table(q, k, l, xi, s, "form_only")
         series = series + np.real(d[ns % q])
     mains = main_term_constant(k, l, xi, s) * ns ** (s * xi / (k * l) - 1.0) * series
-    counts = np.array([float(vec[int(n)]) for n in ns])
+    counts = vec.entries[n_lo : n_hi + 1].astype(np.float64)
     denom = float(np.mean(mains))
     if denom <= 0:
         raise PreconditionError("window-averaged main term is nonpositive")
@@ -228,13 +233,14 @@ def window_ratio(
 
 
 def find_positivity_onset(vec: CountVector, width: int = 1000) -> int | None:
-    """Smallest N0 with vec[n] > 0 for every n in [N0, N0 + width], if any."""
-    run = 0
-    for n in range(1, vec.n_max + 1):
-        run = run + 1 if vec[n] > 0 else 0
-        if run >= width + 1:
-            return n - width
-    return None
+    """Smallest N0 >= 1 with vec[n] > 0 for every n in [N0, N0 + width],
+    if any: the start of the first run of positive entries after index 0,
+    between two barriers (index 0, the zeros, index n_max + 1), that is
+    longer than width."""
+    zeros = np.flatnonzero(vec.entries[1:] <= 0) + 1
+    barriers = np.concatenate(([0], zeros, [vec.n_max + 1]))
+    long_runs = np.flatnonzero(np.diff(barriers) > width + 1)
+    return int(barriers[long_runs[0]]) + 1 if len(long_runs) else None
 
 
 # ---------------------------------------------------------------------------
@@ -255,13 +261,12 @@ def q_m_table(params: ProblemParams, H: int | None = None, eta: float = DEFAULT_
         raise PreconditionError(
             f"support claim fails: H (max S1 + max S2)^k = {H * pair_max} > n/2 = {params.n // 2}"
         )
-    base = [0] * (pair_max + 1)
-    for y in s1:
-        for z in s2:
-            base[(y + z) ** k] += 1
+    base = np.zeros(pair_max + 1, dtype=np.int64)
+    np.add.at(base, (np.add.outer(s1, s2) ** k).ravel(), 1)
     acc = convolution_power(base, H, H * pair_max + 1)
-    out = list(acc) + [0] * (params.n + 1 - len(acc))
-    return CountVector(tuple(out), f"qm k={k} H={H} P1={params.p1} P2={params.p2}")
+    out = np.zeros(params.n + 1, dtype=acc.dtype)
+    out[: len(acc)] = acc
+    return CountVector(out, f"qm k={k} H={H} P1={params.p1} P2={params.p2}")
 
 
 def k2_mean_value(

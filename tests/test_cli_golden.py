@@ -1,8 +1,9 @@
 """The CLI's output bytes, pinned.
 
 Each case of tests/data/cli_golden.json (the criterion-11 acceptance
-battery plus one JSON-lines run) must exit with the recorded code and
-print stdout whose SHA-256 equals the recorded digest. The sieve's
+battery plus the JSON runs below, three of them count vectors) must
+exit with the recorded code and print stdout whose SHA-256 equals the
+recorded digest. The sieve's
 `# cache=... path=...` line names a temporary directory and the cache
 state, so it is hashed with both dropped, as the benchmark's output
 check does.
@@ -23,7 +24,12 @@ import tempfile
 from waringtk.cli import run
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "cli_golden.json")
-JSON_RUN = ["expsum", "--q", "49", "--a", "3", "--k", "2", "--l", "2", "--t", "8", "--format", "json"]
+JSON_RUNS = [
+    ["expsum", "--q", "49", "--a", "3", "--k", "2", "--l", "2", "--t", "8", "--format", "json"],
+    ["count", "conje", "--nmax", "10000", "--k", "2", "--l", "2", "--t", "8", "--s", "1", "--r", "1", "--format", "json"],
+    ["count", "thm13", "--nmax", "20000", "--k", "2", "--l", "2", "--xi", "5", "--s", "6", "--format", "json"],
+    ["count", "thm13", "--nmax", "3000", "--k", "2", "--l", "2", "--xi", "5", "--s", "3", "--set", "--format", "json"],
+]
 _CACHE_LINE = re.compile(r"^# cache=(hit|miss) path=.*$", re.MULTILINE)
 
 
@@ -47,7 +53,7 @@ if __name__ == "__main__":
     from test_acceptance import CLI_BATTERY
 
     cases = []
-    for argv in [*CLI_BATTERY, JSON_RUN]:
+    for argv in [*CLI_BATTERY, *JSON_RUNS]:
         buf = io.StringIO()
         with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(buf):
             code = run([*argv, "--cache-dir", tmp])

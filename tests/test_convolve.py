@@ -59,14 +59,53 @@ def test_cyclic_is_folded_linear(a):
 
 
 def test_convolution_power_matches_repeats():
-    base = [0, 1, 0, 0, 1, 1]
-    trunc = 20
-    by_power = convolution_power(base, 4, trunc)
-    acc = base
-    for _ in range(3):
-        acc = exact_convolve(acc, base, trunc=trunc)
-    acc = acc + [0] * (trunc - len(acc))
-    assert by_power == acc
+    """Every t = 1 ... 12 against repeated products with the base, for the
+    truncated linear power and the cyclic one; the second base reaches
+    entries past 2^63, kept exactly in an object array."""
+    for base in ([0, 1, 0, 0, 1, 1], [2**40, 0, 3, 2**20]):
+        m = len(base)
+        for t in range(1, 13):
+            for trunc in (1, 7, 20, 70):
+                acc = base
+                for _ in range(t - 1):
+                    acc = exact_convolve(acc, base, trunc=trunc)
+                acc = acc[:trunc] + [0] * (trunc - len(acc))
+                assert convolution_power(base, t, trunc).tolist() == acc, (base, t, trunc)
+            cyc = base
+            for _ in range(t - 1):
+                cyc = cyclic_convolve(cyc, base, m)
+            assert cyclic_power(base, t, m) == cyc, (base, t)
+    assert convolution_power([2**40, 1], 2, 3).dtype == object
+    assert convolution_power([2**20, 1], 2, 3).dtype == np.int64
+
+
+def test_powering_is_left_to_right():
+    """Every product is a square (the same object twice) or has the base as
+    an operand, and t takes floor(log2 t) + popcount(t) - 1 of them."""
+    base = [1]
+    for t in range(1, 17):
+        calls = []
+
+        def mul(a, b):
+            calls.append((a, b))
+            return [a[0] + b[0]]
+
+        assert convolve._binary_power(base, t, mul) == [t]
+        assert all(a is b or base is a or base is b for a, b in calls)
+        assert len(calls) == t.bit_length() - 1 + bin(t).count("1") - 1
+
+    products = []
+    real = convolve._product
+
+    def spy(a, b, trunc):
+        products.append((a, b))
+        return real(a, b, trunc)
+
+    with mock.patch.object(convolve, "_product", spy):
+        convolution_power([0, 1, 1, 0, 1], 13, trunc=40)
+    first = products[0][0]
+    assert len(products) == 5
+    assert all(a is b or first is a or first is b for a, b in products)
 
 
 def test_cyclic_power_mass():
@@ -92,6 +131,14 @@ def test_float_convolve_matches_exact():
 
 def test_empty_inputs():
     assert exact_convolve([], [1, 2]) == []
+    assert convolution_power([], 3, trunc=4).tolist() == [0, 0, 0, 0]
+
+
+def test_short_product_beyond_the_crt_capacity():
+    """A short product goes to the schoolbook whatever its bound, also past
+    the product of all NTT primes."""
+    a, b = [2**300, 1], [2**300]
+    assert exact_convolve(a, b) == schoolbook_convolve(a, b)
 
 
 @pytest.mark.parametrize("t", [1, 2, 3, 7])
@@ -234,6 +281,17 @@ def test_direct_path_matches_schoolbook(a, b, trunc):
     assert bool(ntt_calls) == (_wide_and_long(a, b) or _wide_and_long(a, a))
 
 
+def test_garner_result_is_int64_exactly_when_entries_fit():
+    """Output bounds just past 2^63 take three CRT primes; the result stays
+    int64 when every entry fits and turns object when one reaches 2^63."""
+    a = [2**40] + [0] * 998 + [2**40]  # the two rows never overlap
+    for top, dtype in ((2**22, np.int64), (2**23, object)):
+        b = [2**22] * 499 + [top]
+        out = convolve._product(np.array(a), np.array(b), None)
+        assert out.dtype == dtype
+        assert out.tolist() == schoolbook_convolve(a, b)
+
+
 def test_cyclic_matches_folded_schoolbook():
     """Every length 1 ... 400: short products (the direct kernel, or the
     schoolbook for output bounds of 2^63 and more) and, from m = 363 on,
@@ -265,7 +323,7 @@ def test_sparse_square_skips_the_ntt(monkeypatch):
 
     monkeypatch.setattr(convolve, "_ntt", no_ntt)
     assert exact_convolve(squares, squares, trunc=n + 1) == want
-    assert convolution_power(squares, 2, n + 1) == want
+    assert convolution_power(squares, 2, n + 1).tolist() == want
 
 
 def test_negative_trunc_is_a_precondition_error():

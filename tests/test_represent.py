@@ -1,7 +1,9 @@
 import math
+import random
 from collections import Counter
 from itertools import product
 
+import numpy as np
 import pytest
 
 from waringtk.errors import PreconditionError, ResourceError
@@ -109,6 +111,41 @@ def test_positivity_onset():
     assert find_positivity_onset(vec, width=1000) == 761
     tiny = CountVector((0, 1, 0, 1), "toy")
     assert find_positivity_onset(tiny, width=1) is None
+
+
+def test_positivity_onset_matches_running_count():
+    """The vectorised onset against a running count of positive entries."""
+
+    def running(entries, width):
+        run = 0
+        for n in range(1, len(entries)):
+            run = run + 1 if entries[n] > 0 else 0
+            if run >= width + 1:
+                return n - width
+        return None
+
+    rng = random.Random(3)
+    for _ in range(300):
+        entries = [int(rng.random() < 0.8) for _ in range(rng.randrange(1, 40))]
+        width = rng.randrange(0, 8)
+        assert find_positivity_onset(CountVector(entries, "toy"), width) == running(entries, width)
+
+
+def test_count_vector_entries():
+    vec = CountVector([0, 3, 2], "toy")
+    assert vec.entries.dtype == np.int64
+    with pytest.raises(ValueError):
+        vec.entries[0] = 1
+    assert [type(x) for x in (vec.n_max, vec.mass, vec[1])] == [int, int, int]
+    assert (vec.n_max, vec.mass, vec[1]) == (2, 5, 3)
+    big = CountVector((1, 2**63, 2**70 + 1), "wide")
+    assert big.entries.dtype == object
+    assert big.entries.tolist() == [1, 2**63, 2**70 + 1]
+    assert big.mass == 2 + 2**63 + 2**70 and big[2] == 2**70 + 1
+    assert not big.entries.flags.writeable
+    for bad in ([0, -1], (2**70, -1)):
+        with pytest.raises(PreconditionError):
+            CountVector(bad, "negative")
 
 
 def test_q_m_table_support_and_mass():
