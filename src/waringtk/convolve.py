@@ -27,8 +27,10 @@ most the NTT kernel's, counting a butterfly point as _NTT_COST
 multiply-adds. From 2^63 on, a short product goes to
 schoolbook_convolve and a long one to the NTT kernel, which works per
 CRT prime in residues, with as many of NTT_PRIMES as the bound needs,
-and combines them by Garner's mixed-radix method (in int64, and in
-Python ints only when an entry reaches 2^63).
+and combines them by Garner's mixed-radix method (in int64, with one
+Python-int pass when the primes' product exceeds 2^63). Every route
+returns int64 when each entry fits and object otherwise; cyclic_convolve
+folds in Python ints when a folded sum could pass int64.
 schoolbook_convolve is also the reference the tests compare against,
 and the route for short products with negative entries. Results are
 bit-identical across the routes (property-tested).
@@ -60,7 +62,6 @@ NTT_PRIMES: tuple[tuple[int, int], ...] = (
 )
 
 _SCHOOLBOOK_CAP = 1 << 17  # len(a)*len(b) at most this: a short product
-_INT64_MAX = (1 << 63) - 1
 # Work weights of the dispatch, in int64 multiply-adds of the direct
 # kernel's rows (about 0.6 ns each; measured with numpy 2.4 on a 2-core
 # x86-64 VM, where a butterfly point costs 12-16 ns, a row's numpy calls
@@ -151,7 +152,7 @@ def _ntt(a: np.ndarray, p: int, g: int, invert: bool) -> np.ndarray:
     return a
 
 
-def _array(a: list[int] | np.ndarray) -> np.ndarray:
+def count_array(a: list[int] | np.ndarray) -> np.ndarray:
     """a (a list or an array) as an int64 array, or as an object array when
     an entry is outside int64; an int64 array is returned as it is."""
     try:
@@ -194,8 +195,8 @@ def _garner(residue_rows: list[np.ndarray], primes: list[int]) -> np.ndarray:
     The mixed-radix digits v_i (x = v_0 + v_1 p_0 + v_2 p_0 p_1 + ...) are
     int64 arrays: every factor is below 2^31, so every product fits. The
     digits are summed in int64 while the modulus stays below 2^63, and in
-    one object-array (Python int) pass beyond that, so the result is int64
-    exactly when every entry is below 2^63."""
+    one object-array (Python int) pass beyond that; the result is then
+    int64 again when every entry fits."""
     digits: list[np.ndarray] = []
     for row, p in zip(residue_rows, primes):
         t = row
@@ -204,18 +205,11 @@ def _garner(residue_rows: list[np.ndarray], primes: list[int]) -> np.ndarray:
         digits.append(t)
     x, m = digits[0], primes[0]
     for v, p in zip(digits[1:], primes[1:]):
-        if x.dtype != object and m * p > 1 << 63:
-            # x + v * m stays int64 only if v * m fits beside every x < m;
-            # once m is past int64 that needs v == 0, and x is already final
-            room = (_INT64_MAX - x) // m if m <= _INT64_MAX else 0
-            if (v > room).any():
-                x = x.astype(object)
-        if x.dtype == object:
-            x = x + v.astype(object) * m
-        elif m <= _INT64_MAX:
-            x = x + v * m
+        if m * p >= 1 << 63:
+            x, v = np.asarray(x, dtype=object), v.astype(object)
+        x = x + v * m
         m *= p
-    return x
+    return count_array(x)
 
 
 def _direct(a: np.ndarray, b: np.ndarray, keep: int) -> np.ndarray:
@@ -261,7 +255,7 @@ def _schoolbook(a: np.ndarray, b: np.ndarray, keep: int) -> np.ndarray:
     """schoolbook_convolve of two arrays, truncated to keep entries; it
     works on Python ints, since products of int64 entries could wrap."""
     la = a.tolist()
-    return _array(schoolbook_convolve(la, la if b is a else b.tolist())[:keep])
+    return count_array(schoolbook_convolve(la, la if b is a else b.tolist())[:keep])
 
 
 def _product(a: np.ndarray, b: np.ndarray, trunc: int | None) -> np.ndarray:
@@ -297,8 +291,8 @@ def _product(a: np.ndarray, b: np.ndarray, trunc: int | None) -> np.ndarray:
 
 def _operands(a: list[int], b: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """a and b as arrays for _product, a square kept as one object."""
-    arr_a = _array(a)
-    return arr_a, arr_a if b is a else _array(b)
+    arr_a = count_array(a)
+    return arr_a, arr_a if b is a else count_array(b)
 
 
 def exact_convolve(a: list[int], b: list[int], trunc: int | None = None) -> list[int]:
@@ -322,6 +316,9 @@ def cyclic_convolve(a: list[int], b: list[int], m: int) -> list[int]:
     if not m:
         return []
     lin = _product(*_operands(a, b), None)
+    if lin.dtype != object and (lin.max() >= 1 << 62 or lin.min() < -(1 << 62)):
+        # the fold adds two entries; below 2^62 in magnitude the sum fits
+        lin = lin.astype(object)
     out = lin[:m].copy()
     out[: m - 1] += lin[m:]
     return out.tolist()
@@ -347,7 +344,7 @@ def convolution_power(base: list[int] | np.ndarray, t: int, trunc: int) -> np.nd
     powering, as an int64 array (object when an entry reaches 2^63)."""
     if trunc < 0:
         raise PreconditionError(f"trunc must be nonnegative, got {trunc}")
-    result = _binary_power(_array(base[:trunc]), t, lambda a, b: _product(a, b, trunc))
+    result = _binary_power(count_array(base[:trunc]), t, lambda a, b: _product(a, b, trunc))
     out = np.zeros(trunc, dtype=result.dtype)
     out[: len(result)] = result
     return out

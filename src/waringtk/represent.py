@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from waringtk.convolve import convolution_power, exact_convolve
+from waringtk.convolve import convolution_power, count_array, exact_convolve
 from waringtk.errors import PreconditionError, ResourceError
 from waringtk.integral import c_tl
 from waringtk.params import ProblemParams
@@ -43,10 +43,7 @@ class CountVector:
     provenance: str
 
     def __post_init__(self):
-        try:
-            entries = np.array(self.entries, dtype=np.int64)
-        except OverflowError:
-            entries = np.array(self.entries, dtype=object)
+        entries = count_array(self.entries).copy()
         if len(entries) and entries.min() < 0:
             raise PreconditionError("counts must be nonnegative")
         entries.flags.writeable = False
@@ -79,8 +76,9 @@ def form_power_base(n_max: int, k: int, l: int, t: int) -> np.ndarray:
     an int64 array (object when a weight reaches 2^63)."""
     cap = _kth_power_cap(n_max, k)
     rho = rep_count_table(l, t, cap).rho
-    base = np.zeros(n_max + 1, dtype=np.int64 if max(rho) < 1 << 63 else object)
-    base[np.arange(1, cap + 1) ** k] = rho[1:]
+    weights = count_array(rho[1:])
+    base = np.zeros(n_max + 1, dtype=weights.dtype)
+    base[np.arange(1, cap + 1) ** k] = weights
     return base
 
 

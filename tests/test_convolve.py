@@ -306,6 +306,25 @@ def test_cyclic_matches_folded_schoolbook():
         assert cyclic_convolve(a, b, m) == folded, m
 
 
+def test_cyclic_fold_past_int64():
+    """Every linear entry fits int64 but a folded sum of two does not: a
+    short product (the schoolbook, from a bound past 2^63), a short one
+    with negative entries, and a long one (m = 400) through Garner."""
+    p = 3037000499  # p^2 < 2^63 <= 2 p^2
+    m = 400
+    cases = [
+        ([p, p, 0], [p, 0, p], 3),
+        ([-p, p, 0], [p, 0, -p], 3),
+        ([p, p] + [0] * (m - 2), [p] + [0] * (m - 2) + [p], m),
+    ]
+    for a, b, n in cases:
+        folded = [0] * n
+        for i, v in enumerate(schoolbook_convolve(a, b)):
+            folded[i % n] += v
+        assert max(map(abs, folded)) >= 1 << 63
+        assert cyclic_convolve(a, b, n) == folded, n
+
+
 def test_sparse_square_skips_the_ntt(monkeypatch):
     """The squares up to 2e5 have 447 nonzeros: their square is an outer
     product of 447 x 447 pairs, far below a 2^19-point transform."""
