@@ -295,34 +295,26 @@ def test_garner_result_is_int64_exactly_when_entries_fit():
 def test_cyclic_matches_folded_schoolbook():
     """Every length 1 ... 400: short products (the direct kernel, or the
     schoolbook for output bounds of 2^63 and more) and, from m = 363 on,
-    long ones."""
+    long ones. Then three products whose linear entries fit int64 while a
+    folded sum does not: a short one (the schoolbook, from a bound past
+    2^63), a short one with negative entries, and a long one through
+    Garner."""
     rng = random.Random(400)
+    cases = []
     for m in range(1, 401):
         bits = (1, 20, 40, 70)[m % 4]
-        a, b = _vector(rng, m, bits), _vector(rng, m, bits)
+        cases.append((_vector(rng, m, bits), _vector(rng, m, bits), m))
+    p = 3037000499  # p^2 < 2^63 <= 2 p^2
+    cases += [
+        ([p, p, 0], [p, 0, p], 3),
+        ([-p, p, 0], [p, 0, -p], 3),
+        ([p, p] + [0] * 398, [p] + [0] * 398 + [p], 400),
+    ]
+    for a, b, m in cases:
         folded = [0] * m
         for i, v in enumerate(schoolbook_convolve(a, b)):
             folded[i % m] += v
         assert cyclic_convolve(a, b, m) == folded, m
-
-
-def test_cyclic_fold_past_int64():
-    """Every linear entry fits int64 but a folded sum of two does not: a
-    short product (the schoolbook, from a bound past 2^63), a short one
-    with negative entries, and a long one (m = 400) through Garner."""
-    p = 3037000499  # p^2 < 2^63 <= 2 p^2
-    m = 400
-    cases = [
-        ([p, p, 0], [p, 0, p], 3),
-        ([-p, p, 0], [p, 0, -p], 3),
-        ([p, p] + [0] * (m - 2), [p] + [0] * (m - 2) + [p], m),
-    ]
-    for a, b, n in cases:
-        folded = [0] * n
-        for i, v in enumerate(schoolbook_convolve(a, b)):
-            folded[i % n] += v
-        assert max(map(abs, folded)) >= 1 << 63
-        assert cyclic_convolve(a, b, n) == folded, n
 
 
 def test_sparse_square_skips_the_ntt(monkeypatch):
