@@ -425,6 +425,12 @@ def _with_config(argv: list[str]) -> list[str]:
     and `--flag=value` count as they do in the real parse; argv that does
     not parse is returned as it is, for the real parse to report. A switch
     (`star=1`) is added bare when true, left off when false."""
+    # the explicit parse builds a second argparse tree (about 5 ms): only
+    # a token whose text before `=` is at least `--c` and a prefix of
+    # `--config` can name the file
+    heads = {tok.split("=", 1)[0] for tok in argv}
+    if not any(len(h) > 2 and "--config".startswith(h) for h in heads):
+        return argv
     try:
         given = vars(build_parser(explicit=True).parse_known_args(argv)[0])
     except _ArgvError:

@@ -25,9 +25,13 @@ cyclic_convolve and the powers) takes it for every short product
 (len(a) * len(b) <= _SCHOOLBOOK_CAP) and for a long one whose work is at
 most the NTT kernel's, counting a butterfly point as _NTT_COST
 multiply-adds. From 2^63 on, a short product goes to
-schoolbook_convolve and a long one to the NTT kernel, which works per
-CRT prime in residues, with as many of NTT_PRIMES as the bound needs,
-and combines them by Garner's mixed-radix method (in int64, with one
+schoolbook_convolve and a long one to the NTT kernel. Once a product
+has gone to the NTT kernel, the bound is tightened by Cauchy-Schwarz,
+every entry being at most isqrt(sum(a^2) * sum(b^2)) (the sums of
+squares taken exactly in Python ints, so the direct kernel never pays
+for them); this can save a CRT prime. The kernel works per CRT prime
+in residues, with as many of NTT_PRIMES as the smaller bound needs, and
+combines them by Garner's mixed-radix method (in int64, with one
 Python-int pass when the primes' product exceeds 2^63). Every route
 returns int64 when each entry fits and object otherwise; cyclic_convolve
 folds in Python ints when a folded sum could pass int64.
@@ -39,11 +43,18 @@ The NTT primes are < 2^31 so that modular products fit in int64. Each
 transform builds its tables in O(n): one table of the powers of the n-th
 root of unity (every stage's twiddles are a strided view of it) and the
 bit-reversal permutation, both by doubling a filled prefix; its
-butterflies reduce the sums every second stage only. Nothing is cached
+butterflies reduce the sums every second stage only. Every reduction in
+the NTT kernel (butterflies, tables, pointwise products, the 1/n
+scaling and Garner) is _mod's x - floor(x / p) * p, which numpy computes
+by a multiply and shift instead of a hardware division. The stages of
+size 2 to 16 loop over their 1 to 8 twiddles, each on a strided column,
+where the later stages work on rows of the 2-D view. Nothing is cached
 across calls.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -63,12 +74,13 @@ NTT_PRIMES: tuple[tuple[int, int], ...] = (
 
 _SCHOOLBOOK_CAP = 1 << 17  # len(a)*len(b) at most this: a short product
 # Work weights of the dispatch, in int64 multiply-adds of the direct
-# kernel's rows (about 0.6 ns each; measured with numpy 2.4 on a 2-core
-# x86-64 VM, where a butterfly point costs 12-16 ns, a row's numpy calls
-# 2.5-4 us and a scatter-added pair 10-35 ns). The values minimise the
-# summed time of the chosen routes over the exact products of the
+# kernel's rows (0.4-0.5 ns each; measured with numpy 2.4 on a 2-core
+# x86-64 VM, where a butterfly point costs about 4-9 ns, a row's numpy
+# calls 2.5-4 us and a scatter-added pair 10-35 ns). The values minimise
+# the summed time of the chosen routes over the exact products of the
 # benchmark workloads and a sweep of dense and sparse products of
-# length 400-100000:
+# length 400-100000; refitted over the 74 long products below 2^63 of
+# exact_counts and local_series, _NTT_COST 20 still gave the least sum:
 _NTT_COST = 20  # one butterfly point of one stage, for one prime
 _ROW_COST = 4000  # the fixed cost of one row
 _PAIR_COST = 16  # one scatter-added pair of the outer product
@@ -88,6 +100,18 @@ def schoolbook_convolve(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
+def _mod(x: np.ndarray, p: int, scratch: np.ndarray | None = None) -> np.ndarray:
+    """x mod p in place, for an int64 array x, as x - floor(x / p) * p:
+    numpy divides by a scalar with a multiply and shift (libdivide),
+    2-5 times as fast as the hardware division of np.remainder, and
+    floor division keeps the result in [0, p) for negative x too.
+    scratch, an int64 array of x's shape, takes the quotients."""
+    q = np.floor_divide(x, p, out=scratch)
+    q *= p
+    x -= q
+    return x
+
+
 def _pow_table(base: int, length: int, p: int) -> np.ndarray:
     """[base^0, ..., base^(length-1)] mod p in O(length): each pass fills
     the next block from the filled prefix, out[f:2f] = out[:f] * base^f."""
@@ -96,8 +120,7 @@ def _pow_table(base: int, length: int, p: int) -> np.ndarray:
     f = 1
     while f < length:
         m = min(f, length - f)
-        np.multiply(out[:m], pow(base, f, p), out=out[f : f + m])
-        out[f : f + m] %= p
+        _mod(np.multiply(out[:m], pow(base, f, p), out=out[f : f + m]), p)
         f *= 2
     return out
 
@@ -119,10 +142,14 @@ def _ntt(a: np.ndarray, p: int, g: int, invert: bool) -> np.ndarray:
     in [0, p)) mod p; with invert, n times the inverse transform.
 
     One table of the powers of the n-th root of unity serves every stage:
-    the twiddles of a size-s stage are every (n/s)-th entry of it. Sums
-    are reduced every second stage only: after an unreduced stage the
-    entries lie in (-p, 2p), so the next stage's products stay below
-    2p^2 < 2^63 (p < 2^31) and its sums in (-2p, 3p)."""
+    the twiddles of a size-s stage are every (n/s)-th entry of it. Every
+    reduction is _mod's floor division. Sums are reduced every second
+    stage only: after an unreduced stage the entries lie in (-p, 2p), so
+    the next stage's products stay below 2p^2 < 2^63 (p < 2^31) and its
+    sums in (-2p, 3p). The stages of size 2 to 16 would work on rows of
+    1 to 8 entries, where numpy's per-row overhead dominates; they loop
+    over the twiddle index instead, each step on strided columns of
+    n / size entries."""
     n = a.shape[0]
     e = ((p - 1) & (1 - p)).bit_length() - 1  # p = c * 2^e + 1, c odd
     if n > (1 << e):
@@ -133,21 +160,26 @@ def _ntt(a: np.ndarray, p: int, g: int, invert: bool) -> np.ndarray:
         w = pow(w, p - 2, p)
     roots = _pow_table(w, n // 2, p)
     buf = np.empty(n // 2, dtype=np.int64)
+    scratch = np.empty(n, dtype=np.int64)
     size = 2
     while size <= n:
-        half = size // 2
-        view = a.reshape(n // size, size)
-        lo, hi = view[:, :half], view[:, half:]
-        tmp = buf.reshape(n // size, half)
-        if size == 2:  # the twiddle is 1
-            np.copyto(tmp, hi)
+        half, rows = size // 2, n // size
+        view = a.reshape(rows, size)
+        if half <= 8:
+            tmp, quo = buf[:rows], scratch[:rows]
+            steps = [(view[:, j], view[:, j + half], roots[j * rows] if j else None) for j in range(half)]
         else:
-            np.multiply(hi, roots[:: n // size], out=tmp)
-            tmp %= p
-        np.subtract(lo, tmp, out=hi)
-        lo += tmp
+            tmp, quo = buf.reshape(rows, half), scratch[: n // 2].reshape(rows, half)
+            steps = [(view[:, :half], view[:, half:], roots[::rows])]
+        for lo, hi, twiddle in steps:
+            if twiddle is None:  # the twiddle is 1
+                np.copyto(tmp, hi)
+            else:
+                _mod(np.multiply(hi, twiddle, out=tmp), p, quo)
+            np.subtract(lo, tmp, out=hi)
+            lo += tmp
         if size.bit_length() % 2 == 1 or size == n:  # size 4, 16, ... or the last
-            a %= p
+            _mod(a, p, scratch)
         size *= 2
     return a
 
@@ -166,6 +198,11 @@ def _total(arr: np.ndarray) -> int:
     if arr.dtype == object or int(arr.max()) * len(arr) >= 1 << 63:
         return sum(arr.tolist())
     return int(arr.sum())
+
+
+def _square_sum(arr: np.ndarray) -> int:
+    """sum(arr ** 2), exactly, in Python ints."""
+    return sum(x * x for x in arr.tolist())
 
 
 def _residues(arr: np.ndarray, p: int, size: int) -> np.ndarray:
@@ -201,7 +238,7 @@ def _garner(residue_rows: list[np.ndarray], primes: list[int]) -> np.ndarray:
     for row, p in zip(residue_rows, primes):
         t = row
         for v, q in zip(digits, primes):
-            t = (t - v) % p * pow(q, p - 2, p) % p
+            t = _mod(_mod(t - v, p) * pow(q, p - 2, p), p)
         digits.append(t)
     x, m = digits[0], primes[0]
     for v, p in zip(digits[1:], primes[1:]):
@@ -274,18 +311,22 @@ def _product(a: np.ndarray, b: np.ndarray, trunc: int | None) -> np.ndarray:
     bound = min(_total(a) * int(b.max()), _total(b) * int(a.max())) + 1
     if short and bound > 1 << 63:
         return _schoolbook(a, b, keep)
-    primes = _crt_primes(bound)
     size = 1 << (out_len - 1).bit_length()
     if bound <= 1 << 63:
-        points = (2 if square else 3) * size * (size.bit_length() - 1) * len(primes)
+        points = (2 if square else 3) * size * (size.bit_length() - 1) * len(_crt_primes(bound))
         if short or _direct_work(a, b, keep) <= points * _NTT_COST:
             return _direct(a, b, keep)
+    # the NTT: by Cauchy-Schwarz every entry is also at most
+    # sqrt(sum(a^2) * sum(b^2)), which can need a CRT prime fewer
+    squares_a = _square_sum(a)
+    squares_b = squares_a if square else _square_sum(b)
+    primes = _crt_primes(min(bound, math.isqrt(squares_a * squares_b) + 1))
     rows = []
     for p, g in primes:
         fa = _ntt(_residues(a, p, size), p, g, invert=False)
         fb = fa if square else _ntt(_residues(b, p, size), p, g, invert=False)
-        row = _ntt(fa * fb % p, p, g, invert=True)[:keep]
-        rows.append(row * pow(size, p - 2, p) % p)
+        row = _ntt(_mod(fa * fb, p), p, g, invert=True)[:keep]
+        rows.append(_mod(row * pow(size, p - 2, p), p))
     return _garner(rows, [p for p, _ in primes])
 
 

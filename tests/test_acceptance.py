@@ -171,7 +171,7 @@ def test_criterion_07_counting_oracles(capsys):
 
 
 def test_criterion_08_main_term_window(capsys):
-    """KNOWN FAILURE (honest red) — see notes ledger, 'main-term window ratio'.
+    """KNOWN FAILURE (honest red) — see ROADMAP open item 4 and CHANGES.md.
 
     Each of the s = 6 positive-variable factors undershoots its main term
     by a boundary deficit ~ 1 - c m^(-1/2); compounded, the window ratio
@@ -188,7 +188,7 @@ def test_criterion_08_main_term_window(capsys):
     detail = (
         f"window ratio {ratio:.4f} in [0.5, 2.0]: {bracket_ok}; "
         f"deviation shrinks ({abs(r_hi - 1):.3f} <= {abs(r_lo - 1):.3f}): {trend_ok} "
-        "(known desk-scale failure, see decisions ledger)"
+        "(known desk-scale failure, see ROADMAP open item 4 and CHANGES.md)"
     )
     _report(capsys, 8, bracket_ok and trend_ok, detail)
 

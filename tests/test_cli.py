@@ -161,6 +161,33 @@ def test_ambiguous_config_prefix_is_a_usage_error(tmp_path, capsys):
     assert "ambiguous option" in capsys.readouterr().err
 
 
+def test_parser_built_twice_only_for_a_config_prefix(capsys, monkeypatch):
+    """The explicit parser behind --config is built only when a token
+    before `=` could be a prefix of --config; the output is the same."""
+    from waringtk import cli
+
+    built = []
+    real = cli.build_parser
+
+    def counting(*args, **kwargs):
+        built.append(kwargs.get("explicit", False))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    argv = ["expsum", "--q", "5", "--a", "2", "--k", "2"]
+    code, want = run_capture(argv, capsys)
+    assert code == 0 and built == [False]
+    cases = [(["--format", "csv"], 1), (["--cache-dir=x"], 1), (["--cox"], 1), (["--c=x"], 2), (["--con"], 2)]
+    for extra, builds in cases:
+        del built[:]
+        run(argv + extra)
+        capsys.readouterr()
+        assert len(built) == builds, extra
+    del built[:]
+    assert run_capture(argv + ["--format=csv"], capsys) == (0, want)
+    assert built == [False]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -42,9 +42,53 @@ def test_ntt_path_matches_schoolbook_long():
 
 
 def test_huge_entries_escalate_prime_count():
+    """Outputs of about 2^200 need a modulus past 2^63: Garner takes its
+    Python-int pass."""
     a = [10**30, 10**31] * 300
     b = [10**30, 1] * 300
-    assert exact_convolve(a, b) == schoolbook_convolve(a, b)
+    moduli = []
+    real = convolve._garner
+
+    def spy(rows, primes):
+        moduli.append(math.prod(primes))
+        return real(rows, primes)
+
+    with mock.patch.object(convolve, "_garner", spy):
+        assert exact_convolve(a, b) == schoolbook_convolve(a, b)
+    assert len(moduli) == 1 and moduli[0] >= 1 << 63
+
+
+def test_cauchy_schwarz_bound_drops_a_prime():
+    """Ten spikes of 10 s over a floor of s: the bound sum(a) * max(b) is
+    past 2^63 and needs three primes, sqrt(sum(a^2) * sum(b^2)) is below
+    the product of the first two, and the entries fit in int64."""
+    s = 34_641_016
+    a = [10 * s if i % 100 == 0 else s for i in range(1000)]
+    b = a[50:] + a[:50]
+    old_bound = min(sum(a) * max(b), sum(b) * max(a)) + 1
+    cs_bound = math.isqrt(sum(x * x for x in a) * sum(x * x for x in b)) + 1
+    two = NTT_PRIMES[0][0] * NTT_PRIMES[1][0]
+    assert old_bound > 1 << 63 and cs_bound <= two
+    primes = []
+    real = convolve._ntt
+
+    def spy(arr, p, g, invert):
+        primes.append(p)
+        return real(arr, p, g, invert)
+
+    with mock.patch.object(convolve, "_ntt", spy):
+        assert exact_convolve(a, b) == schoolbook_convolve(a, b)
+    assert sorted(set(primes)) == sorted(p for p, _ in NTT_PRIMES[:2])
+    assert len(primes) == 6  # two forward transforms and one inverse per prime
+    # the bound is tight: the square of a flat vector peaks at sum(a^2),
+    # here just past the first prime, so it takes two (a zero crossover
+    # weight sends this product, bound below 2^63, to the NTT)
+    flat = [1450] * 1000
+    assert NTT_PRIMES[0][0] < sum(x * x for x in flat) < 2 * NTT_PRIMES[0][0]
+    del primes[:]
+    with mock.patch.object(convolve, "_ntt", spy), mock.patch.object(convolve, "_NTT_COST", 0):
+        assert exact_convolve(flat, flat) == schoolbook_convolve(flat, flat)
+    assert len(set(primes)) == 2
 
 
 @given(vec.filter(lambda v: len(v) >= 2))
@@ -216,18 +260,40 @@ def test_pow_table_matches_naive(p, g):
 
 
 @pytest.mark.parametrize("p, g", NTT_PRIMES)
-@pytest.mark.parametrize("k", [1, 2, 3, 5, 6])
+@pytest.mark.parametrize("k", range(1, 9))
 def test_ntt_matches_naive_dft(p, g, k):
     """The lazily reduced butterflies give the exact DFT mod p, also for
-    entries p - 1, where the unreduced sums are largest."""
+    entries p - 1, where the unreduced sums are largest; k = 1 ... 8 runs
+    the stages of size 2 to 16 as column loops and the later ones on rows."""
     n = 1 << k
     w = pow(g, (p - 1) // n, p)
+    powers = [pow(w, j, p) for j in range(n)]
     rng = random.Random(k)
     for a in ([p - 1] * n, [rng.randrange(p) for _ in range(n)]):
-        naive = [sum(x * pow(w, i * j, p) for j, x in enumerate(a)) % p for i in range(n)]
+        naive = [sum(x * powers[i * j % n] for j, x in enumerate(a)) % p for i in range(n)]
         assert _ntt(np.array(a, dtype=np.int64), p, g, invert=False).tolist() == naive
         back = _ntt(np.array(naive, dtype=np.int64), p, g, invert=True)
         assert (back * pow(n, p - 2, p) % p).tolist() == a
+
+
+@pytest.mark.parametrize("p, g", NTT_PRIMES)
+def test_mod_matches_remainder(p, g):
+    """_mod's floor division equals % on the values the butterflies
+    reduce: sums in (-2p, 3p), products of an entry in (-p, 2p) and a
+    twiddle in [0, p), so in (-p^2, 2p^2), and entries p - 1."""
+    rng = np.random.default_rng(p)
+    edges = [-2 * p + 1, -p, -1, 0, 1, p - 1, p, 2 * p - 1, 3 * p - 1, -p * p + 1, 2 * p * p - 1, (p - 1) ** 2]
+    x = np.concatenate(
+        [
+            np.array(edges, dtype=np.int64),
+            rng.integers(-2 * p + 1, 3 * p, 10_000),
+            rng.integers(-p * p + 1, 2 * p * p, 10_000),
+            rng.integers(-p + 1, 2 * p, 10_000) * (p - 1),
+        ]
+    )
+    want = (x % p).tolist()
+    assert convolve._mod(x.copy(), p).tolist() == want
+    assert convolve._mod(x.copy(), p, np.empty_like(x)).tolist() == want
 
 
 @st.composite
