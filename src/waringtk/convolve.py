@@ -27,11 +27,13 @@ most the NTT kernel's, counting a butterfly point as _NTT_COST
 multiply-adds. From 2^63 on, a short product goes to
 schoolbook_convolve and a long one to the NTT kernel. Once a product
 has gone to the NTT kernel, the bound is tightened by Cauchy-Schwarz,
-every entry being at most isqrt(sum(a^2) * sum(b^2)) (the sums of
-squares taken exactly in Python ints, so the direct kernel never pays
-for them); this can save a CRT prime. The kernel works per CRT prime
-in residues, with as many of NTT_PRIMES as the smaller bound needs, and
-combines them by Garner's mixed-radix method (in int64, with one
+every entry being at most isqrt(sum(a^2) * sum(b^2)); this can save a
+CRT prime. The sums of squares are taken exactly in Python ints only
+when a float64 lower estimate of that bound already saves one, so the
+primes are those of the exact rule and neither the direct kernel nor an
+NTT product that keeps its primes pays for them. The kernel works per
+CRT prime in residues, with as many of NTT_PRIMES as the smaller bound
+needs, and combines them by Garner's mixed-radix method (in int64, with one
 Python-int pass when the primes' product exceeds 2^63). Every route
 returns int64 when each entry fits and object otherwise; cyclic_convolve
 folds in Python ints when a folded sum could pass int64.
@@ -54,6 +56,7 @@ across calls.
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -71,6 +74,12 @@ NTT_PRIMES: tuple[tuple[int, int], ...] = (
     (754974721, 11),  # 45 * 2^24 + 1
     (998244353, 3),  # 119 * 2^23 + 1
 )
+
+# _MODULI[i] is the product of the first i primes
+_MODULI = tuple(math.prod(p for p, _ in NTT_PRIMES[:i]) for i in range(len(NTT_PRIMES) + 1))
+# relative deflation of the float Cauchy-Schwarz estimate: float64 sums of
+# n squares are off by at most about n * 2^-53, and n stays below 2^30
+_CS_MARGIN = 1e-6
 
 _SCHOOLBOOK_CAP = 1 << 17  # len(a)*len(b) at most this: a short product
 # Work weights of the dispatch, in int64 multiply-adds of the direct
@@ -212,18 +221,29 @@ def _residues(arr: np.ndarray, p: int, size: int) -> np.ndarray:
     return out
 
 
+def _cauchy_schwarz_estimate(a: np.ndarray, b: np.ndarray) -> float:
+    """A lower estimate of sqrt(sum(a^2) * sum(b^2)): float64 dot products
+    deflated by _CS_MARGIN, or 0.0 when an entry is past the float range."""
+    try:
+        fa = a.astype(np.float64)
+        fb = fa if b is a else b.astype(np.float64)
+    except OverflowError:
+        return 0.0
+    return math.sqrt(np.dot(fa, fa)) * math.sqrt(np.dot(fb, fb)) * (1 - _CS_MARGIN)
+
+
+def _prime_count(bound: int | float) -> int:
+    """How many leading NTT primes make a modulus of at least bound;
+    len(NTT_PRIMES) + 1 past their capacity."""
+    return bisect.bisect_left(_MODULI, bound)
+
+
 def _crt_primes(bound: int) -> list[tuple[int, int]]:
     """The leading NTT primes, as few as make a modulus of at least bound."""
-    primes: list[tuple[int, int]] = []
-    mod = 1
-    for pg in NTT_PRIMES:
-        if mod >= bound:
-            break
-        primes.append(pg)
-        mod *= pg[0]
-    if mod < bound:
+    count = _prime_count(bound)
+    if count > len(NTT_PRIMES):
         raise PreconditionError("output bound exceeds the CRT capacity of the prime set")
-    return primes
+    return list(NTT_PRIMES[:count])
 
 
 def _garner(residue_rows: list[np.ndarray], primes: list[int]) -> np.ndarray:
@@ -317,10 +337,14 @@ def _product(a: np.ndarray, b: np.ndarray, trunc: int | None) -> np.ndarray:
         if short or _direct_work(a, b, keep) <= points * _NTT_COST:
             return _direct(a, b, keep)
     # the NTT: by Cauchy-Schwarz every entry is also at most
-    # sqrt(sum(a^2) * sum(b^2)), which can need a CRT prime fewer
-    squares_a = _square_sum(a)
-    squares_b = squares_a if square else _square_sum(b)
-    primes = _crt_primes(min(bound, math.isqrt(squares_a * squares_b) + 1))
+    # sqrt(sum(a^2) * sum(b^2)), which can need a CRT prime fewer. The
+    # exact sums are taken only when a lower estimate of it already needs
+    # fewer; otherwise the exact bound would need as many as bound does
+    if _prime_count(_cauchy_schwarz_estimate(a, b)) < _prime_count(bound):
+        squares_a = _square_sum(a)
+        squares_b = squares_a if square else _square_sum(b)
+        bound = min(bound, math.isqrt(squares_a * squares_b) + 1)
+    primes = _crt_primes(bound)
     rows = []
     for p, g in primes:
         fa = _ntt(_residues(a, p, size), p, g, invert=False)

@@ -185,7 +185,7 @@ def e_error(p: int, h: int, a: int, k: int, l: int, t: int) -> tuple[complex, fl
 
 def coprime_residues(q: int) -> np.ndarray:
     r = np.arange(1, q + 1, dtype=np.int64)
-    return r[np.array([math.gcd(int(x), q) == 1 for x in r])]
+    return r[np.gcd(r, q) == 1]
 
 
 def hist_dft_all(q: int, hist, units: np.ndarray) -> np.ndarray:

@@ -26,7 +26,7 @@ from waringtk.errors import PreconditionError, ResourceError
 from waringtk.integral import c_tl
 from waringtk.params import ProblemParams
 from waringtk.powersets import DEFAULT_ETA, power_indicator, rep_count_table, restricted_power_sums
-from waringtk.singular import _d_table, truncated_series
+from waringtk.singular import _check_q_budget, _d_table, truncated_series
 
 N_MAX_BUDGET = 10**6
 MAIN_TERM_Q = 100
@@ -217,6 +217,7 @@ def window_ratio(
     n in [n_lo, n_hi]; the series factor is evaluated vectorised per q."""
     if not 1 <= n_lo <= n_hi <= vec.n_max:
         raise PreconditionError("window out of range")
+    _check_q_budget(Q)
     ns = np.arange(n_lo, n_hi + 1)
     series = np.ones(len(ns))
     for q in range(2, Q + 1):

@@ -13,6 +13,12 @@ d_q[m] = sum_a coef(a) e_q(-a m); S_n(q) is then d_q[n mod q].  S(q, a)
 for all coprime a at once is computed from the exact residue histogram
 of T(r)^k mod q (mathematically identical to the u-reduction in
 expsums.s_form; the two routes are cross-checked in the test suite).
+The histogram is a cyclic convolution power only at prime powers q; at
+a composite q = p^e m with p not dividing m it is the CRT product
+hist_q[x] = hist_{p^e}[x mod p^e] hist_m[x mod m], exact in Python
+ints.  Each table entry is one np.dot of the coefficients with the
+roots of unity of its residue, so the tables are bit-identical to the
+per-residue sum whatever way the index rows are built.
 """
 
 from __future__ import annotations
@@ -25,21 +31,38 @@ from functools import lru_cache
 import numpy as np
 
 from waringtk import expsums, local
-from waringtk.arith import euler_phi, sieve_primes
-from waringtk.errors import PreconditionError
+from waringtk.arith import euler_phi, factorize, sieve_primes
+from waringtk.errors import PreconditionError, ResourceError
 from waringtk.expsums import S_FORM_Q_BUDGET, coprime_residues, hist_dft_all, omega_table
 
 DEFAULT_Q_CUTOFF = 200
 DEFAULT_PRIME_CUTOFF = 50
 DEFAULT_PH_CUTOFF = 200
 POSITIVITY_FLOOR = 0.01
+_INDEX_BLOCK = 1 << 16
 
 
 @lru_cache(maxsize=1024)
 def form_power_histogram(q: int, k: int, l: int, t: int) -> tuple[int, ...]:
-    """counts[m] = #{r in [1,q]^t : T(r)^k = m (mod q)}, exact."""
-    base = local.power_histogram(q, l)
-    return local.pushforward_power(base.power(t), k).counts
+    """counts[m] = #{r in [1,q]^t : T(r)^k = m (mod q)}, exact.
+
+    A cyclic convolution power at prime powers; at q = p^e m with
+    gcd(p, m) = 1, r in [1,q]^t runs over the pairs (r mod p^e, r mod m)
+    by CRT, so counts[x] = counts_{p^e}[x mod p^e] counts_m[x mod m]."""
+    entries = factorize(q).entries
+    if len(entries) <= 1:
+        base = local.power_histogram(q, l)
+        return local.pushforward_power(base.power(t), k).counts
+    pe = entries[0][0] ** entries[0][1]
+    m = q // pe
+    hist_pe = form_power_histogram(pe, k, l, t)
+    hist_m = form_power_histogram(m, k, l, t)
+    return tuple(hist_pe[x % pe] * hist_m[x % m] for x in range(q))
+
+
+def _check_q_budget(Q: int) -> None:
+    if Q > S_FORM_Q_BUDGET:
+        raise ResourceError(f"q = {Q} exceeds the budget {S_FORM_Q_BUDGET}")
 
 
 def s_form_all(q: int, k: int, l: int, t: int) -> tuple[np.ndarray, np.ndarray]:
@@ -47,15 +70,20 @@ def s_form_all(q: int, k: int, l: int, t: int) -> tuple[np.ndarray, np.ndarray]:
     units = coprime_residues(q)
     if q == 1:
         return units, np.array([1 + 0j])
-    if q > S_FORM_Q_BUDGET:
-        raise PreconditionError(f"q = {q} exceeds the budget {S_FORM_Q_BUDGET}")
+    _check_q_budget(q)
     hist = form_power_histogram(q, k, l, t)
     return units, hist_dft_all(q, hist, units)
 
 
 @lru_cache(maxsize=2048)
 def _d_table(q: int, k: int, l: int, t: int, s: int, variant: str) -> np.ndarray:
-    """d[m] = S_m(q) (variant 'full') or S'_m(q) (variant 'prime_form')."""
+    """d[m] = S_m(q) (variant 'full') or S'_m(q) (variant 'form_only').
+
+    d[m] = np.dot(coef, om[(-units * m) % q]) for each residue m, the
+    index rows taken from blocks of np.outer(arange(q), -units) % q of
+    at most _INDEX_BLOCK entries (memory O(q) whatever q). One np.dot per
+    row keeps every float bit-identical to that per-residue sum; one
+    matrix product over the rows would sum in another order."""
     if q == 1:
         return np.array([1 + 0j])
     units, sform = s_form_all(q, k, l, t)
@@ -68,8 +96,11 @@ def _d_table(q: int, k: int, l: int, t: int, s: int, variant: str) -> np.ndarray
         raise PreconditionError(f"unknown variant {variant!r}")
     om = omega_table(q)
     out = np.empty(q, dtype=np.complex128)
-    for i in range(q):
-        out[i] = np.dot(coef, om[(-units * i) % q])
+    step = max(1, _INDEX_BLOCK // len(units))
+    for lo in range(0, q, step):
+        rows = om[np.outer(np.arange(lo, min(q, lo + step)), -units) % q]
+        for i, row in enumerate(rows, lo):
+            out[i] = np.dot(coef, row)
     return out
 
 
@@ -117,6 +148,7 @@ def truncated_series(
     if series not in ("Sn", "SnPrime"):
         raise PreconditionError(f"series must be 'Sn' or 'SnPrime', got {series!r}")
     if variant == "full":
+        _check_q_budget(Q)
         terms = [complex(_d_table(q, k, l, t, s, dvariant)[n % q]) for q in range(1, Q + 1)]
         total = complex(sum(terms))
         return SeriesTruncation(

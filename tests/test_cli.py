@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -51,6 +52,15 @@ def test_exit_three_on_budget(capsys):
         capsys,
     )
     assert code == 3
+
+
+def test_series_budget_exits_three_before_any_table(capsys):
+    start = time.perf_counter()
+    code, _ = run_capture(
+        ["series", "trunc", "--n", "10", "--Q", "5001", "--k", "2", "--l", "2", "--t", "8", "--s", "1"], capsys
+    )
+    assert code == 3
+    assert time.perf_counter() - start < 5.0  # building the 5000 tables takes minutes
 
 
 def test_golden_determinism(capsys):

@@ -91,6 +91,91 @@ def test_cauchy_schwarz_bound_drops_a_prime():
     assert len(set(primes)) == 2
 
 
+def _squares_summing_to(total, length):
+    """A vector of the given length whose squares sum to total (greedy,
+    zero-padded)."""
+    out = []
+    while total:
+        out.append(math.isqrt(total))
+        total -= out[-1] ** 2
+    return out + [0] * (length - len(out))
+
+
+@pytest.mark.parametrize("offset", [0, 1])
+@pytest.mark.parametrize("count", [1, 2])
+def test_cauchy_schwarz_primes_at_the_moduli(count, offset):
+    """A square whose sum of squares S sits at the product of the first
+    count primes (S + 1 is that product, or one past it): the primes are
+    those of min(bound, isqrt(S^2) + 1), taken from the exact sums."""
+    modulus = math.prod(p for p, _ in NTT_PRIMES[:count])
+    a = _squares_summing_to(modulus - 1 + offset, 400)
+    want = count + offset
+    primes, sums = [], []
+    real_ntt, real_sum = convolve._ntt, convolve._square_sum
+
+    def ntt_spy(arr, p, g, invert):
+        primes.append(p)
+        return real_ntt(arr, p, g, invert)
+
+    def sum_spy(arr):
+        sums.append(len(arr))
+        return real_sum(arr)
+
+    with (
+        mock.patch.object(convolve, "_ntt", ntt_spy),
+        mock.patch.object(convolve, "_square_sum", sum_spy),
+        mock.patch.object(convolve, "_NTT_COST", 0),
+    ):
+        assert exact_convolve(a, a) == schoolbook_convolve(a, a)
+    assert sorted(set(primes)) == sorted(p for p, _ in NTT_PRIMES[:want])
+    assert sums == [400]  # the estimate saves a prime on the bound, so the exact sum is taken
+
+
+def test_cauchy_schwarz_sums_skipped_when_no_prime_drops():
+    """Dense entries below 10^6: the bound and the Cauchy-Schwarz bound
+    both need two primes, so the exact sums of squares are not taken."""
+    rng = np.random.default_rng(11)
+    a = rng.integers(0, 10**6, 1000).tolist()
+    b = rng.integers(0, 10**6, 1000).tolist()
+    bound = min(sum(a) * max(b), sum(b) * max(a)) + 1
+    cs_bound = math.isqrt(sum(x * x for x in a) * sum(x * x for x in b)) + 1
+    assert convolve._prime_count(bound) == convolve._prime_count(cs_bound) == 2
+    primes = []
+    real = convolve._ntt
+
+    def spy(arr, p, g, invert):
+        primes.append(p)
+        return real(arr, p, g, invert)
+
+    def no_sum(arr):
+        raise AssertionError("exact sums of squares taken where no prime drops")
+
+    with (
+        mock.patch.object(convolve, "_ntt", spy),
+        mock.patch.object(convolve, "_square_sum", no_sum),
+        mock.patch.object(convolve, "_NTT_COST", 0),
+    ):
+        assert exact_convolve(a, b) == schoolbook_convolve(a, b)
+    assert sorted(set(primes)) == sorted(p for p, _ in NTT_PRIMES[:2])
+
+
+@given(
+    st.integers(min_value=0, max_value=2**32),
+    st.integers(min_value=1, max_value=2000),
+    st.integers(min_value=1, max_value=120),
+    st.integers(min_value=1, max_value=120),
+)
+@settings(max_examples=60, deadline=None)
+def test_cauchy_schwarz_estimate_is_a_lower_bound(seed, length, bits_a, bits_b):
+    rng = random.Random(seed)
+    a = [rng.getrandbits(rng.randint(0, bits_a)) for _ in range(length)]
+    b = [rng.getrandbits(rng.randint(0, bits_b)) for _ in range(rng.randint(1, length))]
+    exact = math.isqrt(sum(x * x for x in a) * sum(x * x for x in b))
+    arr_a, arr_b = convolve.count_array(a), convolve.count_array(b)
+    assert convolve._cauchy_schwarz_estimate(arr_a, arr_b) <= exact + 1
+    assert convolve._cauchy_schwarz_estimate(arr_a, arr_a) <= sum(x * x for x in a)
+
+
 @given(vec.filter(lambda v: len(v) >= 2))
 @settings(max_examples=30, deadline=None)
 def test_cyclic_is_folded_linear(a):

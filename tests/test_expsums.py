@@ -125,6 +125,10 @@ def test_all_tables_match_pointwise():
 def test_coprime_residues():
     assert list(coprime_residues(12)) == [1, 5, 7, 11]
     assert len(coprime_residues(30)) == euler_phi(30)
+    for q in range(1, 501):
+        units = coprime_residues(q)
+        assert units.dtype == np.int64
+        assert units.tolist() == [r for r in range(1, q + 1) if math.gcd(r, q) == 1], q
 
 
 def test_weight_bound_sweep_stability():

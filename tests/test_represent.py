@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from waringtk.errors import PreconditionError, ResourceError
+from waringtk.expsums import S_FORM_Q_BUDGET
 from waringtk.params import ProblemParams
 from waringtk.powersets import restricted_power_sums
+from waringtk.singular import _d_table
 from waringtk.represent import (
     CountVector,
     count_conje,
@@ -90,6 +92,14 @@ def test_window_ratio_matches_pointwise_mean():
     counts = sum(vec[n] for n in range(lo, hi + 1))
     mains = sum(main_term(n, 2, 2, 5, 6, Q=30) for n in range(lo, hi + 1))
     assert got == pytest.approx(counts / mains, rel=1e-6)
+
+
+def test_window_ratio_budget_checked_before_any_table():
+    vec = count_theorem13(100, 2, 2, 5, 6)
+    _d_table.cache_clear()
+    with pytest.raises(ResourceError):
+        window_ratio(vec, 50, 100, 2, 2, 5, 6, Q=S_FORM_Q_BUDGET + 1)
+    assert _d_table.cache_info().misses == 0
 
 
 def test_scaling_exponent_over_a_decade():

@@ -1,10 +1,16 @@
 import math
+from unittest import mock
 
+import numpy as np
 import pytest
 
-from waringtk.errors import PreconditionError
-from waringtk.expsums import s_form
+from waringtk import expsums, local, singular
+from waringtk.arith import euler_phi, factorize
+from waringtk.errors import PreconditionError, ResourceError
+from waringtk.expsums import S_FORM_Q_BUDGET, omega_table, s_form
 from waringtk.singular import (
+    _d_table,
+    form_power_histogram,
     positivity_sweep,
     s_form_all,
     s_n_prime_q,
@@ -83,3 +89,88 @@ def test_positivity_sweep_reports_bad_prime():
 def test_bad_series_name():
     with pytest.raises(PreconditionError):
         truncated_series(5, 20, K, L, T, 1, series="bogus")
+
+
+def test_s_form_budget_is_a_resource_error():
+    with pytest.raises(ResourceError):
+        s_form_all(S_FORM_Q_BUDGET + 1, K, L, T)
+    with pytest.raises(ResourceError):
+        s_form(S_FORM_Q_BUDGET + 1, 1, K, L, T)
+
+
+def test_series_budget_checked_before_any_table():
+    _d_table.cache_clear()
+    with pytest.raises(ResourceError):
+        truncated_series(10, S_FORM_Q_BUDGET + 1, K, L, T, 1)
+    assert _d_table.cache_info().misses == 0
+
+
+def _histogram_by_cyclic_power(q, k, l, t):
+    return local.pushforward_power(local.power_histogram(q, l).power(t), k).counts
+
+
+@pytest.mark.parametrize("k, l, t", [(2, 2, 8), (3, 2, 5)])
+def test_composite_histograms_match_cyclic_powers(k, l, t):
+    for q in range(1, 201):
+        assert form_power_histogram(q, k, l, t) == _histogram_by_cyclic_power(q, k, l, t), q
+
+
+@pytest.mark.parametrize("q, entry_bits", [(300, 62), (360, 65)])
+def test_composite_histogram_past_int64(q, entry_bits):
+    """At t = 8 the mass q^8 is past 2^63; at q = 360 so is the largest entry."""
+    hist = form_power_histogram(q, 2, 2, 8)
+    assert sum(hist) == q**8 > 1 << 63 and max(hist).bit_length() == entry_bits
+    assert hist == _histogram_by_cyclic_power(q, 2, 2, 8)
+
+
+def test_cyclic_powers_only_at_prime_powers():
+    moduli = []
+    real = local.cyclic_power
+
+    def spy(base, t, m):
+        moduli.append(m)
+        return real(base, t, m)
+
+    form_power_histogram.cache_clear()
+    with mock.patch.object(local, "cyclic_power", spy):
+        for q in range(1, 101):
+            form_power_histogram(q, 2, 2, 6)
+    prime_powers = [q for q in range(1, 101) if len(factorize(q).entries) <= 1]
+    assert moduli == prime_powers
+
+
+def _d_table_per_residue(q, k, l, t, s, variant):
+    """The tables as one np.dot per residue on its own index row."""
+    if q == 1:
+        return np.array([1 + 0j])
+    units, sform = s_form_all(q, k, l, t)
+    coef = (sform / q**t) ** s
+    if variant == "full":
+        _, sk = expsums.s_k_all(q, k)
+        _, wv = expsums.w_all(q, k)
+        coef = coef * (sk / q) ** 2 * (wv / euler_phi(q)) ** 2
+    om = omega_table(q)
+    out = np.empty(q, dtype=np.complex128)
+    for i in range(q):
+        out[i] = np.dot(coef, om[(-units * i) % q])
+    return out
+
+
+@pytest.mark.parametrize(
+    "k, l, t, s", [(2, 2, 5, 6), (3, 2, 5, 3), (2, 2, 8, 2), (2, 2, 6, 3), (3, 2, 8, 4), (2, 3, 6, 4), (2, 2, 7, 2)]
+)
+def test_d_table_bits_match_per_residue_loop(k, l, t, s):
+    for variant in ("form_only", "full"):
+        for q in range(1, 201):
+            got = _d_table(q, k, l, t, s, variant)
+            want = _d_table_per_residue(q, k, l, t, s, variant)
+            assert np.array_equal(got.view(np.float64), want.view(np.float64)), (q, variant)
+
+
+def test_d_table_blocks_the_index_rows(monkeypatch):
+    """Blocks of a few rows give the same bits as one block."""
+    monkeypatch.setattr(singular, "_INDEX_BLOCK", 100)
+    for q in (97, 120, 199):
+        got = _d_table.__wrapped__(q, 2, 2, 8, 2, "full")
+        want = _d_table_per_residue(q, 2, 2, 8, 2, "full")
+        assert np.array_equal(got.view(np.float64), want.view(np.float64)), q
