@@ -8,14 +8,21 @@ goes, so its work is about
 nnz_small * min(nnz_other * _PAIR_COST, kept row length + _ROW_COST)
 multiply-adds, _ROW_COST being the fixed cost of one row's numpy calls.
 The NTT kernel runs multi-prime number-theoretic transforms: 3 transforms
-(2 for a square, the same object passed twice) of size * log2(size)
-butterfly points per prime.
+(2 for a square, the same object passed twice; 3 for a truncated square
+on the smaller size, below) of size * log2(size) butterfly points per
+prime, and the dispatch prices the size and count it runs.
 
 Powers are taken left to right (Knuth, TAOCP vol. 2, 4.6.3): every
 product is a square or a product with the base, so the sparse base of a
 count goes to the direct kernel and a long square to the NTT kernel at
 two transforms per prime. convolution_power carries int64 arrays (object
-past 2^63) from product to product and returns one.
+past 2^63) from product to product and returns one. Its squares keep
+keep < 2 len(a) - 1 entries, and a^2 mod x^keep = a0 (a0 + 2 x^h a1)
+with h = ceil(keep / 2), a0 = a[:h] and a1 = a[h:keep]; the NTT kernel
+runs that product, three transforms per prime of next_pow2(h + keep - 1)
+points, whenever this size is below next_pow2(2 len(a) - 1) (for
+keep = len(a), when len(a) is at most about 2/3 of the next power of
+two), with the primes of the square's bound and a1 doubled in residues.
 
 Both kernels work from the a-priori bound on the output entries,
 min(sum(a) * max(b), sum(b) * max(a)). Below 2^63 the direct kernel
@@ -331,9 +338,17 @@ def _product(a: np.ndarray, b: np.ndarray, trunc: int | None) -> np.ndarray:
     bound = min(_total(a) * int(b.max()), _total(b) * int(a.max())) + 1
     if short and bound > 1 << 63:
         return _schoolbook(a, b, keep)
-    size = 1 << (out_len - 1).bit_length()
+    # the NTT plan: a square kept to keep < out_len entries is
+    # a0 (a0 + 2 x^half a1) mod x^keep, with a0 = a[:half] and
+    # a1 = a[half:keep] (the term x^(2 half) a1^2 lies beyond keep), a
+    # product of 3 transforms per prime of size next_pow2(half + keep - 1)
+    # that replaces 2 of size next_pow2(out_len) when it is smaller
+    size, half = 1 << (out_len - 1).bit_length(), (keep + 1) // 2
+    halved = square and 0 < keep < out_len and 1 << (half + keep - 2).bit_length() < size
+    if halved:
+        size = 1 << (half + keep - 2).bit_length()
     if bound <= 1 << 63:
-        points = (2 if square else 3) * size * (size.bit_length() - 1) * len(_crt_primes(bound))
+        points = (2 if square and not halved else 3) * size * (size.bit_length() - 1) * len(_crt_primes(bound))
         if short or _direct_work(a, b, keep) <= points * _NTT_COST:
             return _direct(a, b, keep)
     # the NTT: by Cauchy-Schwarz every entry is also at most
@@ -347,8 +362,16 @@ def _product(a: np.ndarray, b: np.ndarray, trunc: int | None) -> np.ndarray:
     primes = _crt_primes(bound)
     rows = []
     for p, g in primes:
-        fa = _ntt(_residues(a, p, size), p, g, invert=False)
-        fb = fa if square else _ntt(_residues(b, p, size), p, g, invert=False)
+        if halved:  # a1 is doubled in residues, where it cannot wrap
+            ra = _residues(a[:keep], p, size)
+            rb = ra.copy()
+            _mod(np.multiply(rb[half:keep], 2, out=rb[half:keep]), p)
+            ra[half:keep] = 0
+            fa = _ntt(ra, p, g, invert=False)
+            fb = _ntt(rb, p, g, invert=False)
+        else:
+            fa = _ntt(_residues(a, p, size), p, g, invert=False)
+            fb = fa if square else _ntt(_residues(b, p, size), p, g, invert=False)
         row = _ntt(_mod(fa * fb, p), p, g, invert=True)[:keep]
         rows.append(_mod(row * pow(size, p - 2, p), p))
     return _garner(rows, [p for p, _ in primes])

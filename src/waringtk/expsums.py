@@ -42,15 +42,30 @@ def _check_coprime(q: int, a: int) -> None:
         raise PreconditionError(f"need gcd(a, q) = 1, got a={a}, q={q}")
 
 
+def _power_mod(r: np.ndarray, k: int, q: int) -> np.ndarray:
+    """r^k mod q entrywise for an int64 array r of entries in [0, q], by
+    square-and-multiply with a reduction after each product: the
+    products stay below q^2, so nothing wraps int64 for q < 3 * 10^9."""
+    if k < 0:
+        raise PreconditionError(f"need k >= 0, got k={k}")
+    out = np.full(len(r), 1 % q, dtype=np.int64)
+    square = r % q
+    while k:
+        if k & 1:
+            out = out * square % q
+        k >>= 1
+        if k:
+            square = square * square % q
+    return out
+
+
 @lru_cache(maxsize=512)
 def power_residue_histogram(q: int, k: int, units_only: bool = False) -> tuple[int, ...]:
     """counts[m] = #{r in [1, q] : r^k = m (mod q)}, optionally unit r."""
-    counts = [0] * q
-    for r in range(1, q + 1):
-        if units_only and math.gcd(r, q) != 1:
-            continue
-        counts[pow(r, k, q)] += 1
-    return tuple(counts)
+    r = np.arange(1, q + 1, dtype=np.int64)
+    if units_only:
+        r = r[np.gcd(r, q) == 1]
+    return tuple(np.bincount(_power_mod(r, k, q), minlength=q).tolist())
 
 
 def _hist_dft_at(q: int, hist, a: int) -> complex:
@@ -126,9 +141,8 @@ def s_form(q: int, a: int, k: int, l: int, t: int) -> complex:
     _check_coprime(q, a)
     sl = _s_l_table(q, l)
     om = omega_table(q)
-    powk = np.array([pow(r, k, q) for r in range(1, q + 1)], dtype=np.int64)
-    g = om[(a * powk) % q]  # e_q(a r^k) for r = 1..q
     rr = np.arange(1, q + 1, dtype=np.int64)
+    g = om[(a * _power_mod(rr, k, q)) % q]  # e_q(a r^k) for r = 1..q
     acc = 0j
     for u in range(q):
         sklin = np.dot(g, om[(-u * rr) % q])

@@ -214,18 +214,27 @@ def window_ratio(
     Q: int = MAIN_TERM_Q,
 ) -> float:
     """(window average of counts) / (window average of main terms) over
-    n in [n_lo, n_hi]; the series factor is evaluated vectorised per q."""
+    n in [n_lo, n_hi].
+
+    With w_n = n^(s xi/kl - 1), the main-term sum is
+    C (sum_n w_n + sum_{2<=q<=Q} Re sum_n w_n d_q[n mod q]), and
+    sum_n w_n d_q[n mod q] = sum_a coef_q(a) sum_r W_q[r] e_q(-a r) with
+    W_q[r] the sum of w_n over n = r (mod q): one FFT of W_q per q, read
+    at the units, so no d_q entry is computed."""
     if not 1 <= n_lo <= n_hi <= vec.n_max:
         raise PreconditionError("window out of range")
     _check_q_budget(Q)
-    ns = np.arange(n_lo, n_hi + 1)
-    series = np.ones(len(ns))
+    weights = np.arange(n_lo, n_hi + 1) ** (s * xi / (k * l) - 1.0)
+    total = float(np.sum(weights))
     for q in range(2, Q + 1):
-        d = _d_table(q, k, l, xi, s, "form_only")
-        series = series + np.real(d[ns % q])
-    mains = main_term_constant(k, l, xi, s) * ns ** (s * xi / (k * l) - 1.0) * series
+        factor = _d_table(q, k, l, xi, s, "form_only")
+        offset = n_lo % q
+        padded = np.zeros(-(-(offset + len(weights)) // q) * q)
+        padded[offset : offset + len(weights)] = weights
+        residue_sums = padded.reshape(-1, q).sum(axis=0)
+        total += float(np.real(np.dot(factor.coef, np.fft.fft(residue_sums)[factor.units])))
+    denom = main_term_constant(k, l, xi, s) * total / len(weights)
     counts = vec.entries[n_lo : n_hi + 1].astype(np.float64)
-    denom = float(np.mean(mains))
     if denom <= 0:
         raise PreconditionError("window-averaged main term is nonpositive")
     return float(np.mean(counts)) / denom

@@ -8,17 +8,20 @@ S'_n(q) = sum over coprime a of (q^-t S(q,a))^s e_q(-a n)
 The printed series start at "q = 0"; S_n(0) is undefined and the sum is
 implemented from q = 1 with S_n(1) = 1 (classical convention).
 
-For fast sweeps over n, each q contributes through a table
-d_q[m] = sum_a coef(a) e_q(-a m); S_n(q) is then d_q[n mod q].  S(q, a)
-for all coprime a at once is computed from the exact residue histogram
-of T(r)^k mod q (mathematically identical to the u-reduction in
-expsums.s_form; the two routes are cross-checked in the test suite).
+Each q contributes through d_q[m] = sum_a coef(a) e_q(-a m), so that
+S_n(q) = d_q[n mod q]. The per-q object (_d_table) holds the units and
+coef; an entry is computed on its first read, as one np.dot of coef with
+the roots of unity of its residue, and kept. A series at one n reads one
+entry per q, and a sweep never computes an entry twice, so no table is
+filled beyond what is read and every entry is bit-identical to the
+per-residue sum. Window means (represent.window_ratio) read coef alone.
+S(q, a) for all coprime a at once is computed from the exact residue
+histogram of T(r)^k mod q (mathematically identical to the u-reduction
+in expsums.s_form; the two routes are cross-checked in the test suite).
 The histogram is a cyclic convolution power only at prime powers q; at
 a composite q = p^e m with p not dividing m it is the CRT product
 hist_q[x] = hist_{p^e}[x mod p^e] hist_m[x mod m], exact in Python
-ints.  Each table entry is one np.dot of the coefficients with the
-roots of unity of its residue, so the tables are bit-identical to the
-per-residue sum whatever way the index rows are built.
+ints.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ DEFAULT_Q_CUTOFF = 200
 DEFAULT_PRIME_CUTOFF = 50
 DEFAULT_PH_CUTOFF = 200
 POSITIVITY_FLOOR = 0.01
-_INDEX_BLOCK = 1 << 16
 
 
 @lru_cache(maxsize=1024)
@@ -65,6 +67,14 @@ def _check_q_budget(Q: int) -> None:
         raise ResourceError(f"q = {Q} exceeds the budget {S_FORM_Q_BUDGET}")
 
 
+def _check_series_args(Q: int, k: int) -> None:
+    """A series cut at Q needs Q >= 1 and k >= 1 (its tail estimate is
+    Q^(-1/k)), and Q within the budget."""
+    if Q < 1 or k < 1:
+        raise PreconditionError(f"need Q >= 1 and k >= 1, got Q={Q}, k={k}")
+    _check_q_budget(Q)
+
+
 def s_form_all(q: int, k: int, l: int, t: int) -> tuple[np.ndarray, np.ndarray]:
     """(units, S(q, a) for every coprime a), via the exact histogram."""
     units = coprime_residues(q)
@@ -75,17 +85,30 @@ def s_form_all(q: int, k: int, l: int, t: int) -> tuple[np.ndarray, np.ndarray]:
     return units, hist_dft_all(q, hist, units)
 
 
-@lru_cache(maxsize=2048)
-def _d_table(q: int, k: int, l: int, t: int, s: int, variant: str) -> np.ndarray:
-    """d[m] = S_m(q) (variant 'full') or S'_m(q) (variant 'form_only').
+class SeriesFactor:
+    """d_q[m] = sum over the units a of q of coef(a) e_q(-a m), entries
+    computed on first read: d[n] is np.dot(coef, om[(-units * m) % q])
+    for m = n mod q, kept in row. One np.dot per residue keeps every float
+    bit-identical to that per-residue sum; one matrix product over the
+    residues would sum in another order."""
 
-    d[m] = np.dot(coef, om[(-units * m) % q]) for each residue m, the
-    index rows taken from blocks of np.outer(arange(q), -units) % q of
-    at most _INDEX_BLOCK entries (memory O(q) whatever q). One np.dot per
-    row keeps every float bit-identical to that per-residue sum; one
-    matrix product over the rows would sum in another order."""
-    if q == 1:
-        return np.array([1 + 0j])
+    def __init__(self, q: int, units: np.ndarray, coef: np.ndarray):
+        self.q, self.units, self.coef = q, units, coef
+        self.row: dict[int, complex] = {}
+        self._om = omega_table(q)
+
+    def __getitem__(self, n: int) -> complex:
+        m = n % self.q
+        value = self.row.get(m)
+        if value is None:
+            value = self.row[m] = complex(np.dot(self.coef, self._om[(-self.units * m) % self.q]))
+        return value
+
+
+@lru_cache(maxsize=2048)
+def _d_table(q: int, k: int, l: int, t: int, s: int, variant: str) -> SeriesFactor:
+    """The factor d[n] = S_n(q) (variant 'full') or S'_n(q) (variant
+    'form_only'), empty until read; coef is the weight of each unit."""
     units, sform = s_form_all(q, k, l, t)
     coef = (sform / q**t) ** s
     if variant == "full":
@@ -94,24 +117,17 @@ def _d_table(q: int, k: int, l: int, t: int, s: int, variant: str) -> np.ndarray
         coef = coef * (sk / q) ** 2 * (wv / euler_phi(q)) ** 2
     elif variant != "form_only":
         raise PreconditionError(f"unknown variant {variant!r}")
-    om = omega_table(q)
-    out = np.empty(q, dtype=np.complex128)
-    step = max(1, _INDEX_BLOCK // len(units))
-    for lo in range(0, q, step):
-        rows = om[np.outer(np.arange(lo, min(q, lo + step)), -units) % q]
-        for i, row in enumerate(rows, lo):
-            out[i] = np.dot(coef, row)
-    return out
+    return SeriesFactor(q, units, coef)
 
 
 def s_n_q(q: int, n: int, k: int, l: int, t: int, s: int) -> complex:
     """The full arithmetic factor S_n(q); S_n(1) = 1."""
-    return complex(_d_table(q, k, l, t, s, "full")[n % q])
+    return _d_table(q, k, l, t, s, "full")[n]
 
 
 def s_n_prime_q(q: int, n: int, k: int, l: int, t: int, s: int) -> complex:
     """S'_n(q): the form-only factor (no S_k / W weights)."""
-    return complex(_d_table(q, k, l, t, s, "form_only")[n % q])
+    return _d_table(q, k, l, t, s, "form_only")[n]
 
 
 @dataclass(frozen=True)
@@ -147,9 +163,11 @@ def truncated_series(
     dvariant = "full" if series == "Sn" else "form_only"
     if series not in ("Sn", "SnPrime"):
         raise PreconditionError(f"series must be 'Sn' or 'SnPrime', got {series!r}")
+    if variant not in ("full", "prime"):
+        raise PreconditionError(f"variant must be 'full' or 'prime', got {variant!r}")
+    _check_series_args(Q if variant == "full" else ph_cutoff, k)
     if variant == "full":
-        _check_q_budget(Q)
-        terms = [complex(_d_table(q, k, l, t, s, dvariant)[n % q]) for q in range(1, Q + 1)]
+        terms = [_d_table(q, k, l, t, s, dvariant)[n] for q in range(1, Q + 1)]
         total = complex(sum(terms))
         return SeriesTruncation(
             value=total.real,
@@ -158,14 +176,12 @@ def truncated_series(
             tail_estimate=Q ** (-1.0 / k),
             imag_residual=abs(total.imag),
         )
-    if variant != "prime":
-        raise PreconditionError(f"variant must be 'full' or 'prime', got {variant!r}")
     factors = []
     for p in sieve_primes(prime_cutoff):
         sigma = 1 + 0j
         h = 1
         while p**h <= ph_cutoff:
-            sigma += complex(_d_table(p**h, k, l, t, s, dvariant)[n % p**h])
+            sigma += _d_table(p**h, k, l, t, s, dvariant)[n]
             h += 1
         factors.append(sigma)
     total = complex(math.prod(factors))
@@ -215,6 +231,9 @@ def positivity_sweep(
 ) -> PositivityReport:
     """Minimum truncated series value over an n-range, with per-prime
     local-solubility diagnostics for the lemma backing positivity."""
+    if not n_values:
+        raise PreconditionError("positivity sweep over an empty n range")
+    _check_series_args(Q, k)
     which = "M" if series == "Sn" else "Mstar"
     failures = []
     for p in sieve_primes(check_primes_upto):

@@ -215,6 +215,27 @@ def test_negative_size_is_a_precondition_violation(capsys, argv):
     assert "precondition violation" in err and "Traceback" not in err
 
 
+_KLTS = ["--k", "2", "--l", "2", "--t", "8", "--s", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["series", "trunc", "--n", "10", "--Q", "0", *_KLTS],
+        ["count", "main-term", "--k", "2", "--l", "2", "--xi", "5", "--s", "6", "--n", "50", "--Q", "0"],
+        ["series", "positivity", "--n-lo", "2", "--n-hi", "30", "--Q", "0", *_KLTS],
+        ["series", "trunc", "--n", "10", "--Q", "20", "--k", "0", "--l", "2", "--t", "8", "--s", "2"],
+        ["series", "positivity", "--n-lo", "30", "--n-hi", "2", *_KLTS],
+    ],
+    ids=["trunc-Q0", "main-term-Q0", "positivity-Q0", "trunc-k0", "positivity-empty"],
+)
+def test_degenerate_series_is_a_precondition_violation(capsys, argv):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert "precondition violation" in captured.err and "Traceback" not in captured.err
+    assert not [ln for ln in captured.out.splitlines() if ln and not ln.startswith("#")]
+
+
 _LOCAL = ["local", "--p", "3", "--h", "2", "--n", "4"]
 _LOCAL_REST = ["--k", "2", "--l", "2", "--t", "8", "--s", "2"]
 

@@ -488,6 +488,43 @@ def test_sparse_square_skips_the_ntt(monkeypatch):
     assert convolution_power(squares, 2, n + 1).tolist() == want
 
 
+@given(
+    st.integers(min_value=0, max_value=2**32),
+    st.integers(min_value=400, max_value=700),
+    st.sampled_from(["small", "past 2^62", "object"]),
+    st.integers(min_value=1, max_value=1399),
+)
+@example(0, 600, "past 2^62", 683)  # the largest keep whose product fits 2^10 points
+@example(0, 600, "past 2^62", 684)  # one more needs 2^11, the size of the full square
+@settings(max_examples=20, deadline=None)
+def test_truncated_square_on_half_size_transforms(seed, length, entries, keep):
+    """A square kept to keep entries runs as a0 (a0 + 2 x^half a1) on
+    3 transforms per prime of next_pow2(half + keep - 1) points whenever
+    that is below next_pow2(2 len - 1), else as 2 transforms at full size.
+    Entries past 2^62 would wrap int64 if a1 were doubled before the
+    reduction; entries past 2^63 make an object array."""
+    rng = random.Random(seed)
+    low = {"small": 0, "past 2^62": 1 << 62, "object": 1 << 70}[entries]
+    a = [low + rng.getrandbits(30 if entries == "small" else 62) for _ in range(length)]
+    keep = min(keep, 2 * length - 1)
+    calls = []
+    real = convolve._ntt
+
+    def spy(arr, p, g, invert):
+        calls.append((arr.shape[0], p))
+        return real(arr, p, g, invert)
+
+    with mock.patch.object(convolve, "_NTT_COST", 0), mock.patch.object(convolve, "_ntt", spy):
+        assert exact_convolve(a, a, trunc=keep) == schoolbook_convolve(a, a)[:keep]
+    full, half = 1 << (2 * length - 2).bit_length(), (keep + 1) // 2
+    short = 1 << (half + keep - 2).bit_length()
+    primes = {p for _, p in calls}
+    if keep < 2 * length - 1 and short < full:
+        assert {size for size, _ in calls} == {short} and len(calls) == 3 * len(primes)
+    else:
+        assert {size for size, _ in calls} == {full} and len(calls) == 2 * len(primes)
+
+
 def test_negative_trunc_is_a_precondition_error():
     with pytest.raises(PreconditionError):
         exact_convolve([1, 2], [3, 4], trunc=-1)

@@ -9,6 +9,7 @@ from waringtk.errors import PreconditionError
 from waringtk.expsums import (
     coprime_residues,
     e_error,
+    power_residue_histogram,
     s_form,
     s_form_direct,
     s_k,
@@ -150,3 +151,16 @@ def test_weight_sum_growth_epsilon():
 
 def test_s_form_trivial_q1():
     assert s_form(1, 0, 2, 2, 8) == 1 + 0j
+
+
+@pytest.mark.parametrize("units_only", [False, True])
+def test_power_residue_histogram_matches_pow_loop(units_only):
+    for q in range(1, 501):
+        for k in range(7):
+            want = [0] * q
+            for r in range(1, q + 1):
+                if not units_only or math.gcd(r, q) == 1:
+                    want[pow(r, k, q)] += 1
+            assert power_residue_histogram.__wrapped__(q, k, units_only) == tuple(want), (q, k)
+    with pytest.raises(PreconditionError):
+        power_residue_histogram.__wrapped__(5, -1, units_only)

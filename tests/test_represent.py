@@ -20,6 +20,7 @@ from waringtk.represent import (
     find_positivity_onset,
     k2_mean_value,
     main_term,
+    main_term_constant,
     main_term_ratio,
     q_m_table,
     window_ratio,
@@ -92,6 +93,25 @@ def test_window_ratio_matches_pointwise_mean():
     counts = sum(vec[n] for n in range(lo, hi + 1))
     mains = sum(main_term(n, 2, 2, 5, 6, Q=30) for n in range(lo, hi + 1))
     assert got == pytest.approx(counts / mains, rel=1e-6)
+
+
+def test_window_ratio_matches_the_summed_series_factors():
+    """The FFT route against the window mean of C w_n (1 + sum_q Re d_q[n mod q]),
+    w_n = n^(s xi/kl - 1), read entry by entry: windows shorter and longer
+    than q, at every offset n_lo mod q for q <= Q."""
+    k, l, xi, s, Q = 2, 2, 5, 6, 24
+    vec = CountVector(np.arange(400), "ramp")
+    for n_lo in range(50, 50 + Q):
+        for length in (1, 5, Q - 1, 3 * Q + 7):
+            ns = range(n_lo, n_lo + length)
+            mains = [
+                n ** (s * xi / (k * l) - 1.0)
+                * (1 + sum(_d_table(q, k, l, xi, s, "form_only")[n].real for q in range(2, Q + 1)))
+                for n in ns
+            ]
+            want = (sum(ns) / length) / (main_term_constant(k, l, xi, s) * math.fsum(mains) / length)
+            got = window_ratio(vec, n_lo, n_lo + length - 1, k, l, xi, s, Q=Q)
+            assert got == pytest.approx(want, rel=1e-12), (n_lo, length)
 
 
 def test_window_ratio_budget_checked_before_any_table():

@@ -4,7 +4,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from waringtk import expsums, local, singular
+from waringtk import expsums, local
 from waringtk.arith import euler_phi, factorize
 from waringtk.errors import PreconditionError, ResourceError
 from waringtk.expsums import S_FORM_Q_BUDGET, omega_table, s_form
@@ -160,17 +160,17 @@ def _d_table_per_residue(q, k, l, t, s, variant):
     "k, l, t, s", [(2, 2, 5, 6), (3, 2, 5, 3), (2, 2, 8, 2), (2, 2, 6, 3), (3, 2, 8, 4), (2, 3, 6, 4), (2, 2, 7, 2)]
 )
 def test_d_table_bits_match_per_residue_loop(k, l, t, s):
+    """Entries filled lazily in a shuffled order, half of them first, then
+    all, each read at some n = m (mod q), most of them past q: each is
+    bit-identical to the per-residue sum, and none is filled before it is
+    read."""
+    rng = np.random.default_rng(1000 * k + 100 * l + 10 * t + s)
     for variant in ("form_only", "full"):
         for q in range(1, 201):
-            got = _d_table(q, k, l, t, s, variant)
+            table = _d_table.__wrapped__(q, k, l, t, s, variant)
             want = _d_table_per_residue(q, k, l, t, s, variant)
-            assert np.array_equal(got.view(np.float64), want.view(np.float64)), (q, variant)
-
-
-def test_d_table_blocks_the_index_rows(monkeypatch):
-    """Blocks of a few rows give the same bits as one block."""
-    monkeypatch.setattr(singular, "_INDEX_BLOCK", 100)
-    for q in (97, 120, 199):
-        got = _d_table.__wrapped__(q, 2, 2, 8, 2, "full")
-        want = _d_table_per_residue(q, 2, 2, 8, 2, "full")
-        assert np.array_equal(got.view(np.float64), want.view(np.float64)), q
+            order = rng.permutation(q)
+            for count in (q // 2, q):
+                read = np.array([table[int(m) + q * int(m % 3)] for m in order[:count]], dtype=np.complex128)
+                assert sorted(table.row) == sorted(order[:count].tolist()), (q, variant)
+                assert np.array_equal(read.view(np.float64), want[order[:count]].view(np.float64)), (q, variant)
