@@ -83,6 +83,8 @@ def classify_major(alpha: float, n: int, Q: int) -> ArcPoint:
     """Exact membership in M(Q) by scanning denominators q <= Q."""
     if not 0 <= alpha < 1:
         raise PreconditionError("need alpha in [0, 1)")
+    if n < 1:
+        raise PreconditionError(f"need n >= 1, got n={n}")
     best: tuple[float, int, int] | None = None
     for q in range(1, Q + 1):
         a = round(alpha * q)
@@ -290,6 +292,8 @@ def major_residual_sweep(
     Samples are stratified by q: denominators cycle through [1, Q], the
     numerator and offset beta are drawn from the arc around a/q.
     """
+    if min(n, k, l, Q) < 1 or seed < 0:
+        raise PreconditionError(f"need n, k, l, Q >= 1 and seed >= 0, got n={n}, k={k}, l={l}, Q={Q}, seed={seed}")
     P = n ** (1.0 / (k * l))
     if Q >= P:
         raise PreconditionError("major-arc approximation needs q <= Q < P")
@@ -321,6 +325,8 @@ def weyl_bound_sweep(
 ) -> float:
     """max over sampled alpha of |f(alpha)| / (P^t (q^-1 + P^-1 + q P^-kl)^e)
     with e = 2^(1-kl) and (a, q) the Dirichlet pair of alpha."""
+    if min(n, k, l) < 1 or seed < 0:
+        raise PreconditionError(f"need n, k, l >= 1 and seed >= 0, got n={n}, k={k}, l={l}, seed={seed}")
     P = n ** (1.0 / (k * l))
     rng = np.random.default_rng(seed)
     table = _rho_table_for(l, t, math.floor(P**l))

@@ -43,7 +43,10 @@ CRT prime in residues, with as many of NTT_PRIMES as the smaller bound
 needs, and combines them by Garner's mixed-radix method (in int64, with one
 Python-int pass when the primes' product exceeds 2^63). Every route
 returns int64 when each entry fits and object otherwise; cyclic_convolve
-folds in Python ints when a folded sum could pass int64.
+folds in Python ints when a folded sum could pass int64, and it and
+cyclic_power take and return count arrays under the same rule, so a
+chain of cyclic products (the residue histograms of local) carries
+arrays from product to product.
 schoolbook_convolve is also the reference the tests compare against,
 and the route for short products with negative entries. Results are
 bit-identical across the routes (property-tested).
@@ -397,19 +400,21 @@ def exact_convolve(a: list[int], b: list[int], trunc: int | None = None) -> list
     return _product(*_operands(a, b), trunc).tolist()
 
 
-def cyclic_convolve(a: list[int], b: list[int], m: int) -> list[int]:
-    """Exact cyclic convolution modulo index m (histogram composition)."""
+def cyclic_convolve(a: list[int] | np.ndarray, b: list[int] | np.ndarray, m: int) -> np.ndarray:
+    """Exact cyclic convolution modulo index m (histogram composition) of
+    two count vectors, as an int64 array (object when an entry reaches
+    2^63)."""
     if len(a) != m or len(b) != m:
         raise PreconditionError("cyclic_convolve needs both vectors of length m")
     if not m:
-        return []
+        return np.zeros(0, dtype=np.int64)
     lin = _product(*_operands(a, b), None)
     if lin.dtype != object and (lin.max() >= 1 << 62 or lin.min() < -(1 << 62)):
         # the fold adds two entries; below 2^62 in magnitude the sum fits
         lin = lin.astype(object)
     out = lin[:m].copy()
     out[: m - 1] += lin[m:]
-    return out.tolist()
+    return count_array(out)
 
 
 def _binary_power(base, t: int, mul):
@@ -438,9 +443,10 @@ def convolution_power(base: list[int] | np.ndarray, t: int, trunc: int) -> np.nd
     return out
 
 
-def cyclic_power(base: list[int], t: int, m: int) -> list[int]:
-    """t-fold cyclic convolution power of a length-m histogram."""
-    return _binary_power(list(base), t, lambda a, b: cyclic_convolve(a, b, m))
+def cyclic_power(base: list[int] | np.ndarray, t: int, m: int) -> np.ndarray:
+    """t-fold cyclic convolution power (t >= 1) of a length-m histogram,
+    as cyclic_convolve returns it."""
+    return _binary_power(count_array(base), t, lambda a, b: cyclic_convolve(a, b, m))
 
 
 def float_convolve(a: np.ndarray, b: np.ndarray, trunc: int | None = None) -> np.ndarray:

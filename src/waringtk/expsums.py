@@ -60,12 +60,15 @@ def _power_mod(r: np.ndarray, k: int, q: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=512)
-def power_residue_histogram(q: int, k: int, units_only: bool = False) -> tuple[int, ...]:
-    """counts[m] = #{r in [1, q] : r^k = m (mod q)}, optionally unit r."""
+def power_residue_histogram(q: int, k: int, units_only: bool = False) -> np.ndarray:
+    """counts[m] = #{r in [1, q] : r^k = m (mod q)}, optionally unit r, as
+    a read-only int64 array."""
     r = np.arange(1, q + 1, dtype=np.int64)
     if units_only:
         r = r[np.gcd(r, q) == 1]
-    return tuple(np.bincount(_power_mod(r, k, q), minlength=q).tolist())
+    counts = np.bincount(_power_mod(r, k, q), minlength=q)
+    counts.flags.writeable = False
+    return counts
 
 
 def _hist_dft_at(q: int, hist, a: int) -> complex:
@@ -169,8 +172,8 @@ def s_form_direct(q: int, a: int, k: int, l: int, t: int) -> complex:
 def w_k_weight(q: int, k: int) -> float:
     """Multiplicative majorant w_k: on p^(uk+v), p^(-u-1) for 2 <= v <= k
     and k p^(-u-1/2) for v = 1; w_k(1) = 1."""
-    if q < 1:
-        raise PreconditionError("need q >= 1")
+    if q < 1 or k < 1:
+        raise PreconditionError(f"need q, k >= 1, got q={q}, k={k}")
     out = 1.0
     for p, e in factorize(q).entries:
         u, v = divmod(e - 1, k)

@@ -58,6 +58,8 @@ def u_decay_check(
     """max over sampled beta of |u(beta)| (1 + n|beta|)^gamma / P^t."""
     if sample_count < 10:
         raise PreconditionError("need sample_count >= 10")
+    if k < 1 or l < 1 or seed < 0:
+        raise PreconditionError(f"need k, l >= 1 and seed >= 0, got k={k}, l={l}, seed={seed}")
     rng = np.random.default_rng(seed)
     gamma = decay_exponent(t, k, l)
     P = n ** (1.0 / (k * l))
@@ -110,6 +112,13 @@ def _u_weight_vector(n: int, expo_num: int, k: int, l: int) -> np.ndarray:
     return w
 
 
+def _check_jprime_args(n: int, xi: int, k: int, l: int) -> None:
+    """The weights m^(xi/kl - 1), m = 1..n, and the main term need
+    n, xi, k, l >= 1."""
+    if min(n, xi, k, l) < 1:
+        raise PreconditionError(f"need n, xi, k, l >= 1, got n={n}, xi={xi}, k={k}, l={l}")
+
+
 def j_prime_exact(n: int, s: int, xi: int, k: int, l: int) -> float:
     """J'_s(n) as the weighted composition count, exact convolution.
 
@@ -118,6 +127,7 @@ def j_prime_exact(n: int, s: int, xi: int, k: int, l: int) -> float:
     """
     if s < 2:
         raise PreconditionError("need s >= 2")
+    _check_jprime_args(n, xi, k, l)
     if n > 10**6:
         raise ResourceError("n exceeds the singular-integral budget")
     if n < s:
@@ -138,6 +148,7 @@ def j_prime_quadrature(n: int, s: int, xi: int, k: int, l: int, nodes: int | Non
     """Trapezoid quadrature of int u(beta)^s e(-beta n) dbeta over a full
     period (uniform nodes; equals the rectangle rule by periodicity),
     evaluated through one FFT of the weight vector."""
+    _check_jprime_args(n, xi, k, l)
     if nodes is None:
         nodes = 8 * n
     N = 1
@@ -156,6 +167,7 @@ def j_prime_main_term(n: int, s: int, xi: int, k: int, l: int) -> tuple[float, f
     B(n) = n^-1 + n^(-xi/kl)."""
     if s < 2:
         raise PreconditionError("need s >= 2")
+    _check_jprime_args(n, xi, k, l)
     c = xi / (k * l)
     main = n ** (s * c - 1.0) * math.gamma(c) ** s / (k**s * math.gamma(s * c))
     B = 1.0 / n + n ** (-c)
@@ -167,7 +179,11 @@ def j_singular_exact(n: int, s: int, k: int, l: int, t: int) -> tuple[float, flo
 
     J(n) is the weighted count over x_1 + ... + x_4 + y_1 + ... + y_s = n
     with two v-weighted, two w-weighted and s u-weighted variables.
+    It needs n >= 2 (the envelope divides by log n), k >= 2 (the v
+    support by k - 1) and l >= 1.
     """
+    if n < 2 or k < 2 or l < 1:
+        raise PreconditionError(f"need n >= 2, k >= 2 and l >= 1, got n={n}, k={k}, l={l}")
     if n > 10**6:
         raise ResourceError("n exceeds the singular-integral budget")
     lo, hi = v_support(n, k)

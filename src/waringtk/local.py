@@ -8,6 +8,14 @@ n = sum_i T(x_i)^k (mod p^h).
 Tuple enumeration is hopeless (the M_n space has p^(h(st+4)) points even
 at p=3, h=1, t=8); everything flows through cyclic convolution of exact
 integer histograms instead, at cost polynomial in p^h.
+
+A histogram is a count array in the convolve.count_array rule (int64,
+object past 2^63); the lru-cached ones are read-only. form_histogram
+holds the one t-fold cyclic power per (p^h, l, t), and
+form_power_histogram, the histogram of T(r)^k mod q, is its pushforward
+under m -> m^k at prime powers and a CRT product at composite q. The
+local counts here and the singular series (singular.s_form_all) both
+read it, so every k shares that power.
 """
 
 from __future__ import annotations
@@ -16,108 +24,103 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from waringtk.arith import gamma_exponent, nu_exponent, p_adic_valuation
-from waringtk.convolve import cyclic_convolve, cyclic_power
+import numpy as np
+
+from waringtk.arith import factorize, gamma_exponent, is_prime, nu_exponent, p_adic_valuation
+from waringtk.convolve import count_array, cyclic_convolve, cyclic_power
 from waringtk.errors import PreconditionError, ResourceError
-from waringtk.expsums import power_residue_histogram
+from waringtk.expsums import _power_mod, power_residue_histogram
 
 FORM_HIST_BUDGET = 10**5
 MN_BUDGET = 10**4
 
 
-@dataclass(frozen=True)
-class ResidueHistogram:
-    """Exact count vector over residues mod modulus."""
-
-    modulus: int
-    counts: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.counts) != self.modulus:
-            raise PreconditionError("counts length must equal modulus")
-        if any(c < 0 for c in self.counts):
-            raise PreconditionError("counts must be nonnegative")
-
-    @property
-    def mass(self) -> int:
-        return sum(self.counts)
-
-    def convolve(self, other: "ResidueHistogram") -> "ResidueHistogram":
-        if other.modulus != self.modulus:
-            raise PreconditionError("moduli differ")
-        return ResidueHistogram(
-            self.modulus, tuple(cyclic_convolve(list(self.counts), list(other.counts), self.modulus))
-        )
-
-    def power(self, t: int) -> "ResidueHistogram":
-        if t == 0:
-            delta = [0] * self.modulus
-            delta[0] = 1
-            return ResidueHistogram(self.modulus, tuple(delta))
-        return ResidueHistogram(self.modulus, tuple(cyclic_power(list(self.counts), t, self.modulus)))
+def _frozen(hist: np.ndarray) -> np.ndarray:
+    """hist, made read-only: the lru caches hand it to every caller."""
+    hist.flags.writeable = False
+    return hist
 
 
-def power_histogram(q: int, expo: int, units_only: bool = False) -> ResidueHistogram:
-    """Histogram of x^expo mod q over x in [1, q], optionally unit x."""
-    return ResidueHistogram(q, power_residue_histogram(q, expo, units_only))
+def pushforward_power(hist: np.ndarray, expo: int) -> np.ndarray:
+    """Image histogram under m -> m^expo mod q, q = len(hist), summed in
+    Python ints (a bin can pass 2^63 when no entry does)."""
+    q = len(hist)
+    out = np.zeros(q, dtype=object)
+    np.add.at(out, _power_mod(np.arange(q), expo, q), hist.astype(object))
+    return count_array(out)
 
 
-def pushforward_power(hist: ResidueHistogram, expo: int) -> ResidueHistogram:
-    """Image histogram under m -> m^expo mod q."""
-    q = hist.modulus
-    counts = [0] * q
-    for m, c in enumerate(hist.counts):
-        if c:
-            counts[pow(m, expo, q)] += c
-    return ResidueHistogram(q, tuple(counts))
-
-
-def mask_units(hist: ResidueHistogram, p: int) -> ResidueHistogram:
+def mask_units(hist: np.ndarray, p: int) -> np.ndarray:
     """Keep only residue classes coprime to p."""
-    counts = [c if m % p != 0 else 0 for m, c in enumerate(hist.counts)]
-    return ResidueHistogram(hist.modulus, tuple(counts))
-
-
-@lru_cache(maxsize=512)
-def form_histogram(p: int, h: int, l: int, t: int, restrict_first_unit: bool = False) -> ResidueHistogram:
-    """Distribution of T(x) = x_1^l + ... + x_t^l mod p^h over x in [0,p^h)^t."""
-    q = p**h
-    if q > FORM_HIST_BUDGET:
-        raise ResourceError(f"p^h = {q} exceeds the histogram budget {FORM_HIST_BUDGET}")
-    base = power_histogram(q, l)
-    if restrict_first_unit:
-        first = power_histogram(q, l, units_only=True)
-        out = first if t == 1 else first.convolve(base.power(t - 1))
-    else:
-        out = base.power(t)
+    out = hist.copy()
+    out[::p] = 0
     return out
 
 
 @lru_cache(maxsize=512)
-def _m_n_histogram(p: int, h: int, k: int, l: int, t: int, s: int) -> ResidueHistogram:
+def form_histogram(p: int, h: int, l: int, t: int, restrict_first_unit: bool = False) -> np.ndarray:
+    """Distribution of T(x) = x_1^l + ... + x_t^l mod p^h over x in [0,p^h)^t,
+    with restrict_first_unit over x with p not dividing x_1."""
+    q = p**h
+    if q > FORM_HIST_BUDGET:
+        raise ResourceError(f"p^h = {q} exceeds the histogram budget {FORM_HIST_BUDGET}")
+    if not restrict_first_unit:
+        return _frozen(cyclic_power(power_residue_histogram(q, l), t, q))
+    first = power_residue_histogram(q, l, units_only=True)
+    return first if t == 1 else _frozen(cyclic_convolve(first, form_histogram(p, h, l, t - 1), q))
+
+
+@lru_cache(maxsize=1024)
+def form_power_histogram(q: int, k: int, l: int, t: int) -> np.ndarray:
+    """counts[m] = #{r in [1,q]^t : T(r)^k = m (mod q)}, exact.
+
+    At q = p^h the pushforward of form_histogram(p, h, l, t), so every k
+    shares that cyclic power; at q = p^e m with gcd(p, m) = 1, r in
+    [1,q]^t runs over the pairs (r mod p^e, r mod m) by CRT, so
+    counts[x] = counts_{p^e}[x mod p^e] counts_m[x mod m], a product
+    taken in Python ints (it can pass 2^63 when neither factor does)."""
+    entries = factorize(q).entries
+    if len(entries) <= 1:
+        p, h = entries[0] if entries else (1, 1)
+        return _frozen(pushforward_power(form_histogram(p, h, l, t), k))
+    pe = entries[0][0] ** entries[0][1]
+    m, x = q // pe, np.arange(q)
+    hist_pe = form_power_histogram(pe, k, l, t)[x % pe].astype(object)
+    return _frozen(count_array(hist_pe * form_power_histogram(m, k, l, t)[x % m]))
+
+
+def _check_local_args(p: int, h: int, k: int, l: int, t: int, s: int) -> None:
+    """A local count needs a prime p, h >= 0, k, l, t >= 1 and s >= 0."""
+    if not is_prime(p) or h < 0 or min(k, l, t) < 1 or s < 0:
+        raise PreconditionError(
+            f"need a prime p, h >= 0, k, l, t >= 1 and s >= 0, got p={p}, h={h}, k={k}, l={l}, t={t}, s={s}"
+        )
+
+
+@lru_cache(maxsize=512)
+def _m_n_histogram(p: int, h: int, k: int, l: int, t: int, s: int) -> np.ndarray:
     q = p**h
     if q > MN_BUDGET:
         raise ResourceError(f"p^h = {q} exceeds the local-count budget {MN_BUDGET}")
-    unitpow = power_histogram(q, k, units_only=True)
-    allpow = power_histogram(q, k)
-    acc = unitpow.convolve(unitpow).convolve(allpow).convolve(allpow)
+    unitpow = power_residue_histogram(q, k, units_only=True)
+    allpow = power_residue_histogram(q, k)
+    acc = cyclic_convolve(cyclic_convolve(cyclic_convolve(unitpow, unitpow, q), allpow, q), allpow, q)
     if s > 0:
-        formk = pushforward_power(form_histogram(p, h, l, t), k)
-        acc = acc.convolve(formk.power(s))
-    return acc
+        acc = cyclic_convolve(acc, cyclic_power(form_power_histogram(q, k, l, t), s, q), q)
+    return _frozen(acc)
 
 
 def m_n(p: int, h: int, n: int, k: int, l: int, t: int, s: int) -> int:
     """|M_n(p^h)|, exact."""
+    _check_local_args(p, h, k, l, t, s)
     if h == 0:
         # trivial modulus: the whole parameter space (one point per tuple class)
         return 1
-    hist = _m_n_histogram(p, h, k, l, t, s)
-    return hist.counts[n % p**h]
+    return int(_m_n_histogram(p, h, k, l, t, s)[n % p**h])
 
 
 @lru_cache(maxsize=512)
-def _m_star_histogram(p: int, h: int, k: int, l: int, t: int, s: int) -> ResidueHistogram:
+def _m_star_histogram(p: int, h: int, k: int, l: int, t: int, s: int) -> np.ndarray:
     q = p**h
     if q > MN_BUDGET:
         raise ResourceError(f"p^h = {q} exceeds the local-count budget {MN_BUDGET}")
@@ -125,18 +128,17 @@ def _m_star_histogram(p: int, h: int, k: int, l: int, t: int, s: int) -> Residue
         raise PreconditionError("M* needs s >= 1")
     # first block: x_{1,1} a unit AND the form value T(x_1) a unit
     first = pushforward_power(mask_units(form_histogram(p, h, l, t, restrict_first_unit=True), p), k)
-    if s == 1:
-        return first
-    formk = pushforward_power(form_histogram(p, h, l, t), k)
-    return first.convolve(formk.power(s - 1))
+    if s > 1:
+        first = cyclic_convolve(first, cyclic_power(form_power_histogram(q, k, l, t), s - 1, q), q)
+    return _frozen(first)
 
 
 def m_star_n(p: int, h: int, n: int, k: int, l: int, t: int, s: int) -> int:
     """|M*_n(p^h)|, exact."""
+    _check_local_args(p, h, k, l, t, s)
     if h == 0:
         return 1
-    hist = _m_star_histogram(p, h, k, l, t, s)
-    return hist.counts[n % p**h]
+    return int(_m_star_histogram(p, h, k, l, t, s)[n % p**h])
 
 
 @dataclass(frozen=True)
@@ -194,6 +196,7 @@ def verify_local_solubility(
     residue class n.  Hypotheses are checked mechanically first."""
     if which not in ("M", "Mstar"):
         raise PreconditionError(f"which must be 'M' or 'Mstar', got {which!r}")
+    _check_local_args(p, level or 0, k, l, t, s)
     check_lemma_hypotheses(p, k, l, t, s, which)
     if level is None:
         level = gamma_exponent(p, k) if which == "M" else nu_exponent(p, k, l)
@@ -203,4 +206,4 @@ def verify_local_solubility(
         hist = _m_n_histogram(p, level, k, l, t, s)
     else:
         hist = _m_star_histogram(p, level, k, l, t, s)
-    return SolubilityReport(p=p, level=level, which=which, counts=hist.counts)
+    return SolubilityReport(p=p, level=level, which=which, counts=tuple(hist.tolist()))

@@ -154,6 +154,8 @@ def restricted_power_sums(
 def default_y_grid(r: int, l: int, budget: int = N_BUDGET) -> list[int]:
     """Four-point doubling grid ending at the largest Y with r Y^l within
     budget, capped at 400 (so l = 2 gives the standard 50/100/200/400)."""
+    if r < 1 or l < 1:
+        raise PreconditionError(f"need r, l >= 1, got r={r}, l={l}")
     y_max = min(400, math.floor((budget / r) ** (1.0 / l)))
     if y_max < 16:
         raise PreconditionError("budget too small for a 4-point grid")

@@ -91,6 +91,8 @@ def count_conje(n_max: int, k: int, l: int, t: int, s: int, r_extra: int) -> Cou
         raise PreconditionError(f"need n_max >= 0, got {n_max}")
     if s < 0 or r_extra < 0 or s + r_extra < 1:
         raise PreconditionError("need s, r_extra >= 0 and s + r_extra >= 1")
+    if k < 1:
+        raise PreconditionError(f"need k >= 1, got k={k}")
     trunc = n_max + 1
     acc = None
     if s > 0:
@@ -110,8 +112,8 @@ def count_theorem13(
         raise ResourceError(f"n_max {n_max} exceeds budget {N_MAX_BUDGET}")
     if n_max < 0:
         raise PreconditionError(f"need n_max >= 0, got {n_max}")
-    if s < 1:
-        raise PreconditionError("need s >= 1")
+    if s < 1 or k < 1:
+        raise PreconditionError(f"need s, k >= 1, got s={s}, k={k}")
     base = form_power_base(n_max, k, l, xi)
     if not weighted:
         base = (base > 0).astype(np.int64)

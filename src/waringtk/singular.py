@@ -18,10 +18,10 @@ per-residue sum. Window means (represent.window_ratio) read coef alone.
 S(q, a) for all coprime a at once is computed from the exact residue
 histogram of T(r)^k mod q (mathematically identical to the u-reduction
 in expsums.s_form; the two routes are cross-checked in the test suite).
-The histogram is a cyclic convolution power only at prime powers q; at
-a composite q = p^e m with p not dividing m it is the CRT product
-hist_q[x] = hist_{p^e}[x mod p^e] hist_m[x mod m], exact in Python
-ints.
+That histogram is local.form_power_histogram, the one the local counts
+read: the pushforward of the cached cyclic power local.form_histogram at
+prime powers q, and at a composite q = p^e m with p not dividing m the
+CRT product hist_q[x] = hist_{p^e}[x mod p^e] hist_m[x mod m].
 """
 
 from __future__ import annotations
@@ -34,9 +34,10 @@ from functools import lru_cache
 import numpy as np
 
 from waringtk import expsums, local
-from waringtk.arith import euler_phi, factorize, sieve_primes
+from waringtk.arith import euler_phi, sieve_primes
 from waringtk.errors import PreconditionError, ResourceError
 from waringtk.expsums import S_FORM_Q_BUDGET, coprime_residues, hist_dft_all, omega_table
+from waringtk.local import form_power_histogram
 
 DEFAULT_Q_CUTOFF = 200
 DEFAULT_PRIME_CUTOFF = 50
@@ -44,34 +45,18 @@ DEFAULT_PH_CUTOFF = 200
 POSITIVITY_FLOOR = 0.01
 
 
-@lru_cache(maxsize=1024)
-def form_power_histogram(q: int, k: int, l: int, t: int) -> tuple[int, ...]:
-    """counts[m] = #{r in [1,q]^t : T(r)^k = m (mod q)}, exact.
-
-    A cyclic convolution power at prime powers; at q = p^e m with
-    gcd(p, m) = 1, r in [1,q]^t runs over the pairs (r mod p^e, r mod m)
-    by CRT, so counts[x] = counts_{p^e}[x mod p^e] counts_m[x mod m]."""
-    entries = factorize(q).entries
-    if len(entries) <= 1:
-        base = local.power_histogram(q, l)
-        return local.pushforward_power(base.power(t), k).counts
-    pe = entries[0][0] ** entries[0][1]
-    m = q // pe
-    hist_pe = form_power_histogram(pe, k, l, t)
-    hist_m = form_power_histogram(m, k, l, t)
-    return tuple(hist_pe[x % pe] * hist_m[x % m] for x in range(q))
-
-
 def _check_q_budget(Q: int) -> None:
     if Q > S_FORM_Q_BUDGET:
         raise ResourceError(f"q = {Q} exceeds the budget {S_FORM_Q_BUDGET}")
 
 
-def _check_series_args(Q: int, k: int) -> None:
+def _check_series_args(Q: int, k: int, l: int, t: int, s: int) -> None:
     """A series cut at Q needs Q >= 1 and k >= 1 (its tail estimate is
-    Q^(-1/k)), and Q within the budget."""
-    if Q < 1 or k < 1:
-        raise PreconditionError(f"need Q >= 1 and k >= 1, got Q={Q}, k={k}")
+    Q^(-1/k)), l, t >= 1 and s >= 0, and Q within the budget."""
+    if Q < 1 or min(k, l, t) < 1 or s < 0:
+        raise PreconditionError(
+            f"need Q >= 1, k, l, t >= 1 and s >= 0, got Q={Q}, k={k}, l={l}, t={t}, s={s}"
+        )
     _check_q_budget(Q)
 
 
@@ -165,7 +150,7 @@ def truncated_series(
         raise PreconditionError(f"series must be 'Sn' or 'SnPrime', got {series!r}")
     if variant not in ("full", "prime"):
         raise PreconditionError(f"variant must be 'full' or 'prime', got {variant!r}")
-    _check_series_args(Q if variant == "full" else ph_cutoff, k)
+    _check_series_args(Q if variant == "full" else ph_cutoff, k, l, t, s)
     if variant == "full":
         terms = [_d_table(q, k, l, t, s, dvariant)[n] for q in range(1, Q + 1)]
         total = complex(sum(terms))
@@ -200,13 +185,15 @@ def truncated_series(
 def snm_identity_check(p: int, h: int, n: int, k: int, l: int, t: int, s: int) -> float:
     """|sum_{j<=h} S_n(p^j) - M_n(p^h) p^(-h(st+1)) phi(p^h)^(-2)|.
 
-    Both sides are computed by independent routes (complex exponential
-    sums vs exact integer histogram counting).
+    Both sides start from the histograms of local.form_power_histogram
+    and then part: complex exponential sums of them vs exact integer
+    cyclic convolution. The count comes first: local.m_n checks that p
+    is prime, h >= 0, k, l, t >= 1 and s >= 0.
     """
+    count = local.m_n(p, h, n, k, l, t, s)
     lhs = 1 + 0j  # j = 0 term
     for j in range(1, h + 1):
         lhs += s_n_q(p**j, n, k, l, t, s)
-    count = local.m_n(p, h, n, k, l, t, s)
     rhs = Fraction(count, p ** (h * (s * t + 1)) * euler_phi(p**h) ** 2)
     return abs(lhs - complex(float(rhs)))
 
@@ -233,7 +220,7 @@ def positivity_sweep(
     local-solubility diagnostics for the lemma backing positivity."""
     if not n_values:
         raise PreconditionError("positivity sweep over an empty n range")
-    _check_series_args(Q, k)
+    _check_series_args(Q, k, l, t, s)
     which = "M" if series == "Sn" else "Mstar"
     failures = []
     for p in sieve_primes(check_primes_upto):

@@ -6,6 +6,7 @@ Every other criterion passes at the stated tolerance.
 """
 
 import math
+import os
 import random
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from itertools import product
 
 import pytest
 
+import waringtk
 from waringtk.arcs import major_residual_sweep, weyl_bound_sweep
 from waringtk.convolve import exact_convolve, schoolbook_convolve
 from waringtk.expsums import s_form, s_form_direct, s_k, w_q, weight_bound_sweep
@@ -246,6 +248,8 @@ CLI_BATTERY = [
 
 
 def test_criterion_11_cli_suite(capsys, tmp_path):
+    src = os.path.dirname(os.path.dirname(waringtk.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     t0 = time.time()
     failed = []
     for argv in CLI_BATTERY:
@@ -253,6 +257,7 @@ def test_criterion_11_cli_suite(capsys, tmp_path):
             [sys.executable, "-m", "waringtk.cli", *argv, "--cache-dir", str(tmp_path)],
             capture_output=True,
             text=True,
+            env=env,
         )
         if proc.returncode != 0 or not proc.stdout.strip():
             failed.append((argv[0], proc.returncode, proc.stderr.strip()[:120]))

@@ -375,3 +375,68 @@ def test_malformed_argv_exits_cleanly(argv):
         code = run(argv)
     assert code in (1, 2), (code, argv)
     assert "Traceback" not in err.getvalue()
+
+
+# a small valid argv for every leaf of COMMANDS
+_SMALL = {
+    ("sieve",): ["--l", "2", "--t", "2", "--limit", "50"],
+    ("density",): ["--r", "2", "--l", "2"],
+    ("expsum",): ["--q", "5", "--a", "2", "--k", "2", "--l", "2", "--t", "2"],
+    ("local",): ["--p", "3", "--h", "1", "--n", "1", "--k", "2", "--l", "2", "--t", "2", "--s", "1"],
+    ("series", "trunc"): ["--n", "10", "--Q", "5", "--k", "2", "--l", "2", "--t", "2", "--s", "1"],
+    ("series", "snm"): ["--p", "3", "--h", "1", "--k", "2", "--l", "2", "--t", "2", "--s", "1", "--n", "1"],
+    ("series", "positivity"): ["--n-lo", "2", "--n-hi", "4", "--k", "2", "--l", "2", "--t", "2", "--s", "1", "--Q", "5"],
+    ("integral", "jprime"): ["--n", "100", "--s", "3", "--xi", "5", "--k", "2", "--l", "2"],
+    ("integral", "jn"): ["--n", "100", "--s", "2", "--k", "2", "--l", "2", "--t", "8"],
+    ("integral", "udecay"): ["--n", "100", "--t", "8", "--k", "2", "--l", "2", "--samples", "10", "--seed", "0"],
+    ("arcs", "residual"): ["--n", "100", "--k", "2", "--l", "2", "--t", "8", "--Q", "3", "--samples", "3", "--seed", "0"],
+    ("arcs", "weyl"): ["--n", "100", "--k", "2", "--l", "2", "--t", "8", "--samples", "3", "--seed", "0"],
+    ("arcs", "classify"): ["--alpha", "0.3", "--n", "100", "--Q", "5", "--k", "2"],
+    ("arcs", "vmv"): ["--s", "2", "--ksys", "2", "--r", "2", "--Y", "5", "--l", "2"],
+    ("count", "conje"): ["--nmax", "50", "--k", "2", "--l", "2", "--t", "2", "--s", "1", "--r", "1"],
+    ("count", "thm13"): ["--nmax", "50", "--k", "2", "--l", "2", "--xi", "5", "--s", "2"],
+    ("count", "main-term"): ["--k", "2", "--l", "2", "--xi", "5", "--s", "2", "--n", "50", "--Q", "5"],
+    ("count", "qm"): ["--n", "10000", "--k", "2", "--l", "2", "--t", "8"],
+    ("count", "k2"): ["--t", "2", "--X", "10", "--l", "2", "--Y", "5"],
+    ("report",): ["--k", "2", "--l", "2", "--t", "8", "--xi", "5", "--n", "1000"],
+}
+
+
+def _with_value(path, flag, value):
+    argv = list(_SMALL[path])
+    argv[argv.index(flag) + 1] = value
+    return [*path, *argv]
+
+
+# values that exit 2: each ended in a traceback or printed a report
+# (a count for a non-prime p, a series for s < 0) before it was checked
+_PRECONDITION = {
+    (("local",), "--p", "0"), (("local",), "--p", "4"), (("local",), "--h", "-1"), (("local",), "--t", "0"),
+    (("series", "snm"), "--p", "4"), (("series", "snm"), "--h", "-1"), (("series", "trunc"), "--s", "-1"),
+    (("density",), "--r", "0"), (("count", "thm13"), "--k", "0"), (("count", "conje"), "--k", "0"),
+    (("integral", "jprime"), "--n", "0"), (("integral", "jprime"), "--k", "0"), (("integral", "jn"), "--n", "0"),
+    (("integral", "jn"), "--k", "1"), (("arcs", "classify"), "--n", "0"),
+}
+_EDGES = sorted({
+    (path, flag, value)
+    for path, (_, _, flags) in COMMANDS.items()
+    for flag, kwargs in flags.items()
+    if kwargs.get("type") is int
+    for value in ("0", "-1")
+} | _PRECONDITION)
+
+
+@pytest.mark.parametrize("path", list(COMMANDS), ids=" ".join)
+def test_small_argv_is_valid(tmp_path, capsys, path):
+    """The starting points of the edge-value test each give a report."""
+    assert run([*path, *_SMALL[path], "--cache-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("path, flag, value", _EDGES, ids=[" ".join([*p, f, v]) for p, f, v in _EDGES])
+def test_zero_and_negative_integers_never_raise(tmp_path, capsys, path, flag, value):
+    """Every integer flag of every leaf at 0 and at -1 gives a report, a
+    precondition violation or a budget violation, never a traceback."""
+    code = run(_with_value(path, flag, value) + ["--cache-dir", str(tmp_path)])
+    assert code in ((2,) if (path, flag, value) in _PRECONDITION else (0, 2, 3)), code
+    assert "Traceback" not in capsys.readouterr().err

@@ -1,17 +1,21 @@
 import itertools
+import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
+from waringtk import local
+from waringtk.convolve import cyclic_convolve
 from waringtk.errors import PreconditionError, ResourceError
+from waringtk.expsums import power_residue_histogram
 from waringtk.local import (
-    ResidueHistogram,
     check_lemma_hypotheses,
     form_histogram,
+    form_power_histogram,
     m_n,
     m_star_n,
     mask_units,
-    power_histogram,
     pushforward_power,
     verify_local_solubility,
 )
@@ -81,29 +85,76 @@ def test_mass_conservation():
 
 
 def test_histogram_convolve_is_cyclic():
-    a = ResidueHistogram(5, (1, 2, 0, 0, 3))
-    b = ResidueHistogram(5, (0, 1, 1, 0, 0))
-    c = a.convolve(b)
-    assert c.mass == a.mass * b.mass
+    a = np.array([1, 2, 0, 0, 3])
+    b = np.array([0, 1, 1, 0, 0])
+    c = cyclic_convolve(a, b, 5)
+    assert c.sum() == a.sum() * b.sum()
     brute = [0] * 5
-    for i, ca in enumerate(a.counts):
-        for j, cb in enumerate(b.counts):
+    for i, ca in enumerate(a.tolist()):
+        for j, cb in enumerate(b.tolist()):
             brute[(i + j) % 5] += ca * cb
-    assert list(c.counts) == brute
+    assert c.tolist() == brute
 
 
 def test_power_histogram_units():
-    h = power_histogram(9, 2, units_only=True)
-    assert h.mass == 6
-    assert h.counts[0] == 0
+    h = power_residue_histogram(9, 2, units_only=True)
+    assert h.sum() == 6
+    assert h[0] == 0
 
 
 def test_pushforward_and_mask():
-    h = power_histogram(5, 2)
+    h = power_residue_histogram(5, 2)
     g = pushforward_power(h, 2)  # x -> x^4 mod 5
-    assert g.mass == h.mass
+    assert g.sum() == h.sum()
     m = mask_units(g, 5)
-    assert m.counts[0] == 0
+    assert m[0] == 0
+
+
+def test_pushforward_and_mask_match_loops():
+    """Against the per-residue Python loops for q <= 200, on int64
+    histograms and on object ones whose bins pass 2^63."""
+    rng = random.Random(200)
+    for q in range(1, 201):
+        bits = (20, 62, 70)[q % 3]
+        counts = [rng.getrandbits(bits) if rng.random() < 0.7 else 0 for _ in range(q)]
+        hist = np.array(counts, dtype=np.int64 if bits < 63 else object)
+        for expo in (1, 2, 3, 6):
+            want = [0] * q
+            for m, c in enumerate(counts):
+                want[pow(m, expo, q)] += c
+            got = pushforward_power(hist, expo)
+            assert got.tolist() == want, (q, expo)
+            assert got.dtype == (np.int64 if max(want) < 1 << 63 else object), (q, expo)
+        for p in {2, 3, q}:
+            assert mask_units(hist, p).tolist() == [c if m % p else 0 for m, c in enumerate(counts)], (q, p)
+
+
+def test_cached_histograms_are_read_only():
+    hists = [
+        power_residue_histogram(9, 2),
+        form_histogram(3, 2, 2, 4),
+        form_histogram(3, 2, 2, 4, restrict_first_unit=True),
+        form_histogram(3, 2, 2, 1, restrict_first_unit=True),
+        form_power_histogram(9, 2, 2, 4),
+        form_power_histogram(36, 2, 2, 4),
+        local._m_n_histogram(3, 2, 2, 2, 4, 1),
+        local._m_star_histogram(3, 2, 2, 2, 4, 1),
+        local._m_star_histogram(3, 2, 2, 2, 4, 2),
+    ]
+    for hist in hists:
+        with pytest.raises(ValueError):
+            hist[0] = 1
+
+
+@pytest.mark.parametrize(
+    "p, h, k, l, t, s",
+    [(0, 1, 2, 2, 2, 1), (4, 1, 2, 2, 2, 1), (-3, 1, 2, 2, 2, 1), (3, -1, 2, 2, 2, 1), (3, 1, 0, 2, 2, 1),
+     (3, 1, 2, 0, 2, 1), (3, 1, 2, 2, 0, 1), (3, 1, 2, 2, 2, -1)],
+)
+def test_local_counts_check_their_arguments(p, h, k, l, t, s):
+    for count in (m_n, m_star_n):
+        with pytest.raises(PreconditionError):
+            count(p, h, 1, k, l, t, s)
 
 
 def test_form_histogram_budget():
@@ -134,3 +185,9 @@ def test_verify_solubility_reports():
 def test_level_zero_vacuous():
     rep = verify_local_solubility(3, 2, 2, 8, 2, which="M", level=0)
     assert rep.all_positive and rep.counts == (1,)
+
+
+def test_counts_are_python_ints():
+    assert type(m_n(3, 2, 4, 2, 2, 8, 2)) is int and type(m_star_n(3, 2, 4, 2, 2, 8, 2)) is int
+    rep = verify_local_solubility(2, 2, 2, 8, 5, which="Mstar")
+    assert all(type(c) is int for c in rep.counts)

@@ -6,6 +6,7 @@ import pytest
 
 from waringtk import expsums, local
 from waringtk.arith import euler_phi, factorize
+from waringtk.convolve import cyclic_power
 from waringtk.errors import PreconditionError, ResourceError
 from waringtk.expsums import S_FORM_Q_BUDGET, omega_table, s_form
 from waringtk.singular import (
@@ -106,35 +107,45 @@ def test_series_budget_checked_before_any_table():
 
 
 def _histogram_by_cyclic_power(q, k, l, t):
-    return local.pushforward_power(local.power_histogram(q, l).power(t), k).counts
+    return local.pushforward_power(cyclic_power(expsums.power_residue_histogram(q, l), t, q), k).tolist()
 
 
 @pytest.mark.parametrize("k, l, t", [(2, 2, 8), (3, 2, 5)])
 def test_composite_histograms_match_cyclic_powers(k, l, t):
     for q in range(1, 201):
-        assert form_power_histogram(q, k, l, t) == _histogram_by_cyclic_power(q, k, l, t), q
+        assert form_power_histogram(q, k, l, t).tolist() == _histogram_by_cyclic_power(q, k, l, t), q
 
 
 @pytest.mark.parametrize("q, entry_bits", [(300, 62), (360, 65)])
 def test_composite_histogram_past_int64(q, entry_bits):
-    """At t = 8 the mass q^8 is past 2^63; at q = 360 so is the largest entry."""
+    """At t = 8 the mass q^8 is past 2^63; at q = 360 so is the largest
+    entry, and only there is the array of Python ints (object)."""
     hist = form_power_histogram(q, 2, 2, 8)
-    assert sum(hist) == q**8 > 1 << 63 and max(hist).bit_length() == entry_bits
-    assert hist == _histogram_by_cyclic_power(q, 2, 2, 8)
+    counts = hist.tolist()
+    assert sum(counts) == q**8 > 1 << 63 and max(counts).bit_length() == entry_bits
+    assert hist.dtype == (np.int64 if entry_bits < 64 else object)
+    assert counts == _histogram_by_cyclic_power(q, 2, 2, 8)
 
 
 def test_cyclic_powers_only_at_prime_powers():
+    """The series (s_form_all) and the local counts (m_n) of k = 2 and
+    k = 3 share one cyclic power of the form histogram per prime power."""
     moduli = []
     real = local.cyclic_power
 
     def spy(base, t, m):
-        moduli.append(m)
+        if t == 6:  # the form's power; m_n also takes the s-th power of its image
+            moduli.append(m)
         return real(base, t, m)
 
-    form_power_histogram.cache_clear()
+    for cached in (local.form_histogram, form_power_histogram, local._m_n_histogram):
+        cached.cache_clear()
     with mock.patch.object(local, "cyclic_power", spy):
-        for q in range(1, 101):
-            form_power_histogram(q, 2, 2, 6)
+        for k in (2, 3):
+            for q in range(1, 101):
+                form_power_histogram(q, k, 2, 6)
+            s_form_all(49, k, 2, 6)
+            local.m_n(7, 2, 4, k, 2, 6, 2)
     prime_powers = [q for q in range(1, 101) if len(factorize(q).entries) <= 1]
     assert moduli == prime_powers
 
