@@ -27,6 +27,7 @@ import numpy as np
 
 from waringtk.arith import sieve_primes
 from waringtk.errors import PreconditionError, ResourceError
+from waringtk.expsums import coprime_residues
 from waringtk.integral import U_major
 from waringtk.params import ProblemParams
 from waringtk.powersets import (
@@ -292,8 +293,11 @@ def major_residual_sweep(
     Samples are stratified by q: denominators cycle through [1, Q], the
     numerator and offset beta are drawn from the arc around a/q.
     """
-    if min(n, k, l, Q) < 1 or seed < 0:
-        raise PreconditionError(f"need n, k, l, Q >= 1 and seed >= 0, got n={n}, k={k}, l={l}, Q={Q}, seed={seed}")
+    if min(n, k, l, Q, sample_count) < 1 or seed < 0:
+        raise PreconditionError(
+            f"need n, k, l, Q, sample_count >= 1 and seed >= 0, got n={n}, k={k}, l={l}, Q={Q}, "
+            f"sample_count={sample_count}, seed={seed}"
+        )
     P = n ** (1.0 / (k * l))
     if Q >= P:
         raise PreconditionError("major-arc approximation needs q <= Q < P")
@@ -302,7 +306,7 @@ def major_residual_sweep(
     worst = 0.0
     for i in range(sample_count):
         q = 1 + i % Q
-        units = [a for a in range(q + 1) if math.gcd(a, q) == 1 and (a < q or q == 1)]
+        units = coprime_residues(q)
         a = int(units[rng.integers(len(units))]) if q > 1 else 0
         beta = float(rng.uniform(-Q / (q * n), Q / (q * n)))
         alpha = a / q + beta
@@ -325,8 +329,11 @@ def weyl_bound_sweep(
 ) -> float:
     """max over sampled alpha of |f(alpha)| / (P^t (q^-1 + P^-1 + q P^-kl)^e)
     with e = 2^(1-kl) and (a, q) the Dirichlet pair of alpha."""
-    if min(n, k, l) < 1 or seed < 0:
-        raise PreconditionError(f"need n, k, l >= 1 and seed >= 0, got n={n}, k={k}, l={l}, seed={seed}")
+    if min(n, k, l, sample_count) < 1 or seed < 0:
+        raise PreconditionError(
+            f"need n, k, l, sample_count >= 1 and seed >= 0, got n={n}, k={k}, l={l}, "
+            f"sample_count={sample_count}, seed={seed}"
+        )
     P = n ** (1.0 / (k * l))
     rng = np.random.default_rng(seed)
     table = _rho_table_for(l, t, math.floor(P**l))
@@ -351,8 +358,8 @@ def vinogradov_mean_value(
 ) -> int:
     """Exact J_{s,r}^(k_sys)(Y): solutions of sum x_i^j = sum x_{s+i}^j for
     j = 1..k_sys with all 2s variables in S_r(Y), by meet-in-the-middle."""
-    if s < 1 or k_sys < 1:
-        raise PreconditionError("need s >= 1 and k_sys >= 1")
+    if s < 1 or k_sys < 1 or l < 1:
+        raise PreconditionError(f"need s, k_sys, l >= 1, got s={s}, k_sys={k_sys}, l={l}")
     values = restricted_power_sums(r, l, Y, eta).values
     if len(values) ** s > budget:
         raise ResourceError(f"|S|^s = {len(values) ** s} exceeds budget {budget}")

@@ -7,100 +7,71 @@ the outer product of the two nonzero sets instead. It truncates as it
 goes, so its work is about
 nnz_small * min(nnz_other * _PAIR_COST, kept row length + _ROW_COST)
 multiply-adds, _ROW_COST being the fixed cost of one row's numpy calls.
-The NTT kernel runs multi-prime number-theoretic transforms: 3 transforms
-(2 for a square, the same object passed twice; 3 for a truncated square
-on the smaller size, below) of size * log2(size) butterfly points per
-prime, and the dispatch prices the size and count it runs.
 
-Powers are taken left to right (Knuth, TAOCP vol. 2, 4.6.3): every
-product is a square or a product with the base, so the sparse base of a
-count goes to the direct kernel and a long square to the NTT kernel at
-two transforms per prime. convolution_power carries int64 arrays (object
-past 2^63) from product to product and returns one. Its squares keep
-keep < 2 len(a) - 1 entries, and a^2 mod x^keep = a0 (a0 + 2 x^h a1)
-with h = ceil(keep / 2), a0 = a[:h] and a1 = a[h:keep]; the NTT kernel
-runs that product, three transforms per prime of next_pow2(h + keep - 1)
-points, whenever this size is below next_pow2(2 len(a) - 1) (for
-keep = len(a), when len(a) is at most about 2/3 of the next power of
-two), with the primes of the square's bound and a1 doubled in residues.
+The split-limb FFT kernel writes each operand as a = sum_i a_i 2^(w i)
+with L limbs a_i of w bits and takes one numpy real FFT per limb (one
+set for a square, the same object passed twice) at the least 5-smooth
+size N at least the output length. Output limb k is one inverse FFT of
+the summed limb-pair spectra with i + j = k; every kept output of it
+must lie within 1/4 of an integer, else the kernel raises
+FloatingPointError instead of rounding. The rounded output limbs are
+carried into int64 words of whole limbs, which pass to Python ints in
+one object pass only when an entry reaches 2^63; an object operand is
+cut into such words before its limbs are taken.
 
-Both kernels work from the a-priori bound on the output entries,
+The width w comes from an a-priori rounding bound (Percival, Math.
+Comp. 72 (2003); Brent and Zimmermann, Modern Computer Arithmetic, CUP
+2010, 3.3): for limbs x_i, y_j of operands of lengths n_a, n_b, the
+float64 error of output limb k is at most
+sum_{i+j=k} ||x_i||_2 ||y_j||_2 * c * log2(N) * 2^-53, c = _FFT_ERROR
+(generous: the largest error seen, on constant vectors of limbs all at
+their maximum, is 1/128 of it). As ||x_i||_2 <= (2^w - 1) sqrt(n_a), w
+is the widest width with
+min(L_a, L_b) (2^w - 1)^2 sqrt(n_a n_b) c log2(N) 2^-53 <= 1/4,
+which also keeps every exact output limb below 2^53.
+
+The dispatch (_product, behind exact_convolve, cyclic_convolve and the
+powers) works from the a-priori bound on the output entries,
 min(sum(a) * max(b), sum(b) * max(a)). Below 2^63 the direct kernel
 accumulates in plain int64 (every partial sum of nonnegative terms is at
-most the bound), and the dispatch (_product, behind exact_convolve,
-cyclic_convolve and the powers) takes it for every short product
-(len(a) * len(b) <= _SCHOOLBOOK_CAP) and for a long one whose work is at
-most the NTT kernel's, counting a butterfly point as _NTT_COST
-multiply-adds. From 2^63 on, a short product goes to
-schoolbook_convolve and a long one to the NTT kernel. Once a product
-has gone to the NTT kernel, the bound is tightened by Cauchy-Schwarz,
-every entry being at most isqrt(sum(a^2) * sum(b^2)); this can save a
-CRT prime. The sums of squares are taken exactly in Python ints only
-when a float64 lower estimate of that bound already saves one, so the
-primes are those of the exact rule and neither the direct kernel nor an
-NTT product that keeps its primes pays for them. The kernel works per
-CRT prime in residues, with as many of NTT_PRIMES as the smaller bound
-needs, and combines them by Garner's mixed-radix method (in int64, with one
-Python-int pass when the primes' product exceeds 2^63). Every route
-returns int64 when each entry fits and object otherwise; cyclic_convolve
-folds in Python ints when a folded sum could pass int64, and it and
-cyclic_power take and return count arrays under the same rule, so a
-chain of cyclic products (the residue histograms of local) carries
-arrays from product to product.
-schoolbook_convolve is also the reference the tests compare against,
-and the route for short products with negative entries. Results are
-bit-identical across the routes (property-tested).
+most the bound), and it takes every short product
+(len(a) * len(b) <= _SCHOOLBOOK_CAP) and a long one whose work is at
+most the FFT kernel's, counting a point of one transform stage
+(N log2 N per transform) as _FFT_COST multiply-adds. From 2^63 on, a
+short product goes to schoolbook_convolve and a long one to the FFT
+kernel. Powers are taken left to right (Knuth, TAOCP vol. 2, 4.6.3), so
+every product is a square or takes the sparse base.
 
-The NTT primes are < 2^31 so that modular products fit in int64. Each
-transform builds its tables in O(n): one table of the powers of the n-th
-root of unity (every stage's twiddles are a strided view of it) and the
-bit-reversal permutation, both by doubling a filled prefix; its
-butterflies reduce the sums every second stage only. Every reduction in
-the NTT kernel (butterflies, tables, pointwise products, the 1/n
-scaling and Garner) is _mod's x - floor(x / p) * p, which numpy computes
-by a multiply and shift instead of a hardware division. The stages of
-size 2 to 16 loop over their 1 to 8 twiddles, each on a strided column,
-where the later stages work on rows of the 2-D view. Nothing is cached
-across calls.
+Every route returns int64 when each entry fits and object otherwise;
+convolution_power, cyclic_convolve and cyclic_power carry such count
+arrays from product to product, cyclic_convolve folding in Python ints
+when a folded sum could pass int64. schoolbook_convolve is also the
+reference the tests compare against, and the route for short products
+with negative entries. Results are bit-identical across the routes
+(property-tested).
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 
 import numpy as np
 
 from waringtk.errors import PreconditionError
 
-# (prime, generator); each prime is c * 2^e + 1 with 2-adic order e >= 23
-NTT_PRIMES: tuple[tuple[int, int], ...] = (
-    (2013265921, 31),  # 15 * 2^27 + 1
-    (1811939329, 13),  # 27 * 2^26 + 1
-    (469762049, 3),  # 7 * 2^26 + 1
-    (2113929217, 5),  # 63 * 2^25 + 1
-    (1711276033, 29),  # 51 * 2^25 + 1
-    (167772161, 3),  # 5 * 2^25 + 1
-    (754974721, 11),  # 45 * 2^24 + 1
-    (998244353, 3),  # 119 * 2^23 + 1
-)
+# read only by bench/tracer.py; removed with ROADMAP item 5's benchmark change
+NTT_PRIMES = (2013265921, 1811939329, 469762049, 2113929217, 1711276033, 167772161, 754974721, 998244353)
 
-# _MODULI[i] is the product of the first i primes
-_MODULI = tuple(math.prod(p for p, _ in NTT_PRIMES[:i]) for i in range(len(NTT_PRIMES) + 1))
-# relative deflation of the float Cauchy-Schwarz estimate: float64 sums of
-# n squares are off by at most about n * 2^-53, and n stays below 2^30
-_CS_MARGIN = 1e-6
-
+_FFT_ERROR = 64  # c of the rounding bound in the module docstring
 _SCHOOLBOOK_CAP = 1 << 17  # len(a)*len(b) at most this: a short product
 # Work weights of the dispatch, in int64 multiply-adds of the direct
 # kernel's rows (0.4-0.5 ns each; measured with numpy 2.4 on a 2-core
-# x86-64 VM, where a butterfly point costs about 4-9 ns, a row's numpy
-# calls 2.5-4 us and a scatter-added pair 10-35 ns). The values minimise
-# the summed time of the chosen routes over the exact products of the
-# benchmark workloads and a sweep of dense and sparse products of
-# length 400-100000; refitted over the 74 long products below 2^63 of
-# exact_counts and local_series, _NTT_COST 20 still gave the least sum:
-_NTT_COST = 20  # one butterfly point of one stage, for one prime
+# x86-64 VM, where a row's numpy calls cost 2.5-4 us and a scatter-added
+# pair 10-35 ns). They minimise the summed time of the chosen routes over
+# the long products below 2^63 of exact_counts and local_series and a
+# sweep of dense and sparse squares of length 400-100000 (_FFT_COST 1 and
+# 2 give an 11% and a 3% larger sum than 1.5):
+_FFT_COST = 1.5  # one point of one stage of one transform of the FFT kernel
 _ROW_COST = 4000  # the fixed cost of one row
 _PAIR_COST = 16  # one scatter-added pair of the outer product
 
@@ -119,90 +90,6 @@ def schoolbook_convolve(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _mod(x: np.ndarray, p: int, scratch: np.ndarray | None = None) -> np.ndarray:
-    """x mod p in place, for an int64 array x, as x - floor(x / p) * p:
-    numpy divides by a scalar with a multiply and shift (libdivide),
-    2-5 times as fast as the hardware division of np.remainder, and
-    floor division keeps the result in [0, p) for negative x too.
-    scratch, an int64 array of x's shape, takes the quotients."""
-    q = np.floor_divide(x, p, out=scratch)
-    q *= p
-    x -= q
-    return x
-
-
-def _pow_table(base: int, length: int, p: int) -> np.ndarray:
-    """[base^0, ..., base^(length-1)] mod p in O(length): each pass fills
-    the next block from the filled prefix, out[f:2f] = out[:f] * base^f."""
-    out = np.empty(length, dtype=np.int64)
-    out[:1] = 1
-    f = 1
-    while f < length:
-        m = min(f, length - f)
-        _mod(np.multiply(out[:m], pow(base, f, p), out=out[f : f + m]), p)
-        f *= 2
-    return out
-
-
-def _bit_reverse(n: int) -> np.ndarray:
-    """The bit-reversal permutation of range(n), n a power of two, in O(n):
-    the permutation for 2m is the one for m doubled, then doubled plus one."""
-    rev = np.zeros(n, dtype=np.int64)
-    m = 1
-    while m < n:
-        rev[:m] *= 2
-        np.add(rev[:m], 1, out=rev[m : 2 * m])
-        m *= 2
-    return rev
-
-
-def _ntt(a: np.ndarray, p: int, g: int, invert: bool) -> np.ndarray:
-    """Iterative radix-2 transform of a (length n, a power of two, entries
-    in [0, p)) mod p; with invert, n times the inverse transform.
-
-    One table of the powers of the n-th root of unity serves every stage:
-    the twiddles of a size-s stage are every (n/s)-th entry of it. Every
-    reduction is _mod's floor division. Sums are reduced every second
-    stage only: after an unreduced stage the entries lie in (-p, 2p), so
-    the next stage's products stay below 2p^2 < 2^63 (p < 2^31) and its
-    sums in (-2p, 3p). The stages of size 2 to 16 would work on rows of
-    1 to 8 entries, where numpy's per-row overhead dominates; they loop
-    over the twiddle index instead, each step on strided columns of
-    n / size entries."""
-    n = a.shape[0]
-    e = ((p - 1) & (1 - p)).bit_length() - 1  # p = c * 2^e + 1, c odd
-    if n > (1 << e):
-        raise PreconditionError(f"transform size {n} too large for prime {p}")
-    a = a[_bit_reverse(n)]
-    w = pow(g, (p - 1) // n, p)
-    if invert:
-        w = pow(w, p - 2, p)
-    roots = _pow_table(w, n // 2, p)
-    buf = np.empty(n // 2, dtype=np.int64)
-    scratch = np.empty(n, dtype=np.int64)
-    size = 2
-    while size <= n:
-        half, rows = size // 2, n // size
-        view = a.reshape(rows, size)
-        if half <= 8:
-            tmp, quo = buf[:rows], scratch[:rows]
-            steps = [(view[:, j], view[:, j + half], roots[j * rows] if j else None) for j in range(half)]
-        else:
-            tmp, quo = buf.reshape(rows, half), scratch[: n // 2].reshape(rows, half)
-            steps = [(view[:, :half], view[:, half:], roots[::rows])]
-        for lo, hi, twiddle in steps:
-            if twiddle is None:  # the twiddle is 1
-                np.copyto(tmp, hi)
-            else:
-                _mod(np.multiply(hi, twiddle, out=tmp), p, quo)
-            np.subtract(lo, tmp, out=hi)
-            lo += tmp
-        if size.bit_length() % 2 == 1 or size == n:  # size 4, 16, ... or the last
-            _mod(a, p, scratch)
-        size *= 2
-    return a
-
-
 def count_array(a: list[int] | np.ndarray) -> np.ndarray:
     """a (a list or an array) as an int64 array, or as an object array when
     an entry is outside int64; an int64 array is returned as it is."""
@@ -217,66 +104,6 @@ def _total(arr: np.ndarray) -> int:
     if arr.dtype == object or int(arr.max()) * len(arr) >= 1 << 63:
         return sum(arr.tolist())
     return int(arr.sum())
-
-
-def _square_sum(arr: np.ndarray) -> int:
-    """sum(arr ** 2), exactly, in Python ints."""
-    return sum(x * x for x in arr.tolist())
-
-
-def _residues(arr: np.ndarray, p: int, size: int) -> np.ndarray:
-    """arr mod p as int64, zero-padded to size."""
-    out = np.zeros(size, dtype=np.int64)
-    out[: len(arr)] = arr % p
-    return out
-
-
-def _cauchy_schwarz_estimate(a: np.ndarray, b: np.ndarray) -> float:
-    """A lower estimate of sqrt(sum(a^2) * sum(b^2)): float64 dot products
-    deflated by _CS_MARGIN, or 0.0 when an entry is past the float range."""
-    try:
-        fa = a.astype(np.float64)
-        fb = fa if b is a else b.astype(np.float64)
-    except OverflowError:
-        return 0.0
-    return math.sqrt(np.dot(fa, fa)) * math.sqrt(np.dot(fb, fb)) * (1 - _CS_MARGIN)
-
-
-def _prime_count(bound: int | float) -> int:
-    """How many leading NTT primes make a modulus of at least bound;
-    len(NTT_PRIMES) + 1 past their capacity."""
-    return bisect.bisect_left(_MODULI, bound)
-
-
-def _crt_primes(bound: int) -> list[tuple[int, int]]:
-    """The leading NTT primes, as few as make a modulus of at least bound."""
-    count = _prime_count(bound)
-    if count > len(NTT_PRIMES):
-        raise PreconditionError("output bound exceeds the CRT capacity of the prime set")
-    return list(NTT_PRIMES[:count])
-
-
-def _garner(residue_rows: list[np.ndarray], primes: list[int]) -> np.ndarray:
-    """CRT-reconstruct each index from its residues.
-
-    The mixed-radix digits v_i (x = v_0 + v_1 p_0 + v_2 p_0 p_1 + ...) are
-    int64 arrays: every factor is below 2^31, so every product fits. The
-    digits are summed in int64 while the modulus stays below 2^63, and in
-    one object-array (Python int) pass beyond that; the result is then
-    int64 again when every entry fits."""
-    digits: list[np.ndarray] = []
-    for row, p in zip(residue_rows, primes):
-        t = row
-        for v, q in zip(digits, primes):
-            t = _mod(_mod(t - v, p) * pow(q, p - 2, p), p)
-        digits.append(t)
-    x, m = digits[0], primes[0]
-    for v, p in zip(digits[1:], primes[1:]):
-        if m * p >= 1 << 63:
-            x, v = np.asarray(x, dtype=object), v.astype(object)
-        x = x + v * m
-        m *= p
-    return count_array(x)
 
 
 def _direct(a: np.ndarray, b: np.ndarray, keep: int) -> np.ndarray:
@@ -325,6 +152,100 @@ def _schoolbook(a: np.ndarray, b: np.ndarray, keep: int) -> np.ndarray:
     return count_array(schoolbook_convolve(la, la if b is a else b.tolist())[:keep])
 
 
+def _fft_size(n: int) -> int:
+    """The least 5-smooth integer >= n, a size pocketfft transforms fast:
+    the least f * 2^i >= n over the f = 3^j 5^k below the next power of 2."""
+    best = 1 << (n - 1).bit_length()
+    f5 = 1
+    while f5 < best:
+        f = f5
+        while f < best:
+            best = min(best, f << (-(-n // f) - 1).bit_length())
+            f *= 3
+        f5 *= 5
+    return best
+
+
+def _fft_plan(len_a: int, len_b: int, bits_a: int, bits_b: int) -> tuple[int, int, int, int]:
+    """(N, w, L_a, L_b) for the FFT kernel: the transform size, the widest
+    limb width that meets the rounding bound of the module docstring, and
+    the limbs per operand; w = 1 if none does (the rounding check then
+    decides)."""
+    size = _fft_size(len_a + len_b - 1)
+    scale = math.sqrt(len_a * len_b) * _FFT_ERROR * math.log2(size)
+    for w in range(25, 0, -1):  # the bound needs 2w <= 51 at any length
+        limbs_a, limbs_b = -(-bits_a // w), -(-bits_b // w)
+        if min(limbs_a, limbs_b) * (2**w - 1) ** 2 * scale <= 2.0**51:
+            break
+    return size, w, limbs_a, limbs_b
+
+
+def _limbs(arr: np.ndarray, w: int, count: int):
+    """The count w-bit limbs of a nonnegative count array, low first, as
+    float64; an object array is first cut into int64 words of whole limbs."""
+    if arr.dtype == object:
+        step = 62 // w
+        span = w * step
+        words = [((arr >> (span * j)) & ((1 << span) - 1)).astype(np.int64) for j in range(-(-count // step))]
+    else:
+        step, words = count, [arr]
+    for i in range(count):
+        yield ((words[i // step] >> (w * (i % step))) & ((1 << w) - 1)).astype(np.float64)
+
+
+def _join(words: list[np.ndarray], span: int) -> np.ndarray:
+    """sum_j words[j] * 2^(span j) for int64 words of span <= 62 bits, as a
+    count array: int64 when every entry fits, else one object pass."""
+    if len(words) == 1:
+        return words[0]
+    if words[1].max() < 1 << (63 - span) and not any(word.any() for word in words[2:]):
+        return (words[1] << span) | words[0]
+    out = words[-1].astype(object)
+    for word in reversed(words[:-1]):
+        out = (out << span) | word.astype(object)
+    return out
+
+
+def _output_limb(fa: list[np.ndarray], fb: list[np.ndarray], k: int, size: int, keep: int) -> np.ndarray:
+    """Output limb k of the FFT kernel, sum_{i+j=k} x_i * y_j, from the limb
+    spectra: the first keep entries as int64, each checked to lie within
+    1/4 of an integer before it is rounded."""
+    lo, hi = max(0, k - len(fb) + 1), min(k, len(fa) - 1)
+    spectrum = fa[lo] * fb[k - lo]
+    for i in range(lo + 1, hi + 1):
+        spectrum += fa[i] * fb[k - i]
+    limb = np.fft.irfft(spectrum, size)[:keep]
+    rounded = np.rint(limb)
+    limb -= rounded
+    if np.abs(limb, out=limb).max() > 0.25:
+        raise FloatingPointError(f"FFT rounding error past 1/4 in output limb {k}")
+    return rounded.astype(np.int64)
+
+
+def _fft_product(a: np.ndarray, b: np.ndarray, keep: int, bound: int, plan: tuple[int, int, int, int]) -> np.ndarray:
+    """The first keep entries of a*b by the split-limb FFT kernel under
+    plan (_fft_plan's), for nonnegative operands every product entry of
+    which is below bound.
+
+    Each output limb is carried into the words as it comes, so that one
+    output limb at a time is held, and the spectra are freed before the
+    words are joined."""
+    size, w, limbs_a, limbs_b = plan
+    fa = [np.fft.rfft(x, size) for x in _limbs(a[:keep], w, limbs_a)]
+    fb = fa if b is a else [np.fft.rfft(y, size) for y in _limbs(b[:keep], w, limbs_b)]
+    step = 62 // w
+    words, carry = [], 0
+    for k in range(max(limbs_a + limbs_b - 1, -(-(bound - 1).bit_length() // w))):
+        if k < limbs_a + limbs_b - 1:
+            carry = carry + _output_limb(fa, fb, k, size, keep)
+        if k % step == 0:
+            words.append(np.zeros(keep, dtype=np.int64))
+        words[-1] |= (carry & ((1 << w) - 1)) << (w * (k % step))
+        carry >>= w
+    del fa, fb
+    return _join(words, w * step)
+
+
 def _product(a: np.ndarray, b: np.ndarray, trunc: int | None) -> np.ndarray:
     """The first trunc entries (all when None) of the exact product of two
     int64 or object arrays: int64 when every entry fits, object otherwise."""
@@ -332,52 +253,21 @@ def _product(a: np.ndarray, b: np.ndarray, trunc: int | None) -> np.ndarray:
         return np.zeros(0, dtype=np.int64)
     out_len = len(a) + len(b) - 1
     keep = out_len if trunc is None else min(trunc, out_len)
-    square = b is a
     short = len(a) * len(b) <= _SCHOOLBOOK_CAP
     if a.min() < 0 or b.min() < 0:
         if not short:
             raise PreconditionError("exact_convolve needs nonnegative entries beyond the schoolbook cap")
         return _schoolbook(a, b, keep)
-    bound = min(_total(a) * int(b.max()), _total(b) * int(a.max())) + 1
-    if short and bound > 1 << 63:
-        return _schoolbook(a, b, keep)
-    # the NTT plan: a square kept to keep < out_len entries is
-    # a0 (a0 + 2 x^half a1) mod x^keep, with a0 = a[:half] and
-    # a1 = a[half:keep] (the term x^(2 half) a1^2 lies beyond keep), a
-    # product of 3 transforms per prime of size next_pow2(half + keep - 1)
-    # that replaces 2 of size next_pow2(out_len) when it is smaller
-    size, half = 1 << (out_len - 1).bit_length(), (keep + 1) // 2
-    halved = square and 0 < keep < out_len and 1 << (half + keep - 2).bit_length() < size
-    if halved:
-        size = 1 << (half + keep - 2).bit_length()
-    if bound <= 1 << 63:
-        points = (2 if square and not halved else 3) * size * (size.bit_length() - 1) * len(_crt_primes(bound))
-        if short or _direct_work(a, b, keep) <= points * _NTT_COST:
-            return _direct(a, b, keep)
-    # the NTT: by Cauchy-Schwarz every entry is also at most
-    # sqrt(sum(a^2) * sum(b^2)), which can need a CRT prime fewer. The
-    # exact sums are taken only when a lower estimate of it already needs
-    # fewer; otherwise the exact bound would need as many as bound does
-    if _prime_count(_cauchy_schwarz_estimate(a, b)) < _prime_count(bound):
-        squares_a = _square_sum(a)
-        squares_b = squares_a if square else _square_sum(b)
-        bound = min(bound, math.isqrt(squares_a * squares_b) + 1)
-    primes = _crt_primes(bound)
-    rows = []
-    for p, g in primes:
-        if halved:  # a1 is doubled in residues, where it cannot wrap
-            ra = _residues(a[:keep], p, size)
-            rb = ra.copy()
-            _mod(np.multiply(rb[half:keep], 2, out=rb[half:keep]), p)
-            ra[half:keep] = 0
-            fa = _ntt(ra, p, g, invert=False)
-            fb = _ntt(rb, p, g, invert=False)
-        else:
-            fa = _ntt(_residues(a, p, size), p, g, invert=False)
-            fb = fa if square else _ntt(_residues(b, p, size), p, g, invert=False)
-        row = _ntt(_mod(fa * fb, p), p, g, invert=True)[:keep]
-        rows.append(_mod(row * pow(size, p - 2, p), p))
-    return _garner(rows, [p for p, _ in primes])
+    max_a, max_b = int(a.max()), int(b.max())
+    bound = min(_total(a) * max_b, _total(b) * max_a) + 1
+    if short:
+        return _direct(a, b, keep) if bound <= 1 << 63 else _schoolbook(a, b, keep)
+    plan = _fft_plan(min(len(a), keep), min(len(b), keep), max(1, max_a.bit_length()), max(1, max_b.bit_length()))
+    size, _, limbs_a, limbs_b = plan
+    transforms = (limbs_a if b is a else limbs_a + limbs_b) + limbs_a + limbs_b - 1
+    if bound <= 1 << 63 and _direct_work(a, b, keep) <= transforms * size * math.log2(size) * _FFT_COST:
+        return _direct(a, b, keep)
+    return _fft_product(a, b, keep, bound, plan)
 
 
 def _operands(a: list[int], b: list[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -392,8 +282,8 @@ def exact_convolve(a: list[int], b: list[int], trunc: int | None = None) -> list
 
     trunc keeps only the first trunc output entries (those are still
     exact: truncation only discards high-index terms). Passing the same
-    object as a and b (a square) costs one forward transform per prime
-    instead of two on the NTT kernel.
+    object as a and b (a square) costs one set of forward transforms
+    instead of two on the FFT kernel.
     """
     if trunc is not None and trunc < 0:
         raise PreconditionError(f"trunc must be nonnegative, got {trunc}")

@@ -180,10 +180,10 @@ def j_singular_exact(n: int, s: int, k: int, l: int, t: int) -> tuple[float, flo
     J(n) is the weighted count over x_1 + ... + x_4 + y_1 + ... + y_s = n
     with two v-weighted, two w-weighted and s u-weighted variables.
     It needs n >= 2 (the envelope divides by log n), k >= 2 (the v
-    support by k - 1) and l >= 1.
+    support by k - 1), l >= 1, s >= 0 and t >= 1.
     """
-    if n < 2 or k < 2 or l < 1:
-        raise PreconditionError(f"need n >= 2, k >= 2 and l >= 1, got n={n}, k={k}, l={l}")
+    if n < 2 or k < 2 or l < 1 or s < 0 or t < 1:
+        raise PreconditionError(f"need n, k >= 2, l, t >= 1 and s >= 0, got n={n}, k={k}, l={l}, s={s}, t={t}")
     if n > 10**6:
         raise ResourceError("n exceeds the singular-integral budget")
     lo, hi = v_support(n, k)

@@ -123,7 +123,7 @@ def count_theorem13(
 
 
 def count_oracle(n_max: int, k: int, l: int, t: int, s: int, r_extra: int) -> list[int]:
-    """Iterated schoolbook accumulation: an NTT-free route to count_conje."""
+    """Iterated schoolbook accumulation: a transform-free route to count_conje."""
     out = [0] * (n_max + 1)
     out[0] = 1
     block = form_power_base(n_max, k, l, t).tolist()

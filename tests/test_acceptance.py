@@ -169,7 +169,7 @@ def test_criterion_07_counting_oracles(capsys):
         a = [rng.randrange(10**12) for _ in range(rng.randrange(200, 1200))]
         b = [rng.randrange(10**12) for _ in range(rng.randrange(200, 1200))]
         ok = ok and exact_convolve(a, b) == schoolbook_convolve(a, b)
-    _report(capsys, 7, ok, "convolution counts equal nested-loop brute force; NTT equals schoolbook")
+    _report(capsys, 7, ok, "convolution counts equal nested-loop brute force; FFT route equals schoolbook")
 
 
 def test_criterion_08_main_term_window(capsys):

@@ -416,6 +416,10 @@ _PRECONDITION = {
     (("density",), "--r", "0"), (("count", "thm13"), "--k", "0"), (("count", "conje"), "--k", "0"),
     (("integral", "jprime"), "--n", "0"), (("integral", "jprime"), "--k", "0"), (("integral", "jn"), "--n", "0"),
     (("integral", "jn"), "--k", "1"), (("arcs", "classify"), "--n", "0"),
+    (("arcs", "residual"), "--samples", "0"), (("arcs", "residual"), "--samples", "-1"),
+    (("arcs", "weyl"), "--samples", "0"), (("arcs", "weyl"), "--samples", "-1"),
+    (("integral", "jn"), "--s", "-1"), (("integral", "jn"), "--t", "0"), (("integral", "jn"), "--t", "-1"),
+    (("arcs", "vmv"), "--l", "0"), (("arcs", "vmv"), "--l", "-1"),
 }
 _EDGES = sorted({
     (path, flag, value)

@@ -10,11 +10,7 @@ from hypothesis import strategies as st
 
 from waringtk import convolve
 from waringtk.convolve import (
-    NTT_PRIMES,
     _SCHOOLBOOK_CAP,
-    _bit_reverse,
-    _ntt,
-    _pow_table,
     convolution_power,
     cyclic_convolve,
     cyclic_power,
@@ -37,143 +33,26 @@ def test_ntt_path_matches_schoolbook_long():
     rng = np.random.default_rng(5)
     a = rng.integers(0, 10**9, 2048).tolist()
     b = rng.integers(0, 10**9, 2048).tolist()
-    # 2048*2048 > 2^17 forces the NTT path
+    # 2048*2048 > 2^17 and the dense rows send it to the FFT kernel
     assert exact_convolve(a, b) == schoolbook_convolve(a, b)
 
 
 def test_huge_entries_escalate_prime_count():
-    """Outputs of about 2^200 need a modulus past 2^63: Garner takes its
+    """Outputs of about 2^200 go to the FFT kernel, which splits the object
+    operands into int64 words and joins its output words in one
     Python-int pass."""
     a = [10**30, 10**31] * 300
     b = [10**30, 1] * 300
-    moduli = []
-    real = convolve._garner
+    bounds = []
+    real = convolve._fft_product
 
-    def spy(rows, primes):
-        moduli.append(math.prod(primes))
-        return real(rows, primes)
+    def spy(arr_a, arr_b, keep, bound, plan):
+        bounds.append(bound)
+        return real(arr_a, arr_b, keep, bound, plan)
 
-    with mock.patch.object(convolve, "_garner", spy):
+    with mock.patch.object(convolve, "_fft_product", spy):
         assert exact_convolve(a, b) == schoolbook_convolve(a, b)
-    assert len(moduli) == 1 and moduli[0] >= 1 << 63
-
-
-def test_cauchy_schwarz_bound_drops_a_prime():
-    """Ten spikes of 10 s over a floor of s: the bound sum(a) * max(b) is
-    past 2^63 and needs three primes, sqrt(sum(a^2) * sum(b^2)) is below
-    the product of the first two, and the entries fit in int64."""
-    s = 34_641_016
-    a = [10 * s if i % 100 == 0 else s for i in range(1000)]
-    b = a[50:] + a[:50]
-    old_bound = min(sum(a) * max(b), sum(b) * max(a)) + 1
-    cs_bound = math.isqrt(sum(x * x for x in a) * sum(x * x for x in b)) + 1
-    two = NTT_PRIMES[0][0] * NTT_PRIMES[1][0]
-    assert old_bound > 1 << 63 and cs_bound <= two
-    primes = []
-    real = convolve._ntt
-
-    def spy(arr, p, g, invert):
-        primes.append(p)
-        return real(arr, p, g, invert)
-
-    with mock.patch.object(convolve, "_ntt", spy):
-        assert exact_convolve(a, b) == schoolbook_convolve(a, b)
-    assert sorted(set(primes)) == sorted(p for p, _ in NTT_PRIMES[:2])
-    assert len(primes) == 6  # two forward transforms and one inverse per prime
-    # the bound is tight: the square of a flat vector peaks at sum(a^2),
-    # here just past the first prime, so it takes two (a zero crossover
-    # weight sends this product, bound below 2^63, to the NTT)
-    flat = [1450] * 1000
-    assert NTT_PRIMES[0][0] < sum(x * x for x in flat) < 2 * NTT_PRIMES[0][0]
-    del primes[:]
-    with mock.patch.object(convolve, "_ntt", spy), mock.patch.object(convolve, "_NTT_COST", 0):
-        assert exact_convolve(flat, flat) == schoolbook_convolve(flat, flat)
-    assert len(set(primes)) == 2
-
-
-def _squares_summing_to(total, length):
-    """A vector of the given length whose squares sum to total (greedy,
-    zero-padded)."""
-    out = []
-    while total:
-        out.append(math.isqrt(total))
-        total -= out[-1] ** 2
-    return out + [0] * (length - len(out))
-
-
-@pytest.mark.parametrize("offset", [0, 1])
-@pytest.mark.parametrize("count", [1, 2])
-def test_cauchy_schwarz_primes_at_the_moduli(count, offset):
-    """A square whose sum of squares S sits at the product of the first
-    count primes (S + 1 is that product, or one past it): the primes are
-    those of min(bound, isqrt(S^2) + 1), taken from the exact sums."""
-    modulus = math.prod(p for p, _ in NTT_PRIMES[:count])
-    a = _squares_summing_to(modulus - 1 + offset, 400)
-    want = count + offset
-    primes, sums = [], []
-    real_ntt, real_sum = convolve._ntt, convolve._square_sum
-
-    def ntt_spy(arr, p, g, invert):
-        primes.append(p)
-        return real_ntt(arr, p, g, invert)
-
-    def sum_spy(arr):
-        sums.append(len(arr))
-        return real_sum(arr)
-
-    with (
-        mock.patch.object(convolve, "_ntt", ntt_spy),
-        mock.patch.object(convolve, "_square_sum", sum_spy),
-        mock.patch.object(convolve, "_NTT_COST", 0),
-    ):
-        assert exact_convolve(a, a) == schoolbook_convolve(a, a)
-    assert sorted(set(primes)) == sorted(p for p, _ in NTT_PRIMES[:want])
-    assert sums == [400]  # the estimate saves a prime on the bound, so the exact sum is taken
-
-
-def test_cauchy_schwarz_sums_skipped_when_no_prime_drops():
-    """Dense entries below 10^6: the bound and the Cauchy-Schwarz bound
-    both need two primes, so the exact sums of squares are not taken."""
-    rng = np.random.default_rng(11)
-    a = rng.integers(0, 10**6, 1000).tolist()
-    b = rng.integers(0, 10**6, 1000).tolist()
-    bound = min(sum(a) * max(b), sum(b) * max(a)) + 1
-    cs_bound = math.isqrt(sum(x * x for x in a) * sum(x * x for x in b)) + 1
-    assert convolve._prime_count(bound) == convolve._prime_count(cs_bound) == 2
-    primes = []
-    real = convolve._ntt
-
-    def spy(arr, p, g, invert):
-        primes.append(p)
-        return real(arr, p, g, invert)
-
-    def no_sum(arr):
-        raise AssertionError("exact sums of squares taken where no prime drops")
-
-    with (
-        mock.patch.object(convolve, "_ntt", spy),
-        mock.patch.object(convolve, "_square_sum", no_sum),
-        mock.patch.object(convolve, "_NTT_COST", 0),
-    ):
-        assert exact_convolve(a, b) == schoolbook_convolve(a, b)
-    assert sorted(set(primes)) == sorted(p for p, _ in NTT_PRIMES[:2])
-
-
-@given(
-    st.integers(min_value=0, max_value=2**32),
-    st.integers(min_value=1, max_value=2000),
-    st.integers(min_value=1, max_value=120),
-    st.integers(min_value=1, max_value=120),
-)
-@settings(max_examples=60, deadline=None)
-def test_cauchy_schwarz_estimate_is_a_lower_bound(seed, length, bits_a, bits_b):
-    rng = random.Random(seed)
-    a = [rng.getrandbits(rng.randint(0, bits_a)) for _ in range(length)]
-    b = [rng.getrandbits(rng.randint(0, bits_b)) for _ in range(rng.randint(1, length))]
-    exact = math.isqrt(sum(x * x for x in a) * sum(x * x for x in b))
-    arr_a, arr_b = convolve.count_array(a), convolve.count_array(b)
-    assert convolve._cauchy_schwarz_estimate(arr_a, arr_b) <= exact + 1
-    assert convolve._cauchy_schwarz_estimate(arr_a, arr_a) <= sum(x * x for x in a)
+    assert len(bounds) == 1 and bounds[0] >= 1 << 63
 
 
 @given(vec.filter(lambda v: len(v) >= 2))
@@ -264,8 +143,8 @@ def test_empty_inputs():
 
 
 def test_short_product_beyond_the_crt_capacity():
-    """A short product goes to the schoolbook whatever its bound, also past
-    the product of all NTT primes."""
+    """A short product goes to the schoolbook whatever its bound, here
+    past 2^600."""
     a, b = [2**300, 1], [2**300]
     assert exact_convolve(a, b) == schoolbook_convolve(a, b)
 
@@ -286,23 +165,35 @@ def _vector(rng: random.Random, length: int, bits: int) -> list[int]:
 def _kernel(name: str):
     """Send every long product to one kernel, by setting the dispatch's
     crossover weight to an extreme (the direct kernel still leaves the
-    products with an output bound of 2^63 or more to the NTT); yields the
-    list of _ntt calls made."""
+    products with an output bound of 2^63 or more to the FFT kernel);
+    yields the list of kept lengths of the FFT kernel's calls."""
     calls = []
-    real = convolve._ntt
+    real = convolve._fft_product
 
-    def spy(*args, **kwargs):
-        calls.append(args[0].shape[0])
-        return real(*args, **kwargs)
+    def spy(a, b, keep, bound, plan):
+        calls.append(keep)
+        return real(a, b, keep, bound, plan)
 
-    weight = {"ntt": 0, "direct": 10**30}[name]
-    with mock.patch.object(convolve, "_NTT_COST", weight), mock.patch.object(convolve, "_ntt", spy):
+    weight = {"fft": 0, "direct": 10**30}[name]
+    with mock.patch.object(convolve, "_FFT_COST", weight), mock.patch.object(convolve, "_fft_product", spy):
         yield calls
 
 
+def _kronecker(a: list[int], b: list[int]) -> list[int]:
+    """a*b by one Python-int multiply (Kronecker substitution): each vector
+    is packed into one int in byte slots wider than any output entry."""
+    slot = (max(a) * max(b) * min(len(a), len(b))).bit_length() // 8 + 1
+
+    def pack(v):
+        return int.from_bytes(b"".join(x.to_bytes(slot, "little") for x in v), "little")
+
+    raw = (pack(a) * pack(b)).to_bytes(slot * (len(a) + len(b)), "little")
+    return [int.from_bytes(raw[slot * i : slot * (i + 1)], "little") for i in range(len(a) + len(b) - 1)]
+
+
 # lengths of at least 400 put len(a) * len(b) above _SCHOOLBOOK_CAP, so
-# every example below is a long product, sent to the NTT + CRT kernel;
-# 2^70 entries are beyond int64 and take the per-entry residue conversion
+# every example below is a long product, sent to the FFT kernel; 2^70
+# entries are beyond int64 and are cut into int64 words first
 
 
 @given(
@@ -319,66 +210,13 @@ def test_ntt_path_matches_schoolbook(seed, len_a, len_b, bits_a, bits_b, trunc):
     rng = random.Random(seed)
     a, b = _vector(rng, len_a, bits_a), _vector(rng, len_b, bits_b)
     want = schoolbook_convolve(a, b)
-    with _kernel("ntt") as ntt_calls:
+    with _kernel("fft") as fft_calls:
         assert exact_convolve(a, b) == want
         assert exact_convolve(a, b, trunc=trunc) == want[:trunc]
-        # a square passes the same object twice and skips one forward transform
+        # a square passes the same object twice and takes one set of forward transforms
         assert exact_convolve(a, a, trunc=trunc) == schoolbook_convolve(a, a)[:trunc]
-    # all-zero operands need no prime, so only they skip the transforms
-    assert bool(ntt_calls) == any(a)
-
-
-@pytest.mark.parametrize("k", range(13))
-def test_bit_reverse_matches_naive(k):
-    n = 1 << k
-    naive = [int(format(i, f"0{k}b")[::-1], 2) if k else 0 for i in range(n)]
-    assert _bit_reverse(n).tolist() == naive
-
-
-@pytest.mark.parametrize("p, g", NTT_PRIMES)
-def test_pow_table_matches_naive(p, g):
-    base = pow(g, (p - 1) >> 12, p)  # a 2^12-th root of unity
-    naive = [pow(base, j, p) for j in range(1 << 12)]
-    assert _pow_table(base, 0, p).tolist() == []
-    for length in range(1, (1 << 12) + 1):
-        assert _pow_table(base, length, p).tolist() == naive[:length]
-
-
-@pytest.mark.parametrize("p, g", NTT_PRIMES)
-@pytest.mark.parametrize("k", range(1, 9))
-def test_ntt_matches_naive_dft(p, g, k):
-    """The lazily reduced butterflies give the exact DFT mod p, also for
-    entries p - 1, where the unreduced sums are largest; k = 1 ... 8 runs
-    the stages of size 2 to 16 as column loops and the later ones on rows."""
-    n = 1 << k
-    w = pow(g, (p - 1) // n, p)
-    powers = [pow(w, j, p) for j in range(n)]
-    rng = random.Random(k)
-    for a in ([p - 1] * n, [rng.randrange(p) for _ in range(n)]):
-        naive = [sum(x * powers[i * j % n] for j, x in enumerate(a)) % p for i in range(n)]
-        assert _ntt(np.array(a, dtype=np.int64), p, g, invert=False).tolist() == naive
-        back = _ntt(np.array(naive, dtype=np.int64), p, g, invert=True)
-        assert (back * pow(n, p - 2, p) % p).tolist() == a
-
-
-@pytest.mark.parametrize("p, g", NTT_PRIMES)
-def test_mod_matches_remainder(p, g):
-    """_mod's floor division equals % on the values the butterflies
-    reduce: sums in (-2p, 3p), products of an entry in (-p, 2p) and a
-    twiddle in [0, p), so in (-p^2, 2p^2), and entries p - 1."""
-    rng = np.random.default_rng(p)
-    edges = [-2 * p + 1, -p, -1, 0, 1, p - 1, p, 2 * p - 1, 3 * p - 1, -p * p + 1, 2 * p * p - 1, (p - 1) ** 2]
-    x = np.concatenate(
-        [
-            np.array(edges, dtype=np.int64),
-            rng.integers(-2 * p + 1, 3 * p, 10_000),
-            rng.integers(-p * p + 1, 2 * p * p, 10_000),
-            rng.integers(-p + 1, 2 * p, 10_000) * (p - 1),
-        ]
-    )
-    want = (x % p).tolist()
-    assert convolve._mod(x.copy(), p).tolist() == want
-    assert convolve._mod(x.copy(), p, np.empty_like(x)).tolist() == want
+    # the direct kernel's work on an all-zero operand is 0, so only it skips the transforms
+    assert bool(fft_calls) == any(a)
 
 
 @st.composite
@@ -403,7 +241,7 @@ def _dense(draw, max_len: int) -> list[int]:
 
 def _wide_and_long(a: list[int], b: list[int]) -> bool:
     """The product's output bound is 2^63 or more and it is not short:
-    the one kind of product the direct kernel leaves to the NTT."""
+    the one kind of product the direct kernel leaves to the FFT kernel."""
     bound = min(sum(a) * max(b), sum(b) * max(a)) + 1
     return bound > 1 << 63 and len(a) * len(b) > _SCHOOLBOOK_CAP
 
@@ -411,7 +249,7 @@ def _wide_and_long(a: list[int], b: list[int]) -> bool:
 # a dense operand (up to 600 entries) beside a long sparse one gives
 # shifted rows, two sparse ones give the outer product; entries of 30
 # bits and more put some output bounds at 2^63 or above, where a short
-# product goes to the schoolbook and a long one to the NTT kernel
+# product goes to the schoolbook and a long one to the FFT kernel
 @given(
     _sparse(200_000),
     st.one_of(_sparse(200_000), _dense(600)),
@@ -421,20 +259,21 @@ def _wide_and_long(a: list[int], b: list[int]) -> bool:
 @example([0] * 150_000, [3] + [0] * 149_999, 7)
 @example([2**62, 2**62], [3], None)  # sum(a) and the output just past int64
 @example([0] * 1000 + [2**30 - 1] * 8, [2**30 - 1] * 600, None)  # 8 overlapping rows, bound just below 2^63
-@example([0] * 1000 + [2**70 - 1] * 8, [2**70 - 1] * 600, None)  # the same beyond int64: the NTT
+@example([0] * 1000 + [2**70 - 1] * 8, [2**70 - 1] * 600, None)  # the same beyond int64: the FFT kernel
 @settings(max_examples=25, deadline=None)
 def test_direct_path_matches_schoolbook(a, b, trunc):
     want = schoolbook_convolve(a, b)
-    with _kernel("direct") as ntt_calls:
+    with _kernel("direct") as fft_calls:
         assert exact_convolve(a, b) == want
         assert exact_convolve(a, b, trunc=trunc) == want[:trunc]
         assert exact_convolve(a, a, trunc=trunc) == schoolbook_convolve(a, a)[:trunc]
-    assert bool(ntt_calls) == (_wide_and_long(a, b) or _wide_and_long(a, a))
+    assert bool(fft_calls) == (_wide_and_long(a, b) or _wide_and_long(a, a))
 
 
 def test_garner_result_is_int64_exactly_when_entries_fit():
-    """Output bounds just past 2^63 take three CRT primes; the result stays
-    int64 when every entry fits and turns object when one reaches 2^63."""
+    """Output bounds just past 2^63 send a long product to the FFT kernel's
+    output words; the result stays int64 when every entry fits and turns
+    object when one reaches 2^63."""
     a = [2**40] + [0] * 998 + [2**40]  # the two rows never overlap
     for top, dtype in ((2**22, np.int64), (2**23, object)):
         b = [2**22] * 499 + [top]
@@ -448,8 +287,8 @@ def test_cyclic_matches_folded_schoolbook():
     schoolbook for output bounds of 2^63 and more) and, from m = 363 on,
     long ones. Then three products whose linear entries fit int64 while a
     folded sum does not: a short one (the schoolbook, from a bound past
-    2^63), a short one with negative entries, and a long one through
-    Garner."""
+    2^63), a short one with negative entries, and a long one through the
+    FFT kernel's output words."""
     rng = random.Random(400)
     cases = []
     for m in range(1, 401):
@@ -470,7 +309,8 @@ def test_cyclic_matches_folded_schoolbook():
 
 def test_sparse_square_skips_the_ntt(monkeypatch):
     """The squares up to 2e5 have 447 nonzeros: their square is an outer
-    product of 447 x 447 pairs, far below a 2^19-point transform."""
+    product of 447 x 447 pairs, far below the FFT kernel's transforms of
+    4e5 points."""
     n = 200_000
     squares = [0] * (n + 1)
     for x in range(math.isqrt(n) + 1):
@@ -480,49 +320,12 @@ def test_sparse_square_skips_the_ntt(monkeypatch):
         for y in range(math.isqrt(n - x * x) + 1):
             want[x * x + y * y] += 1
 
-    def no_ntt(*args, **kwargs):
-        raise AssertionError("_ntt called for a sparse square")
+    def no_fft(*args, **kwargs):
+        raise AssertionError("the FFT kernel called for a sparse square")
 
-    monkeypatch.setattr(convolve, "_ntt", no_ntt)
+    monkeypatch.setattr(convolve, "_fft_product", no_fft)
     assert exact_convolve(squares, squares, trunc=n + 1) == want
     assert convolution_power(squares, 2, n + 1).tolist() == want
-
-
-@given(
-    st.integers(min_value=0, max_value=2**32),
-    st.integers(min_value=400, max_value=700),
-    st.sampled_from(["small", "past 2^62", "object"]),
-    st.integers(min_value=1, max_value=1399),
-)
-@example(0, 600, "past 2^62", 683)  # the largest keep whose product fits 2^10 points
-@example(0, 600, "past 2^62", 684)  # one more needs 2^11, the size of the full square
-@settings(max_examples=20, deadline=None)
-def test_truncated_square_on_half_size_transforms(seed, length, entries, keep):
-    """A square kept to keep entries runs as a0 (a0 + 2 x^half a1) on
-    3 transforms per prime of next_pow2(half + keep - 1) points whenever
-    that is below next_pow2(2 len - 1), else as 2 transforms at full size.
-    Entries past 2^62 would wrap int64 if a1 were doubled before the
-    reduction; entries past 2^63 make an object array."""
-    rng = random.Random(seed)
-    low = {"small": 0, "past 2^62": 1 << 62, "object": 1 << 70}[entries]
-    a = [low + rng.getrandbits(30 if entries == "small" else 62) for _ in range(length)]
-    keep = min(keep, 2 * length - 1)
-    calls = []
-    real = convolve._ntt
-
-    def spy(arr, p, g, invert):
-        calls.append((arr.shape[0], p))
-        return real(arr, p, g, invert)
-
-    with mock.patch.object(convolve, "_NTT_COST", 0), mock.patch.object(convolve, "_ntt", spy):
-        assert exact_convolve(a, a, trunc=keep) == schoolbook_convolve(a, a)[:keep]
-    full, half = 1 << (2 * length - 2).bit_length(), (keep + 1) // 2
-    short = 1 << (half + keep - 2).bit_length()
-    primes = {p for _, p in calls}
-    if keep < 2 * length - 1 and short < full:
-        assert {size for size, _ in calls} == {short} and len(calls) == 3 * len(primes)
-    else:
-        assert {size for size, _ in calls} == {full} and len(calls) == 2 * len(primes)
 
 
 def test_negative_trunc_is_a_precondition_error():
@@ -530,3 +333,151 @@ def test_negative_trunc_is_a_precondition_error():
         exact_convolve([1, 2], [3, 4], trunc=-1)
     with pytest.raises(PreconditionError):
         convolution_power([1, 2], 2, trunc=-1)
+
+
+def test_fft_size_is_the_least_5_smooth_size():
+    smooth = [n for n in range(1, 5001) if _is_5_smooth(n)]
+    for n in range(1, 4097):
+        assert convolve._fft_size(n) == min(m for m in smooth if m >= n), n
+
+
+def _is_5_smooth(n: int) -> bool:
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+# (len_a, len_b, bits): up to a transform of 2^17 points, a product of
+# unequal lengths, and entries of 2^300, past the capacity of any fixed
+# set of CRT primes; the schoolbook would take minutes on the longest
+@pytest.mark.parametrize(
+    "len_a, len_b, bits",
+    [(65536, 65000, 12), (30000, 2000, 60), (8000, 6000, 40), (700, 500, 300)],
+)
+def test_long_products_match_kronecker(len_a, len_b, bits):
+    rng = random.Random(len_a + bits)
+    a, b = _vector(rng, len_a, bits), _vector(rng, len_b, bits)
+    if bits == 300:
+        a = [x | 1 << 300 for x in a]
+    square = a[:2000]
+    with _kernel("fft") as fft_calls:
+        assert exact_convolve(a, b) == _kronecker(a, b)
+        assert exact_convolve(square, square, trunc=1500) == _kronecker(square, square)[:1500]
+    assert len(fft_calls) == 2
+    assert convolve._fft_size(len_a + len_b - 1) <= 1 << 17
+
+
+def _longest_length(limbs: int, w: int) -> int:
+    """The longest length at which a square of entries of limbs * w bits
+    still gets limbs of w bits (the plan's width falls as length grows)."""
+    lo, hi = 363, 1 << 18
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if convolve._fft_plan(mid, mid, limbs * w, limbs * w)[1] >= w:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+# the widths 12 to 16 the plan gives long squares of 363 to about
+# 115,000 entries; 3 limbs of 16 bits would need one shorter than 363
+@pytest.mark.parametrize("limbs, w", [(limbs, w) for limbs in (1, 2, 3) for w in range(12, 17) if limbs * w < 48])
+def test_all_limbs_at_their_maximum(limbs, w):
+    """The worst case for the rounding bound: a square of the longest
+    constant vector whose plan keeps w-bit limbs, every limb at 2^w - 1,
+    so that each output limb sums up to `limbs` limb-pair products of
+    the largest norm. The square of a constant c of length n is
+    c^2 * min(i + 1, 2n - 1 - i)."""
+    n = _longest_length(limbs, w)
+    assert convolve._fft_plan(n, n, limbs * w, limbs * w)[1] == w
+    assert convolve._fft_plan(n + 1, n + 1, limbs * w, limbs * w)[1] < w
+    c = (1 << limbs * w) - 1
+    arr = np.full(n, c, dtype=np.int64)
+    with _kernel("fft") as fft_calls:
+        out = convolve._product(arr, arr, None)
+    assert fft_calls == [2 * n - 1]
+    assert out.tolist() == [c * c * min(i + 1, 2 * n - 1 - i) for i in range(2 * n - 1)]
+
+
+def test_rounding_check_raises_when_limbs_are_too_wide():
+    """Limbs 6 bits wider than the plan allows put the rounding error past
+    1/4 while every output stays below 2^52, where float64 still tells
+    fractions apart: the kernel raises instead of rounding."""
+    n, bits = 1000, 40
+    size, w, _, _ = convolve._fft_plan(n, n, bits, bits)
+    assert w < 20
+    a = [(1 << bits) - 1] * n
+    wide = mock.patch.object(convolve, "_fft_plan", lambda *args: (size, 20, 2, 2))
+    with _kernel("fft"), wide, pytest.raises(FloatingPointError):
+        exact_convolve(a, a)
+
+
+def test_square_takes_one_set_of_forward_transforms():
+    """L limbs per operand: a square takes L forward transforms, a product
+    of two operands 2L, and both take 2L - 1 inverse ones."""
+    rng = random.Random(3)
+    a, b = _vector(rng, 1000, 40), _vector(rng, 1000, 40)
+    _, _, limbs, _ = convolve._fft_plan(1000, 1000, 40, 40)
+    counts = {}
+    for name in ("rfft", "irfft"):
+        counts[name] = 0
+
+    def counting(name):
+        real = getattr(np.fft, name)
+
+        def spy(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        return mock.patch.object(np.fft, name, spy)
+
+    with _kernel("fft"), counting("rfft"), counting("irfft"):
+        exact_convolve(a, a)
+        assert counts == {"rfft": limbs, "irfft": 2 * limbs - 1}
+        exact_convolve(a, b)
+        assert counts == {"rfft": 3 * limbs, "irfft": 4 * limbs - 2}
+
+
+# inputs of former tests of the NTT kernel's prime choice and its halved
+# truncated square, kept as output checks of the FFT kernel: ten spikes
+# over a floor, a flat square, squares of a vector whose squares sum to
+# just below and at 2013265921 and 2013265921 * 1811939329, dense entries
+# below 10^6, and truncated squares of entries past 2^62 and 2^70
+_SPIKES = [346_410_160 if i % 100 == 0 else 34_641_016 for i in range(1000)]
+
+
+def _squares_summing_to(total, length):
+    """A vector of the given length whose squares sum to total (greedy,
+    zero-padded)."""
+    out = []
+    while total:
+        out.append(math.isqrt(total))
+        total -= out[-1] ** 2
+    return out + [0] * (length - len(out))
+
+
+def _edge_cases() -> list[tuple[list[int], list[int] | None, int | None]]:
+    """(a, b, keep), b None for a square."""
+    rng = np.random.default_rng(11)
+    dense = rng.integers(0, 10**6, 1000).tolist(), rng.integers(0, 10**6, 1000).tolist()
+    past62 = [(1 << 62) + random.Random(0).getrandbits(62) for _ in range(600)]
+    past70 = [(1 << 70) + random.Random(1).getrandbits(62) for _ in range(600)]
+    p0, p1 = 2013265921, 1811939329
+    return [
+        (_SPIKES, _SPIKES[50:] + _SPIKES[:50], None),
+        ([1450] * 1000, None, None),
+        *((_squares_summing_to(m - 1 + offset, 400), None, None) for m in (p0, p0 * p1) for offset in (0, 1)),
+        (*dense, None),
+        *((entries, None, keep) for keep in (683, 684, 1000) for entries in (past62, past70)),
+    ]
+
+
+@pytest.mark.parametrize("case", range(13))
+def test_long_product_edges_match_schoolbook(case):
+    a, b, keep = _edge_cases()[case]
+    b = a if b is None else b
+    with _kernel("fft") as fft_calls:
+        assert exact_convolve(a, b, trunc=keep) == schoolbook_convolve(a, b)[:keep]
+    assert fft_calls
