@@ -31,10 +31,11 @@ min(L_a, L_b) (2^w - 1)^2 sqrt(n_a n_b) c log2(N) 2^-53 <= 1/4,
 which also keeps every exact output limb below 2^53.
 
 The dispatch (_product, behind exact_convolve, cyclic_convolve and the
-powers) works from the a-priori bound on the output entries,
-min(sum(a) * max(b), sum(b) * max(a)). Below 2^63 the direct kernel
-accumulates in plain int64 (every partial sum of nonnegative terms is at
-most the bound), and it takes every short product
+powers) cuts both operands to the kept length and works from the
+a-priori bound on the output entries, min(sum(a) * max(b),
+sum(b) * max(a)). Below 2^63 the direct kernel accumulates in plain
+int64 (every partial sum of nonnegative terms is at most the bound),
+and it takes every short product
 (len(a) * len(b) <= _SCHOOLBOOK_CAP) and a long one whose work is at
 most the FFT kernel's, counting a point of one transform stage
 (N log2 N per transform) as _FFT_COST multiply-adds. From 2^63 on, a
@@ -224,15 +225,15 @@ def _output_limb(fa: list[np.ndarray], fb: list[np.ndarray], k: int, size: int, 
 
 def _fft_product(a: np.ndarray, b: np.ndarray, keep: int, bound: int, plan: tuple[int, int, int, int]) -> np.ndarray:
     """The first keep entries of a*b by the split-limb FFT kernel under
-    plan (_fft_plan's), for nonnegative operands every product entry of
-    which is below bound.
+    plan (_fft_plan's), for nonnegative operands of at most keep entries
+    every product entry of which is below bound.
 
     Each output limb is carried into the words as it comes, so that one
     output limb at a time is held, and the spectra are freed before the
     words are joined."""
     size, w, limbs_a, limbs_b = plan
-    fa = [np.fft.rfft(x, size) for x in _limbs(a[:keep], w, limbs_a)]
-    fb = fa if b is a else [np.fft.rfft(y, size) for y in _limbs(b[:keep], w, limbs_b)]
+    fa = [np.fft.rfft(x, size) for x in _limbs(a, w, limbs_a)]
+    fb = fa if b is a else [np.fft.rfft(y, size) for y in _limbs(b, w, limbs_b)]
     step = 62 // w
     words, carry = [], 0
     for k in range(max(limbs_a + limbs_b - 1, -(-(bound - 1).bit_length() // w))):
@@ -249,10 +250,12 @@ def _fft_product(a: np.ndarray, b: np.ndarray, keep: int, bound: int, plan: tupl
 def _product(a: np.ndarray, b: np.ndarray, trunc: int | None) -> np.ndarray:
     """The first trunc entries (all when None) of the exact product of two
     int64 or object arrays: int64 when every entry fits, object otherwise."""
-    if not len(a) or not len(b):
+    if not len(a) or not len(b) or trunc == 0:
         return np.zeros(0, dtype=np.int64)
     out_len = len(a) + len(b) - 1
     keep = out_len if trunc is None else min(trunc, out_len)
+    # entries past keep reach no kept output; a square stays one object
+    a, b = (a[:keep],) * 2 if b is a else (a[:keep], b[:keep])
     short = len(a) * len(b) <= _SCHOOLBOOK_CAP
     if a.min() < 0 or b.min() < 0:
         if not short:
@@ -262,7 +265,7 @@ def _product(a: np.ndarray, b: np.ndarray, trunc: int | None) -> np.ndarray:
     bound = min(_total(a) * max_b, _total(b) * max_a) + 1
     if short:
         return _direct(a, b, keep) if bound <= 1 << 63 else _schoolbook(a, b, keep)
-    plan = _fft_plan(min(len(a), keep), min(len(b), keep), max(1, max_a.bit_length()), max(1, max_b.bit_length()))
+    plan = _fft_plan(len(a), len(b), max(1, max_a.bit_length()), max(1, max_b.bit_length()))
     size, _, limbs_a, limbs_b = plan
     transforms = (limbs_a if b is a else limbs_a + limbs_b) + limbs_a + limbs_b - 1
     if bound <= 1 << 63 and _direct_work(a, b, keep) <= transforms * size * math.log2(size) * _FFT_COST:

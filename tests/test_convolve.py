@@ -260,6 +260,8 @@ def _wide_and_long(a: list[int], b: list[int]) -> bool:
 @example([2**62, 2**62], [3], None)  # sum(a) and the output just past int64
 @example([0] * 1000 + [2**30 - 1] * 8, [2**30 - 1] * 600, None)  # 8 overlapping rows, bound just below 2^63
 @example([0] * 1000 + [2**70 - 1] * 8, [2**70 - 1] * 600, None)  # the same beyond int64: the FFT kernel
+@example([2**70 - 1] * 600, [2**70 - 1] * 600, 0)  # kept to no entry, or to one: a short product
+@example([2**70 - 1] * 600, [2**70 - 1] * 600, 1)
 @settings(max_examples=25, deadline=None)
 def test_direct_path_matches_schoolbook(a, b, trunc):
     want = schoolbook_convolve(a, b)
@@ -402,12 +404,12 @@ def test_all_limbs_at_their_maximum(limbs, w):
 
 
 def test_rounding_check_raises_when_limbs_are_too_wide():
-    """Limbs 6 bits wider than the plan allows put the rounding error past
-    1/4 while every output stays below 2^52, where float64 still tells
-    fractions apart: the kernel raises instead of rounding."""
+    """Limbs of 20 bits where the plan allows 14 put the rounding error
+    past 1/4 while every output stays below 2^52, where float64 still
+    tells fractions apart: the kernel raises instead of rounding."""
     n, bits = 1000, 40
     size, w, _, _ = convolve._fft_plan(n, n, bits, bits)
-    assert w < 20
+    assert w == 14
     a = [(1 << bits) - 1] * n
     wide = mock.patch.object(convolve, "_fft_plan", lambda *args: (size, 20, 2, 2))
     with _kernel("fft"), wide, pytest.raises(FloatingPointError):
@@ -420,9 +422,7 @@ def test_square_takes_one_set_of_forward_transforms():
     rng = random.Random(3)
     a, b = _vector(rng, 1000, 40), _vector(rng, 1000, 40)
     _, _, limbs, _ = convolve._fft_plan(1000, 1000, 40, 40)
-    counts = {}
-    for name in ("rfft", "irfft"):
-        counts[name] = 0
+    counts = {"rfft": 0, "irfft": 0}
 
     def counting(name):
         real = getattr(np.fft, name)
@@ -462,8 +462,9 @@ def _edge_cases() -> list[tuple[list[int], list[int] | None, int | None]]:
     """(a, b, keep), b None for a square."""
     rng = np.random.default_rng(11)
     dense = rng.integers(0, 10**6, 1000).tolist(), rng.integers(0, 10**6, 1000).tolist()
-    past62 = [(1 << 62) + random.Random(0).getrandbits(62) for _ in range(600)]
-    past70 = [(1 << 70) + random.Random(1).getrandbits(62) for _ in range(600)]
+    bits = random.Random(0)
+    past62 = [(1 << 62) + bits.getrandbits(62) for _ in range(600)]
+    past70 = [(1 << 70) + bits.getrandbits(62) for _ in range(600)]
     p0, p1 = 2013265921, 1811939329
     return [
         (_SPIKES, _SPIKES[50:] + _SPIKES[:50], None),
