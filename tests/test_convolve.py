@@ -242,6 +242,8 @@ def _dense(draw, max_len: int) -> list[int]:
 def _wide_and_long(a: list[int], b: list[int]) -> bool:
     """The product's output bound is 2^63 or more and it is not short:
     the one kind of product the direct kernel leaves to the FFT kernel."""
+    if not a or not b:
+        return False
     bound = min(sum(a) * max(b), sum(b) * max(a)) + 1
     return bound > 1 << 63 and len(a) * len(b) > _SCHOOLBOOK_CAP
 
@@ -262,6 +264,7 @@ def _wide_and_long(a: list[int], b: list[int]) -> bool:
 @example([0] * 1000 + [2**70 - 1] * 8, [2**70 - 1] * 600, None)  # the same beyond int64: the FFT kernel
 @example([2**70 - 1] * 600, [2**70 - 1] * 600, 0)  # kept to no entry, or to one: a short product
 @example([2**70 - 1] * 600, [2**70 - 1] * 600, 1)
+@example([2**40] + [0] * 999 + [2**40], [1], 0)  # a wide, long square kept to no entry
 @settings(max_examples=25, deadline=None)
 def test_direct_path_matches_schoolbook(a, b, trunc):
     want = schoolbook_convolve(a, b)
@@ -269,7 +272,9 @@ def test_direct_path_matches_schoolbook(a, b, trunc):
         assert exact_convolve(a, b) == want
         assert exact_convolve(a, b, trunc=trunc) == want[:trunc]
         assert exact_convolve(a, a, trunc=trunc) == schoolbook_convolve(a, a)[:trunc]
-    assert bool(fft_calls) == (_wide_and_long(a, b) or _wide_and_long(a, a))
+    # a product kept to trunc entries is routed on its operands' first trunc
+    # entries; the truncated a * b is wide and long only if the full one is
+    assert bool(fft_calls) == (_wide_and_long(a, b) or _wide_and_long(a[:trunc], a[:trunc]))
 
 
 def test_garner_result_is_int64_exactly_when_entries_fit():
