@@ -289,6 +289,44 @@ def test_garner_result_is_int64_exactly_when_entries_fit():
         assert out.tolist() == schoolbook_convolve(a, b)
 
 
+# each prime of NTT_PRIMES with a generator of its multiplicative group
+_NTT_ROOTS = tuple(zip(convolve.NTT_PRIMES, (31, 13, 3, 5, 29, 3, 11, 3)))
+
+
+@pytest.mark.parametrize("p, g", _NTT_ROOTS)
+@pytest.mark.parametrize("k", range(1, 9))
+def test_ntt_matches_naive_dft(p, g, k):
+    """The FFT kernel's product agrees mod p with the convolution theorem
+    of the naive number-theoretic DFT of n = 2^k points: folded mod x^n
+    and reduced mod p, a*b is the inverse DFT of the pointwise product of
+    the DFTs of a and b. Entries p - 1 (outputs past 2^63 from k = 2 on,
+    joined in Python ints) as a square, and random residues as two
+    operands."""
+    n = 1 << k
+    w = pow(g, (p - 1) // n, p)
+    assert pow(w, n // 2, p) == p - 1  # a primitive n-th root of unity
+    powers = [pow(w, j, p) for j in range(n)]
+
+    def dft(v, sign):
+        return [sum(x * powers[sign * i * j % n] for j, x in enumerate(v)) % p for i in range(n)]
+
+    rng = random.Random(k)
+    full = np.array([p - 1] * n, dtype=np.int64)
+    pair = [np.array([rng.randrange(p) for _ in range(n)], dtype=np.int64) for _ in range(2)]
+    for a, b in ((full, full), pair):
+        la, lb = a.tolist(), b.tolist()
+        bound = min(sum(la) * max(lb), sum(lb) * max(la)) + 1
+        plan = convolve._fft_plan(n, n, max(1, max(la).bit_length()), max(1, max(lb).bit_length()))
+        out = convolve._fft_product(a, b, 2 * n - 1, bound, plan).tolist()
+        assert out == schoolbook_convolve(la, lb)
+        folded = [0] * n
+        for i, v in enumerate(out):
+            folded[i % n] += v
+        spectrum = [x * y % p for x, y in zip(dft(la, 1), dft(lb, 1))]
+        inverse = pow(n, p - 2, p)
+        assert [v % p for v in folded] == [x * inverse % p for x in dft(spectrum, -1)]
+
+
 def test_cyclic_matches_folded_schoolbook():
     """Every length 1 ... 400: short products (the direct kernel, or the
     schoolbook for output bounds of 2^63 and more) and, from m = 363 on,
