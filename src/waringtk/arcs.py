@@ -81,11 +81,11 @@ class ArcPoint:
 
 
 def classify_major(alpha: float, n: int, Q: int) -> ArcPoint:
-    """Exact membership in M(Q) by scanning denominators q <= Q."""
+    """Exact membership in M(Q), Q >= 1, by scanning denominators q <= Q."""
     if not 0 <= alpha < 1:
         raise PreconditionError("need alpha in [0, 1)")
-    if n < 1:
-        raise PreconditionError(f"need n >= 1, got n={n}")
+    if n < 1 or Q < 1:
+        raise PreconditionError(f"need n, Q >= 1, got n={n}, Q={Q}")
     best: tuple[float, int, int] | None = None
     for q in range(1, Q + 1):
         a = round(alpha * q)
@@ -98,13 +98,15 @@ def classify_major(alpha: float, n: int, Q: int) -> ArcPoint:
     if best is not None:
         _, a, q = best
         return ArcPoint(alpha, a, q, alpha - a / q, "major")
-    a, q = dirichlet_approx(alpha, max(Q, 1))
+    a, q = dirichlet_approx(alpha, Q)
     return ArcPoint(alpha, a, q, alpha - a / q, "minor")
 
 
 def classify_mm(alpha: float, n: int, k: int, M: float) -> ArcPoint:
     """Membership in m_M: Dirichlet pair with q <= 2kX, |beta| <= (2kqX)^-1,
-    subject to |beta| >= M/(qn) whenever q <= M."""
+    subject to |beta| >= M/(qn) whenever q <= M; n, k >= 1."""
+    if n < 1 or k < 1:
+        raise PreconditionError(f"need n, k >= 1, got n={n}, k={k}")
     X = n ** (1.0 / k)
     bound = math.floor(2 * k * X)
     a, q = dirichlet_approx(alpha, bound)

@@ -224,6 +224,8 @@ def _arcs_weyl(arcs, args, header):
 
 
 def _arcs_classify(arcs, args, header):
+    if args.k < 1:  # --k is read only with --M, but checked with --Q too
+        raise PreconditionError(f"need k >= 1, got k={args.k}")
     if args.Q is not None:
         ap = arcs.classify_major(args.alpha, args.n, args.Q)
     elif args.M is not None:

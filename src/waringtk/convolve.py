@@ -1,5 +1,6 @@
 """Exact integer convolution with two kernels, and float convolution.
 
+Short products run on np.convolve, numpy's compiled multiply-add loop.
 The direct kernel works on int64 numpy arrays. For each nonzero of the
 operand with fewer nonzeros it adds a shifted, scaled copy of the other
 operand (a row); when the other operand is sparse too it scatter-adds
@@ -12,7 +13,8 @@ The split-limb FFT kernel writes each operand as a = sum_i a_i 2^(w i)
 with L limbs a_i of w bits and takes one numpy real FFT per limb (one
 set for a square, the same object passed twice) at the least 5-smooth
 size N at least the output length. Output limb k is one inverse FFT of
-the summed limb-pair spectra with i + j = k; every kept output of it
+the summed limb-pair spectra with i + j = k (a square forms each pair
+i < j once and doubles it); every kept output of it
 must lie within 1/4 of an integer, else the kernel raises
 FloatingPointError instead of rounding. The rounded output limbs are
 carried into int64 words of whole limbs, which pass to Python ints in
@@ -30,18 +32,18 @@ is the widest width with
 min(L_a, L_b) (2^w - 1)^2 sqrt(n_a n_b) c log2(N) 2^-53 <= 1/4,
 which also keeps every exact output limb below 2^53.
 
-The dispatch (_product, behind exact_convolve, cyclic_convolve and the
-powers) cuts both operands to the kept length and works from the
-a-priori bound on the output entries, min(sum(a) * max(b),
-sum(b) * max(a)). Below 2^63 the direct kernel accumulates in plain
-int64 (every partial sum of nonnegative terms is at most the bound),
-and it takes every short product
-(len(a) * len(b) <= _SCHOOLBOOK_CAP) and a long one whose work is at
-most the FFT kernel's, counting a point of one transform stage
-(N log2 N per transform) as _FFT_COST multiply-adds. From 2^63 on, a
-short product goes to schoolbook_convolve and a long one to the FFT
-kernel. Powers are taken left to right (Knuth, TAOCP vol. 2, 4.6.3), so
-every product is a square or takes the sparse base.
+The dispatch (_product, behind exact_product, exact_convolve,
+cyclic_convolve and the powers) cuts both operands to the kept length
+and works from the a-priori bound on the output entries,
+min(sum(a) * max(b), sum(b) * max(a)). Below 2^63 np.convolve and the
+direct kernel accumulate in plain int64 (every partial sum of
+nonnegative terms is at most the bound): np.convolve takes every short
+product, and the direct kernel a long one whose work is at most the FFT
+kernel's, counting a point of one transform stage (N log2 N per
+transform) as _FFT_COST multiply-adds. From 2^63 on, a short product
+goes to schoolbook_convolve and a long one to the FFT kernel. Powers
+are taken left to right (Knuth, TAOCP vol. 2, 4.6.3), so every product
+is a square or takes the sparse base.
 
 Every route returns int64 when each entry fits and object otherwise;
 convolution_power, cyclic_convolve and cyclic_power carry such count
@@ -212,9 +214,14 @@ def _output_limb(fa: list[np.ndarray], fb: list[np.ndarray], k: int, size: int, 
     spectra: the first keep entries as int64, each checked to lie within
     1/4 of an integer before it is rounded."""
     lo, hi = max(0, k - len(fb) + 1), min(k, len(fa) - 1)
+    twice = fa is fb and lo < k - lo  # a square: each pair i < k - i once, doubled exactly
     spectrum = fa[lo] * fb[k - lo]
-    for i in range(lo + 1, hi + 1):
+    for i in range(lo + 1, (k - 1) // 2 + 1 if twice else hi + 1):
         spectrum += fa[i] * fb[k - i]
+    if twice:
+        spectrum *= 2
+        if k % 2 == 0:
+            spectrum += fa[k // 2] * fa[k // 2]
     limb = np.fft.irfft(spectrum, size)[:keep]
     rounded = np.rint(limb)
     limb -= rounded
@@ -264,7 +271,7 @@ def _product(a: np.ndarray, b: np.ndarray, trunc: int | None) -> np.ndarray:
     max_a, max_b = int(a.max()), int(b.max())
     bound = min(_total(a) * max_b, _total(b) * max_a) + 1
     if short:
-        return _direct(a, b, keep) if bound <= 1 << 63 else _schoolbook(a, b, keep)
+        return count_array(np.convolve(a, b)[:keep]) if bound <= 1 << 63 else _schoolbook(a, b, keep)
     plan = _fft_plan(len(a), len(b), max(1, max_a.bit_length()), max(1, max_b.bit_length()))
     size, _, limbs_a, limbs_b = plan
     transforms = (limbs_a if b is a else limbs_a + limbs_b) + limbs_a + limbs_b - 1
@@ -279,9 +286,9 @@ def _operands(a: list[int], b: list[int]) -> tuple[np.ndarray, np.ndarray]:
     return arr_a, arr_a if b is a else count_array(b)
 
 
-def exact_convolve(a: list[int], b: list[int], trunc: int | None = None) -> list[int]:
+def exact_product(a: list[int] | np.ndarray, b: list[int] | np.ndarray, trunc: int | None = None) -> np.ndarray:
     """Exact convolution of integer vectors (nonnegative beyond the
-    schoolbook cap).
+    schoolbook cap), as an int64 array (object when an entry reaches 2^63).
 
     trunc keeps only the first trunc output entries (those are still
     exact: truncation only discards high-index terms). Passing the same
@@ -290,7 +297,12 @@ def exact_convolve(a: list[int], b: list[int], trunc: int | None = None) -> list
     """
     if trunc is not None and trunc < 0:
         raise PreconditionError(f"trunc must be nonnegative, got {trunc}")
-    return _product(*_operands(a, b), trunc).tolist()
+    return _product(*_operands(a, b), trunc)
+
+
+def exact_convolve(a: list[int], b: list[int], trunc: int | None = None) -> list[int]:
+    """exact_product as a list of Python ints."""
+    return exact_product(a, b, trunc).tolist()
 
 
 def cyclic_convolve(a: list[int] | np.ndarray, b: list[int] | np.ndarray, m: int) -> np.ndarray:

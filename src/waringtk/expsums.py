@@ -133,10 +133,10 @@ def s_form(q: int, a: int, k: int, l: int, t: int) -> complex:
     """S(q, a) via the u-orthogonality reduction (cost O(q^2)).
 
     The u-sum runs over a complete residue system: the u = q term (u = 0)
-    is included and carries the main part p^{(t-1)h} S_k.
+    is included and carries the main part p^{(t-1)h} S_k. Needs q, l, t >= 1.
     """
-    if q < 1:
-        raise PreconditionError("need q >= 1")
+    if min(q, l, t) < 1:
+        raise PreconditionError(f"need q, l, t >= 1, got q={q}, l={l}, t={t}")
     if q > S_FORM_Q_BUDGET:
         raise ResourceError(f"q = {q} exceeds the O(q^2) budget {S_FORM_Q_BUDGET}")
     if q == 1:

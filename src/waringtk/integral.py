@@ -58,8 +58,8 @@ def u_decay_check(
     """max over sampled beta of |u(beta)| (1 + n|beta|)^gamma / P^t."""
     if sample_count < 10:
         raise PreconditionError("need sample_count >= 10")
-    if k < 1 or l < 1 or seed < 0:
-        raise PreconditionError(f"need k, l >= 1 and seed >= 0, got k={k}, l={l}, seed={seed}")
+    if min(t, k, l) < 1 or seed < 0:
+        raise PreconditionError(f"need t, k, l >= 1 and seed >= 0, got t={t}, k={k}, l={l}, seed={seed}")
     rng = np.random.default_rng(seed)
     gamma = decay_exponent(t, k, l)
     P = n ** (1.0 / (k * l))

@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from waringtk.arith import factorize, gamma_exponent, is_prime, nu_exponent, p_adic_valuation
-from waringtk.convolve import count_array, cyclic_convolve, cyclic_power
+from waringtk.convolve import _total, count_array, cyclic_convolve, cyclic_power
 from waringtk.errors import PreconditionError, ResourceError
 from waringtk.expsums import _power_mod, power_residue_histogram
 
@@ -43,10 +43,12 @@ def _frozen(hist: np.ndarray) -> np.ndarray:
 
 def pushforward_power(hist: np.ndarray, expo: int) -> np.ndarray:
     """Image histogram under m -> m^expo mod q, q = len(hist), summed in
-    Python ints (a bin can pass 2^63 when no entry does)."""
+    int64 when the exact total fits and in Python ints otherwise (a bin
+    can pass 2^63 when no entry does)."""
     q = len(hist)
-    out = np.zeros(q, dtype=object)
-    np.add.at(out, _power_mod(np.arange(q), expo, q), hist.astype(object))
+    dtype = np.int64 if _total(hist) < 1 << 63 else object
+    out = np.zeros(q, dtype=dtype)
+    np.add.at(out, _power_mod(np.arange(q), expo, q), hist.astype(dtype, copy=False))
     return count_array(out)
 
 
@@ -78,15 +80,18 @@ def form_power_histogram(q: int, k: int, l: int, t: int) -> np.ndarray:
     shares that cyclic power; at q = p^e m with gcd(p, m) = 1, r in
     [1,q]^t runs over the pairs (r mod p^e, r mod m) by CRT, so
     counts[x] = counts_{p^e}[x mod p^e] counts_m[x mod m], a product
-    taken in Python ints (it can pass 2^63 when neither factor does)."""
+    taken in int64 when the largest one fits and in Python ints otherwise
+    (it can pass 2^63 when neither factor does)."""
     entries = factorize(q).entries
     if len(entries) <= 1:
         p, h = entries[0] if entries else (1, 1)
         return _frozen(pushforward_power(form_histogram(p, h, l, t), k))
     pe = entries[0][0] ** entries[0][1]
     m, x = q // pe, np.arange(q)
-    hist_pe = form_power_histogram(pe, k, l, t)[x % pe].astype(object)
-    return _frozen(count_array(hist_pe * form_power_histogram(m, k, l, t)[x % m]))
+    hist_pe, hist_m = form_power_histogram(pe, k, l, t), form_power_histogram(m, k, l, t)
+    if int(hist_pe.max()) * int(hist_m.max()) >= 1 << 63:
+        hist_pe = hist_pe.astype(object)
+    return _frozen(count_array(hist_pe[x % pe] * hist_m[x % m]))
 
 
 def _check_local_args(p: int, h: int, k: int, l: int, t: int, s: int) -> None:

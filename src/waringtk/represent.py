@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from waringtk.convolve import convolution_power, count_array, exact_convolve
+from waringtk.convolve import convolution_power, count_array, exact_product
 from waringtk.errors import PreconditionError, ResourceError
 from waringtk.integral import c_tl
 from waringtk.params import ProblemParams
@@ -43,7 +43,8 @@ class CountVector:
     provenance: str
 
     def __post_init__(self):
-        entries = count_array(self.entries).copy()
+        entries = count_array(self.entries)  # a copy unless self.entries was int64 already
+        entries = entries.copy() if entries is self.entries else entries
         if len(entries) and entries.min() < 0:
             raise PreconditionError("counts must be nonnegative")
         entries.flags.writeable = False
@@ -99,7 +100,7 @@ def count_conje(n_max: int, k: int, l: int, t: int, s: int, r_extra: int) -> Cou
         acc = convolution_power(form_power_base(n_max, k, l, t), s, trunc)
     if r_extra > 0:
         powers = convolution_power(power_indicator(k, n_max), r_extra, trunc)
-        acc = powers if acc is None else exact_convolve(acc, powers, trunc=trunc)
+        acc = powers if acc is None else exact_product(acc, powers, trunc=trunc)
     return CountVector(acc, f"conje k={k} l={l} t={t} s={s} r={r_extra}")
 
 
@@ -191,7 +192,9 @@ def main_term_constant(k: int, l: int, xi: int, s: int) -> float:
 
 
 def main_term(n: int, k: int, l: int, xi: int, s: int, Q: int = MAIN_TERM_Q) -> float:
-    """C n^(s xi/kl - 1) S'(n) with the series truncated at Q."""
+    """C n^(s xi/kl - 1) S'(n), n >= 1, with the series truncated at Q."""
+    if n < 1:
+        raise PreconditionError(f"need n >= 1, got n={n}")
     series = truncated_series(n, Q, k, l, xi, s, series="SnPrime").value
     return main_term_constant(k, l, xi, s) * n ** (s * xi / (k * l) - 1.0) * series
 

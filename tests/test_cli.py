@@ -444,3 +444,55 @@ def test_zero_and_negative_integers_never_raise(tmp_path, capsys, path, flag, va
     code = run(_with_value(path, flag, value) + ["--cache-dir", str(tmp_path)])
     assert code in ((2,) if (path, flag, value) in _PRECONDITION else (0, 2, 3)), code
     assert "Traceback" not in capsys.readouterr().err
+
+
+# The domain of each integer flag of each leaf, from the docstrings and
+# input checks of the functions the leaf calls: the least value inside it,
+# with the other flags as in _SMALL, or None where the flag has no lower
+# bound (a residue n or a numerator a is read mod q, and the singular
+# series is defined at every integer n).
+_DOMAIN = {
+    ("sieve",): {"--l": 1, "--t": 1, "--limit": 0},
+    ("density",): {"--r": 1, "--l": 1},
+    ("expsum",): {"--q": 1, "--a": None, "--k": 1, "--l": 1, "--t": 1},
+    ("local",): {"--p": 2, "--h": 0, "--n": None, "--k": 1, "--l": 1, "--t": 1, "--s": 0},
+    ("series", "trunc"): {"--n": None, "--Q": 1, "--k": 1, "--l": 1, "--t": 1, "--s": 0},
+    ("series", "snm"): {"--p": 2, "--h": 0, "--k": 1, "--l": 1, "--t": 1, "--s": 0, "--n": None},
+    # n_hi >= n_lo = 2
+    ("series", "positivity"): {"--n-lo": None, "--n-hi": 2, "--k": 1, "--l": 1, "--t": 1, "--s": 0, "--Q": 1},
+    ("integral", "jprime"): {"--n": 1, "--s": 2, "--xi": 1, "--k": 1, "--l": 1},
+    ("integral", "jn"): {"--n": 2, "--s": 0, "--k": 2, "--l": 1, "--t": 1},
+    ("integral", "udecay"): {"--n": 1, "--t": 1, "--k": 1, "--l": 1, "--samples": 10, "--seed": 0},
+    # Q = 3 < P = n^(1/kl) needs n > 81
+    ("arcs", "residual"): {"--n": 82, "--k": 1, "--l": 1, "--t": 1, "--Q": 1, "--samples": 1, "--seed": 0},
+    ("arcs", "weyl"): {"--n": 1, "--k": 1, "--l": 1, "--t": 1, "--samples": 1, "--seed": 0},
+    ("arcs", "classify"): {"--n": 1, "--Q": 1, "--k": 1},
+    ("arcs", "vmv"): {"--s": 1, "--ksys": 1, "--r": 1, "--Y": 1, "--l": 1},
+    ("count", "conje"): {"--nmax": 0, "--k": 1, "--l": 1, "--t": 1, "--s": 0, "--r": 0},
+    ("count", "thm13"): {"--nmax": 0, "--k": 1, "--l": 1, "--xi": 1, "--s": 1},
+    ("count", "main-term"): {"--k": 1, "--l": 1, "--xi": 1, "--s": 1, "--n": 1, "--Q": 1},
+    # k, l >= 2 and t1 = t - l >= 1; the support claim H (max S1 + max S2)^k <= n/2 needs n >= 1728
+    ("count", "qm"): {"--n": 1728, "--k": 2, "--l": 2, "--t": 3},
+    ("count", "k2"): {"--t": 1, "--X": 0, "--l": 1, "--Y": 1},
+    # k, l >= 2, t1 = t - l >= 1 and xi1 = xi - 1 >= 1
+    ("report",): {"--k": 2, "--l": 2, "--t": 3, "--xi": 2, "--n": 1},
+}
+_BOUNDS = [(path, flag, lo) for path, flags in _DOMAIN.items() for flag, lo in flags.items()]
+
+
+def test_every_integer_flag_has_a_domain():
+    """A new integer flag must declare its domain in _DOMAIN."""
+    flags = {(path, flag) for path, (_, _, fl) in COMMANDS.items() for flag, kw in fl.items() if kw.get("type") is int}
+    assert {(path, flag) for path, flag, _ in _BOUNDS} == flags
+
+
+@pytest.mark.parametrize("path, flag, lo", _BOUNDS, ids=[" ".join([*p, f]) for p, f, _ in _BOUNDS])
+def test_integer_flag_domains(tmp_path, capsys, path, flag, lo):
+    """The least value of a flag's domain (-3 where it has no lower bound)
+    gives a report or a budget violation; the value below it, a
+    precondition violation."""
+    inside = run(_with_value(path, flag, str(-3 if lo is None else lo)) + ["--cache-dir", str(tmp_path)])
+    assert inside in (0, 3), inside
+    if lo is not None:
+        assert run(_with_value(path, flag, str(lo - 1)) + ["--cache-dir", str(tmp_path)]) == 2
+    assert "Traceback" not in capsys.readouterr().err

@@ -29,7 +29,7 @@ def test_exact_matches_schoolbook(a, b):
     assert exact_convolve(a, b) == schoolbook_convolve(a, b)
 
 
-def test_ntt_path_matches_schoolbook_long():
+def test_fft_path_matches_schoolbook_long():
     rng = np.random.default_rng(5)
     a = rng.integers(0, 10**9, 2048).tolist()
     b = rng.integers(0, 10**9, 2048).tolist()
@@ -37,7 +37,7 @@ def test_ntt_path_matches_schoolbook_long():
     assert exact_convolve(a, b) == schoolbook_convolve(a, b)
 
 
-def test_huge_entries_escalate_prime_count():
+def test_huge_entries_split_into_int64_words():
     """Outputs of about 2^200 go to the FFT kernel, which splits the object
     operands into int64 words and joins its output words in one
     Python-int pass."""
@@ -142,11 +142,66 @@ def test_empty_inputs():
     assert convolution_power([], 3, trunc=4).tolist() == [0, 0, 0, 0]
 
 
-def test_short_product_beyond_the_crt_capacity():
-    """A short product goes to the schoolbook whatever its bound, here
-    past 2^600."""
+def test_short_product_beyond_int64():
+    """A short product whose output bound passes 2^63 goes to the
+    schoolbook, here past 2^600."""
     a, b = [2**300, 1], [2**300]
     assert exact_convolve(a, b) == schoolbook_convolve(a, b)
+
+
+@pytest.mark.parametrize(
+    "a, b, schoolbook_calls",
+    [
+        ([2**62, 2**62 - 1], [1, 1], 0),  # bound min(sum(a) max(b), sum(b) max(a)) = 2^63 - 1
+        ([2**62, 2**62], [1, 1], 1),  # bound 2^63: past int64
+        ([math.isqrt((2**63 - 1) // 300)] * 300, None, 0),  # a dense square just below 2^63
+    ],
+)
+def test_short_product_on_np_convolve_up_to_the_int64_bound(a, b, schoolbook_calls):
+    """A short product runs on np.convolve while its output bound is at
+    most 2^63 - 1 and on the schoolbook from 2^63 on; it is int64 exactly
+    when every entry fits."""
+    b = a if b is None else b
+    calls = []
+    real = convolve._schoolbook
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    with mock.patch.object(convolve, "_schoolbook", spy):
+        out = convolve.exact_product(a, b)
+    want = schoolbook_convolve(a, b)
+    assert len(calls) == schoolbook_calls
+    assert out.tolist() == want
+    assert out.dtype == (np.int64 if max(want) < 1 << 63 else object)
+
+
+class _CountedSpectrum(np.ndarray):
+    """A limb spectrum that counts the products formed from it."""
+
+    products = 0
+
+    def __mul__(self, other):
+        _CountedSpectrum.products += 1
+        return np.multiply(np.asarray(self), np.asarray(other)).view(_CountedSpectrum)
+
+
+@pytest.mark.parametrize("limbs, pairs", [(3, 6), (6, 21)])
+def test_square_forms_each_limb_pair_once(limbs, pairs):
+    """A square forms limbs (limbs + 1) / 2 limb-pair spectra instead of
+    limbs^2, and its output limbs equal those of the product of two equal
+    operands."""
+    rng = np.random.default_rng(limbs)
+    size, keep = 64, 60
+    fa = [np.fft.rfft(rng.integers(0, 2**9, 30).astype(np.float64), size).view(_CountedSpectrum) for _ in range(limbs)]
+    _CountedSpectrum.products = 0
+    square = [convolve._output_limb(fa, fa, k, size, keep) for k in range(2 * limbs - 1)]
+    assert _CountedSpectrum.products == pairs
+    product = [convolve._output_limb(fa, list(fa), k, size, keep) for k in range(2 * limbs - 1)]
+    assert _CountedSpectrum.products == pairs + limbs**2
+    for got, want in zip(square, product):
+        assert got.tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("t", [1, 2, 3, 7])
@@ -205,7 +260,7 @@ def _kronecker(a: list[int], b: list[int]) -> list[int]:
     st.one_of(st.none(), st.integers(min_value=1, max_value=1500)),
 )
 @settings(max_examples=25, deadline=None)
-def test_ntt_path_matches_schoolbook(seed, len_a, len_b, bits_a, bits_b, trunc):
+def test_fft_path_matches_schoolbook(seed, len_a, len_b, bits_a, bits_b, trunc):
     assert 400 * 400 > _SCHOOLBOOK_CAP
     rng = random.Random(seed)
     a, b = _vector(rng, len_a, bits_a), _vector(rng, len_b, bits_b)
@@ -277,7 +332,7 @@ def test_direct_path_matches_schoolbook(a, b, trunc):
     assert bool(fft_calls) == (_wide_and_long(a, b) or _wide_and_long(a[:trunc], a[:trunc]))
 
 
-def test_garner_result_is_int64_exactly_when_entries_fit():
+def test_fft_result_is_int64_exactly_when_entries_fit():
     """Output bounds just past 2^63 send a long product to the FFT kernel's
     output words; the result stays int64 when every entry fits and turns
     object when one reaches 2^63."""
@@ -352,7 +407,7 @@ def test_cyclic_matches_folded_schoolbook():
         assert cyclic_convolve(a, b, m).tolist() == folded, m
 
 
-def test_sparse_square_skips_the_ntt(monkeypatch):
+def test_sparse_square_skips_the_fft(monkeypatch):
     """The squares up to 2e5 have 447 nonzeros: their square is an outer
     product of 447 x 447 pairs, far below the FFT kernel's transforms of
     4e5 points."""

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from waringtk import local
+from waringtk.arith import factorize
 from waringtk.convolve import cyclic_convolve
 from waringtk.errors import PreconditionError, ResourceError
 from waringtk.expsums import power_residue_histogram
@@ -127,6 +128,61 @@ def test_pushforward_and_mask_match_loops():
             assert got.dtype == (np.int64 if max(want) < 1 << 63 else object), (q, expo)
         for p in {2, 3, q}:
             assert mask_units(hist, p).tolist() == [c if m % p else 0 for m, c in enumerate(counts)], (q, p)
+
+
+@pytest.mark.parametrize(
+    "hist, dtype",
+    [
+        # 3 * 2^63 - 5 in all, which wraps in int64; the largest bin is 2^63 - 1
+        ([2**63 - 1, 2**62, 2**62 - 3, 2**62, 2**62 - 1], np.int64),
+        # 2^64 + 10 in all, 10 after the int64 wrap; bin 1 is 2^63 + 5
+        ([2**62, 2**62 + 3, 2**61, 2**61 + 5, 2**62 + 2], object),
+    ],
+)
+def test_pushforward_whose_int64_sum_wraps(hist, dtype):
+    """m -> m^2 mod 5 sends 1, 4 to 1 and 2, 3 to 4: the int64 route is
+    taken only when the exact total fits, whatever the wrapped sum says."""
+    arr = np.array(hist, dtype=np.int64)
+    assert int(arr.sum()) != sum(hist)
+    want = [0] * 5
+    for m, c in enumerate(hist):
+        want[m * m % 5] += c
+    got = pushforward_power(arr, 2)
+    assert got.tolist() == want
+    assert got.dtype == dtype == (np.int64 if max(want) < 1 << 63 else object)
+
+
+def _form_power_oracle(q, k, l, t):
+    """counts[m] = #{r in [0,q)^t : T(r)^k = m (mod q)} by t Python-int
+    cyclic convolutions of the one-variable histogram and a pushforward,
+    with no CRT and no int64."""
+    one = [0] * q
+    for x in range(q):
+        one[pow(x, l, q)] += 1
+    acc = [1] + [0] * (q - 1)
+    for _ in range(t):
+        acc = [sum(acc[j] * one[(i - j) % q] for j in range(q)) for i in range(q)]
+    out = [0] * q
+    for m, c in enumerate(acc):
+        out[pow(m, k, q)] += c
+    return out
+
+
+# max(hist_{p^e}) * max(hist_m) is 0.17 and 1.03 times 2^63 at q = 6 and
+# t = 24, 25, and 0.96 and 11.5 times 2^63 at q = 12 and t = 18, 19
+@pytest.mark.parametrize("q, t", [(6, 24), (6, 25), (12, 18), (12, 19)])
+def test_crt_product_across_the_int64_bound(q, t):
+    """The CRT product at composite q is int64 when the product of the two
+    factors' largest entries is below 2^63 and object otherwise; by CRT
+    that product is the largest entry."""
+    entries = factorize(q).entries
+    pe = entries[0][0] ** entries[0][1]
+    factors = int(form_power_histogram(pe, 2, 2, t).max()) * int(form_power_histogram(q // pe, 2, 2, t).max())
+    want = _form_power_oracle(q, 2, 2, t)
+    got = form_power_histogram(q, 2, 2, t)
+    assert got.tolist() == want
+    assert max(want) == factors
+    assert got.dtype == (np.int64 if factors < 1 << 63 else object)
 
 
 def test_cached_histograms_are_read_only():
