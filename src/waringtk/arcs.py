@@ -28,7 +28,7 @@ import numpy as np
 from waringtk.arith import sieve_primes
 from waringtk.errors import PreconditionError, ResourceError
 from waringtk.expsums import coprime_residues
-from waringtk.integral import U_major
+from waringtk.integral import U_major, _x1
 from waringtk.params import ProblemParams
 from waringtk.powersets import (
     DEFAULT_ETA,
@@ -177,6 +177,7 @@ def prime_shifted_set(params: ProblemParams, eta: float = DEFAULT_ETA) -> PrimeS
 
 
 def _phase_sum(alpha: float, values: np.ndarray, weights: np.ndarray | None = None) -> complex:
+    """sum of weights (1 when None) times e(alpha v), alpha v reduced mod 1."""
     ph = np.exp(2j * np.pi * ((alpha * values) % 1.0))
     if weights is None:
         return complex(ph.sum())
@@ -188,10 +189,9 @@ def f_alpha(alpha: float, k: int, table: PowerSumTable) -> complex:
     rho = np.array(table.rho, dtype=np.float64)
     support = np.nonzero(rho)[0]
     support = support[support >= 1]
-    mk = support.astype(object) ** k  # exact k-th powers before reduction mod 1
-    vals = np.array([float((alpha * int(v)) % 1.0) for v in mk])
-    ph = np.exp(2j * np.pi * vals)
-    return complex(np.dot(rho[support], ph))
+    # exact k-th powers, each rounded once to float64 as float * int rounds it
+    mk = (support.astype(object) ** k).astype(np.float64)
+    return _phase_sum(alpha, mk, rho[support])
 
 
 def f_alpha_direct(alpha: float, k: int, l: int, t: int, limit: int) -> complex:
@@ -217,8 +217,7 @@ def F_alpha(alpha: float, pair: ShiftedSetPair, k: int) -> complex:
     """F(alpha) = sum_{m in S2} f_m(alpha), evaluated as one outer sum."""
     x = np.array(pair.s1, dtype=np.int64)[:, None]
     m = np.array(pair.s2, dtype=np.int64)[None, :]
-    vals = ((x + m).astype(np.float64)) ** k
-    return complex(np.exp(2j * np.pi * ((alpha * vals) % 1.0)).sum())
+    return _phase_sum(alpha, ((x + m).astype(np.float64) ** k).ravel())
 
 
 def gamma_shift(alpha: float, k: int, j: int, m: int) -> float:
@@ -246,13 +245,12 @@ def G_alpha(alpha: float, pset: PrimeShiftedSet, k: int, l: int) -> complex:
         return 0j
     x = np.array(pset.s, dtype=np.int64)[:, None]
     p = np.array(pset.primes, dtype=np.int64)[None, :]
-    vals = ((x + p**l).astype(np.float64)) ** k
-    return complex(np.exp(2j * np.pi * ((alpha * vals) % 1.0)).sum())
+    return _phase_sum(alpha, ((x + p**l).astype(np.float64) ** k).ravel())
 
 
 def g_alpha(alpha: float, k: int, n: int) -> complex:
     """g(alpha) = sum_{X1 < x <= 2X1} e(alpha x^k)."""
-    X1 = 0.5 * (2 * k) ** (-1.0 / (k - 1)) * n ** (1.0 / k)
+    X1 = _x1(n, k)
     x = np.arange(math.floor(X1) + 1, math.floor(2 * X1) + 1, dtype=np.int64)
     if len(x) == 0:
         return 0j
@@ -356,15 +354,14 @@ def vinogradov_mean_value(
     Y: int,
     l: int = 2,
     eta: float = DEFAULT_ETA,
-    budget: int = VMV_BUDGET,
 ) -> int:
     """Exact J_{s,r}^(k_sys)(Y): solutions of sum x_i^j = sum x_{s+i}^j for
     j = 1..k_sys with all 2s variables in S_r(Y), by meet-in-the-middle."""
     if s < 1 or k_sys < 1 or l < 1:
         raise PreconditionError(f"need s, k_sys, l >= 1, got s={s}, k_sys={k_sys}, l={l}")
     values = restricted_power_sums(r, l, Y, eta).values
-    if len(values) ** s > budget:
-        raise ResourceError(f"|S|^s = {len(values) ** s} exceeds budget {budget}")
+    if len(values) ** s > VMV_BUDGET:
+        raise ResourceError(f"|S|^s = {len(values) ** s} exceeds budget {VMV_BUDGET}")
     from collections import Counter
 
     sums: Counter = Counter()

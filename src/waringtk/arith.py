@@ -29,12 +29,6 @@ class Factorization:
                 raise PreconditionError(f"bad factorization entries {self.entries}")
             last = p
 
-    def value(self) -> int:
-        out = 1
-        for p, e in self.entries:
-            out *= p**e
-        return out
-
 
 def _miller_rabin(n: int) -> bool:
     # deterministic for n < 3.3 * 10^24 with these witnesses

@@ -1,11 +1,12 @@
 """Exact integer convolution with two kernels, and float convolution.
 
-Short products run on np.convolve, numpy's compiled multiply-add loop.
-The direct kernel works on int64 numpy arrays. For each nonzero of the
-operand with fewer nonzeros it adds a shifted, scaled copy of the other
-operand (a row); when the other operand is sparse too it scatter-adds
-the outer product of the two nonzero sets instead. It truncates as it
-goes, so its work is about
+Short products run on np.convolve, numpy's compiled multiply-add loop:
+in int64 while their output bound is below 2^63, and on object arrays
+of Python ints otherwise. The direct kernel works on int64 numpy
+arrays. For each nonzero of the operand with fewer nonzeros it adds a
+shifted, scaled copy of the other operand (a row); when the other
+operand is sparse too it scatter-adds the outer product of the two
+nonzero sets instead. It truncates as it goes, so its work is about
 nnz_small * min(nnz_other * _PAIR_COST, kept row length + _ROW_COST)
 multiply-adds, _ROW_COST being the fixed cost of one row's numpy calls.
 
@@ -37,21 +38,21 @@ cyclic_convolve and the powers) cuts both operands to the kept length
 and works from the a-priori bound on the output entries,
 min(sum(a) * max(b), sum(b) * max(a)). Below 2^63 np.convolve and the
 direct kernel accumulate in plain int64 (every partial sum of
-nonnegative terms is at most the bound): np.convolve takes every short
-product, and the direct kernel a long one whose work is at most the FFT
-kernel's, counting a point of one transform stage (N log2 N per
-transform) as _FFT_COST multiply-adds. From 2^63 on, a short product
-goes to schoolbook_convolve and a long one to the FFT kernel. Powers
+nonnegative terms is at most the bound): the direct kernel takes a long
+product whose work is at most the FFT kernel's, counting a point of one
+transform stage (N log2 N per transform) as _FFT_COST multiply-adds.
+From 2^63 on, a long product goes to the FFT kernel. np.convolve takes
+every short product, on object arrays from 2^63 on or when an entry is
+negative. Powers
 are taken left to right (Knuth, TAOCP vol. 2, 4.6.3), so every product
 is a square or takes the sparse base.
 
 Every route returns int64 when each entry fits and object otherwise;
 convolution_power, cyclic_convolve and cyclic_power carry such count
 arrays from product to product, cyclic_convolve folding in Python ints
-when a folded sum could pass int64. schoolbook_convolve is also the
-reference the tests compare against, and the route for short products
-with negative entries. Results are bit-identical across the routes
-(property-tested).
+when a folded sum could pass int64. schoolbook_convolve is the
+reference the tests compare against. Results are bit-identical across
+the routes (property-tested).
 """
 
 from __future__ import annotations
@@ -146,13 +147,6 @@ def _direct_work(arr_a: np.ndarray, arr_b: np.ndarray, keep: int) -> int:
     na, nb = np.count_nonzero(arr_a[:keep]), np.count_nonzero(arr_b[:keep])
     small, other = (na, arr_b) if na <= nb else (nb, arr_a)
     return small * min(max(na, nb) * _PAIR_COST, min(len(other), keep) + _ROW_COST)
-
-
-def _schoolbook(a: np.ndarray, b: np.ndarray, keep: int) -> np.ndarray:
-    """schoolbook_convolve of two arrays, truncated to keep entries; it
-    works on Python ints, since products of int64 entries could wrap."""
-    la = a.tolist()
-    return count_array(schoolbook_convolve(la, la if b is a else b.tolist())[:keep])
 
 
 def _fft_size(n: int) -> int:
@@ -264,14 +258,15 @@ def _product(a: np.ndarray, b: np.ndarray, trunc: int | None) -> np.ndarray:
     # entries past keep reach no kept output; a square stays one object
     a, b = (a[:keep],) * 2 if b is a else (a[:keep], b[:keep])
     short = len(a) * len(b) <= _SCHOOLBOOK_CAP
-    if a.min() < 0 or b.min() < 0:
-        if not short:
-            raise PreconditionError("exact_convolve needs nonnegative entries beyond the schoolbook cap")
-        return _schoolbook(a, b, keep)
+    negative = a.min() < 0 or b.min() < 0
+    if negative and not short:
+        raise PreconditionError("exact_convolve needs nonnegative entries beyond the schoolbook cap")
     max_a, max_b = int(a.max()), int(b.max())
-    bound = min(_total(a) * max_b, _total(b) * max_a) + 1
+    bound = None if negative else min(_total(a) * max_b, _total(b) * max_a) + 1
     if short:
-        return count_array(np.convolve(a, b)[:keep]) if bound <= 1 << 63 else _schoolbook(a, b, keep)
+        if bound is None or bound > 1 << 63:  # int64 products or sums could wrap
+            a, b = a.astype(object), b.astype(object)
+        return count_array(np.convolve(a, b)[:keep])
     plan = _fft_plan(len(a), len(b), max(1, max_a.bit_length()), max(1, max_b.bit_length()))
     size, _, limbs_a, limbs_b = plan
     transforms = (limbs_a if b is a else limbs_a + limbs_b) + limbs_a + limbs_b - 1

@@ -63,9 +63,7 @@ def _power_mod(r: np.ndarray, k: int, q: int) -> np.ndarray:
 def power_residue_histogram(q: int, k: int, units_only: bool = False) -> np.ndarray:
     """counts[m] = #{r in [1, q] : r^k = m (mod q)}, optionally unit r, as
     a read-only int64 array."""
-    r = np.arange(1, q + 1, dtype=np.int64)
-    if units_only:
-        r = r[np.gcd(r, q) == 1]
+    r = coprime_residues(q) if units_only else np.arange(1, q + 1, dtype=np.int64)
     counts = np.bincount(_power_mod(r, k, q), minlength=q)
     counts.flags.writeable = False
     return counts
@@ -96,6 +94,8 @@ def s_k(q: int, a: int, k: int) -> complex:
 
 def w_q(q: int, a: int, k: int) -> complex:
     """W(q, a): the Weyl sum restricted to units."""
+    if q < 1:
+        raise PreconditionError("need q >= 1")
     if q == 1:
         return 1 + 0j
     _check_coprime(q, a)

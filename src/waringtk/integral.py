@@ -25,6 +25,38 @@ from waringtk.expsums import s_form
 N_BUDGET = 10**7
 
 
+def _x1(n: int, k: int) -> float:
+    """X1 = 2^(-1) (2k)^(-1/(k-1)) n^(1/k), the scale of the v and g supports."""
+    if k < 2:
+        raise PreconditionError(f"X1 needs k >= 2, got k={k}")
+    return 0.5 * (2 * k) ** (-1.0 / (k - 1)) * n ** (1.0 / k)
+
+
+def _u_weights(n: int, xi: int, k: int, l: int) -> tuple[np.ndarray, np.ndarray]:
+    """(m^(xi/kl - 1), m) for m = 1..n: the u weights before the factor 1/k."""
+    m = np.arange(1, n + 1, dtype=np.float64)
+    return m ** (xi / (k * l) - 1.0), m
+
+
+def _v_weights(lo: int, hi: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(k^-1 x^(1/k - 1), x) for lo < x <= hi."""
+    x = np.arange(lo + 1, hi + 1, dtype=np.float64)
+    return x ** (1.0 / k - 1.0) / k, x
+
+
+def _w_weights(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(k^-1 x^(1/k - 1) (log x)^-1, x) for 2 <= x <= n."""
+    x = np.arange(2, n + 1, dtype=np.float64)
+    return x ** (1.0 / k - 1.0) / (k * np.log(x)), x
+
+
+def _on_grid(weights: np.ndarray, hi: int) -> np.ndarray:
+    """Weights ending at point hi, zero-padded below: a convolution operand."""
+    vec = np.zeros(hi + 1)
+    vec[hi + 1 - len(weights) :] = weights
+    return vec
+
+
 def _weighted_exp_sum(weights: np.ndarray, support: np.ndarray, beta: float) -> complex:
     phase = np.exp(2j * np.pi * beta * support)
     return complex(np.dot(weights, phase))
@@ -36,8 +68,8 @@ def u_beta(beta: float, n: int, t: int, k: int, l: int) -> complex:
         raise PreconditionError("need n >= 1")
     if n > N_BUDGET:
         raise ResourceError(f"n = {n} exceeds budget {N_BUDGET}")
-    m = np.arange(1, n + 1, dtype=np.float64)
-    return _weighted_exp_sum(m ** (t / (k * l) - 1.0) / k, m, beta)
+    weights, m = _u_weights(n, t, k, l)
+    return _weighted_exp_sum(weights / k, m, beta)
 
 
 def c_tl(t: int, l: int) -> float:
@@ -73,19 +105,16 @@ def u_decay_check(
 
 def U_major(alpha: float, a: int, q: int, n: int, k: int, l: int, t: int) -> complex:
     """Major-arc approximant c_{t,l} q^-t S(q,a) u(alpha - a/q)."""
+    if q < 1 or abs(alpha - a / q) > 0.5:
+        raise PreconditionError(f"need q >= 1 and |alpha - a/q| <= 1/2, got alpha={alpha}, a={a}, q={q}")
     beta = alpha - a / q
-    if abs(beta) > 0.5:
-        raise PreconditionError("need |alpha - a/q| <= 1/2")
-    if q == 1:
-        sq = 1 + 0j
-    else:
-        sq = s_form(q, a, k, l, t)
+    sq = 1 + 0j if q == 1 else s_form(q, a, k, l, t)
     return c_tl(t, l) * sq / q**t * u_beta(beta, n, t, k, l)
 
 
 def v_support(n: int, k: int) -> tuple[int, int]:
     """Integer support (lo, hi] of v(beta): X1^k < x <= (2 X1)^k."""
-    X1 = 0.5 * (2 * k) ** (-1.0 / (k - 1)) * n ** (1.0 / k)
+    X1 = _x1(n, k)
     return math.floor(X1**k), math.floor((2 * X1) ** k)
 
 
@@ -93,23 +122,15 @@ def v_beta(beta: float, n: int, k: int) -> complex:
     lo, hi = v_support(n, k)
     if hi > N_BUDGET:
         raise ResourceError("v support exceeds budget")
-    x = np.arange(lo + 1, hi + 1, dtype=np.float64)
-    return _weighted_exp_sum(x ** (1.0 / k - 1.0) / k, x, beta)
+    return _weighted_exp_sum(*_v_weights(lo, hi, k), beta)
 
 
 def w_beta(beta: float, n: int, k: int) -> complex:
+    if k < 1:
+        raise PreconditionError(f"need k >= 1, got k={k}")
     if n > N_BUDGET:
         raise ResourceError("w support exceeds budget")
-    x = np.arange(2, n + 1, dtype=np.float64)
-    return _weighted_exp_sum(x ** (1.0 / k - 1.0) / (k * np.log(x)), x, beta)
-
-
-def _u_weight_vector(n: int, expo_num: int, k: int, l: int) -> np.ndarray:
-    """[0, 1^(c-1), 2^(c-1), ...] with c = expo_num/(kl), length n+1."""
-    w = np.zeros(n + 1)
-    m = np.arange(1, n + 1, dtype=np.float64)
-    w[1:] = m ** (expo_num / (k * l) - 1.0)
-    return w
+    return _weighted_exp_sum(*_w_weights(n, k), beta)
 
 
 def _check_jprime_args(n: int, xi: int, k: int, l: int) -> None:
@@ -132,11 +153,10 @@ def j_prime_exact(n: int, s: int, xi: int, k: int, l: int) -> float:
         raise ResourceError("n exceeds the singular-integral budget")
     if n < s:
         return 0.0
-    c = xi / (k * l)
     if s == 2:
-        m = np.arange(1, n, dtype=np.float64)
-        return float(np.sum(m ** (c - 1.0) * (n - m) ** (c - 1.0))) / k**2
-    w = _u_weight_vector(n, xi, k, l)
+        w = _u_weights(n - 1, xi, k, l)[0]  # read backwards, the weights of n - m
+        return float(np.sum(w * w[::-1])) / k**2
+    w = _on_grid(_u_weights(n, xi, k, l)[0], n)
     acc = w
     for _ in range(s - 2):
         acc = float_convolve(acc, w, trunc=n + 1)
@@ -144,18 +164,16 @@ def j_prime_exact(n: int, s: int, xi: int, k: int, l: int) -> float:
     return float(np.dot(acc[: n + 1], w[: n + 1][::-1])) / k**s
 
 
-def j_prime_quadrature(n: int, s: int, xi: int, k: int, l: int, nodes: int | None = None) -> float:
+def j_prime_quadrature(n: int, s: int, xi: int, k: int, l: int) -> float:
     """Trapezoid quadrature of int u(beta)^s e(-beta n) dbeta over a full
-    period (uniform nodes; equals the rectangle rule by periodicity),
-    evaluated through one FFT of the weight vector."""
+    period (at least 8n uniform nodes; equals the rectangle rule by
+    periodicity), evaluated through one FFT of the weight vector."""
     _check_jprime_args(n, xi, k, l)
-    if nodes is None:
-        nodes = 8 * n
     N = 1
-    while N < max(nodes, n + 1):
+    while N < 8 * n:
         N *= 2
     w = np.zeros(N)
-    w[1 : n + 1] = _u_weight_vector(n, xi, k, l)[1:] / k
+    w[1 : n + 1] = _u_weights(n, xi, k, l)[0] / k
     U = np.fft.fft(w)  # U[j] = u(-j/N) conj pattern; u(j/N) = conj(U[j])
     u_vals = np.conj(U)
     phases = np.exp(-2j * np.pi * np.arange(N) * (n % N) / N)
@@ -187,17 +205,13 @@ def j_singular_exact(n: int, s: int, k: int, l: int, t: int) -> tuple[float, flo
     if n > 10**6:
         raise ResourceError("n exceeds the singular-integral budget")
     lo, hi = v_support(n, k)
-    v = np.zeros(min(hi, n) + 1)
-    x = np.arange(lo + 1, min(hi, n) + 1, dtype=np.float64)
-    v[lo + 1 : min(hi, n) + 1] = x ** (1.0 / k - 1.0) / k
-    wv = np.zeros(n + 1)
-    x = np.arange(2, n + 1, dtype=np.float64)
-    wv[2:] = x ** (1.0 / k - 1.0) / (k * np.log(x))
+    v = _on_grid(_v_weights(lo, min(hi, n), k)[0], min(hi, n))
+    wv = _on_grid(_w_weights(n, k)[0], n)
     acc = float_convolve(v, v, trunc=n + 1)
     acc = float_convolve(acc, wv, trunc=n + 1)
     acc = float_convolve(acc, wv, trunc=n + 1)
     if s > 0:
-        u = _u_weight_vector(n, t, k, l) / k
+        u = _on_grid(_u_weights(n, t, k, l)[0], n) / k
         for _ in range(s):
             acc = float_convolve(acc, u, trunc=n + 1)
     X = n ** (1.0 / k)

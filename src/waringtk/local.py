@@ -20,6 +20,7 @@ read it, so every k shares that power.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -178,8 +179,6 @@ def check_lemma_hypotheses(p: int, k: int, l: int, t: int, s: int, which: str) -
         if s < need:
             raise PreconditionError(f"case p=k=2 needs s >= {need}, got s={s}")
     elif gamma == tau + 1:
-        import math
-
         g = math.gcd(k, p**tau * (p - 1))
         if Fraction(s + shift) < Fraction(p, p - 1) * g:
             raise PreconditionError(

@@ -1,9 +1,9 @@
 """Global parameter tuple and the derived constants used across modules.
 
-The problem is governed by integers (k, l, t, s, r_extra, xi) and a target
-integer n.  Derived reals are X = n^(1/k) and P = X^(1/l), so that form
-values T(x) <= P^l = X contribute k-th powers up to n.  The cutoff
-constants
+The problem is governed by integers (k, l, t, xi) and a target integer
+n; the block counts s and r are arguments of the counting functions.
+Derived reals are X = n^(1/k) and P = X^(1/l), so that form values
+T(x) <= P^l = X contribute k-th powers up to n.  The cutoff constants
 
     C1 = (k(k+1) 2^(k+1) t1^k)^(-1/lk)
     C2 = min((2lk)^(-1/l), (k(k+1) 2^(k+1) l^k)^(-1/lk))
@@ -66,20 +66,13 @@ def c3_constant(k: int, l: int, xi1: int) -> float:
 
 @dataclass(frozen=True)
 class ProblemParams:
-    """The global tuple (k, l, t, s, r_extra, xi) for a target n.
-
-    enforce_t_bound applies the standing local-solubility assumption
-    t >= 4l; modules that rely on it construct params with the flag set.
-    """
+    """The global tuple (k, l, t, xi) for a target n."""
 
     k: int
     l: int
     t: int
     n: int
-    s: int = 0
-    r_extra: int = 0
     xi: int = 1
-    enforce_t_bound: bool = False
 
     # derived, filled in __post_init__
     X: float = field(init=False)
@@ -88,10 +81,8 @@ class ProblemParams:
     def __post_init__(self):
         if self.k < 2 or self.l < 2:
             raise PreconditionError("need k >= 2 and l >= 2")
-        if self.t < 1 or self.n < 1 or self.s < 0 or self.r_extra < 0 or self.xi < 1:
-            raise PreconditionError("need t >= 1, n >= 1, s >= 0, r_extra >= 0, xi >= 1")
-        if self.enforce_t_bound and self.t < 4 * self.l:
-            raise PreconditionError(f"standing assumption t >= 4l violated: t={self.t}, l={self.l}")
+        if self.t < 1 or self.n < 1 or self.xi < 1:
+            raise PreconditionError("need t >= 1, n >= 1, xi >= 1")
         object.__setattr__(self, "X", self.n ** (1.0 / self.k))
         object.__setattr__(self, "P", self.n ** (1.0 / (self.k * self.l)))
 
@@ -130,8 +121,3 @@ class ProblemParams:
     @property
     def p3(self) -> float:
         return self.c3 * self.P
-
-    @property
-    def x1(self) -> float:
-        """Support scale 2^(-1) (2k)^(-1/(k-1)) X for the g / v sums."""
-        return 0.5 * (2 * self.k) ** (-1.0 / (self.k - 1)) * self.X

@@ -18,7 +18,7 @@ import numpy as np
 from waringtk.arith import smallest_prime_factors
 from waringtk.convolve import convolution_power
 from waringtk.errors import PreconditionError, ResourceError
-from waringtk.params import delta_r  # noqa: F401  (re-exported convenience)
+from waringtk.params import delta_r
 
 N_BUDGET = 10**7
 DEFAULT_ETA = 0.25
@@ -52,24 +52,34 @@ class SmoothPowerSumSet:
     values: tuple[int, ...]
 
 
+def _kth_power_cap(limit: int, k: int) -> int:
+    """Largest m >= 0 with m^k <= limit (k >= 1)."""
+    if limit < 1:
+        return 0
+    m = int(round(limit ** (1.0 / k)))
+    while m**k > limit:
+        m -= 1
+    while (m + 1) ** k <= limit:
+        m += 1
+    return m
+
+
 def power_indicator(l: int, limit: int) -> np.ndarray:
-    """Vector with 1 at x^l for x >= 1, x^l <= limit, as an int64 array."""
-    base = np.zeros(limit + 1, dtype=np.int64)
-    x = 1
-    while x**l <= limit:
-        base[x**l] = 1
-        x += 1
+    """Vector with 1 at x^l for x >= 1, x^l <= limit, as an int64 array
+    (empty when limit < 0)."""
+    base = np.zeros(max(limit + 1, 0), dtype=np.int64)
+    base[np.arange(1, _kth_power_cap(limit, l) + 1) ** l] = 1
     return base
 
 
-def rep_count_table(l: int, t: int, limit: int, budget: int = N_BUDGET) -> PowerSumTable:
+def rep_count_table(l: int, t: int, limit: int) -> PowerSumTable:
     """rho via t successive convolutions of the single-power indicator."""
     if not 1 <= t <= 64:
         raise PreconditionError(f"need 1 <= t <= 64, got t={t}")
     if l < 1 or limit < 0:
         raise PreconditionError("need l >= 1 and limit >= 0")
-    if limit > budget:
-        raise ResourceError(f"limit {limit} exceeds budget {budget}")
+    if limit > N_BUDGET:
+        raise ResourceError(f"limit {limit} exceeds budget {N_BUDGET}")
     base = power_indicator(l, limit)
     rho = convolution_power(base, t, trunc=limit + 1)
     return PowerSumTable(l=l, t=t, limit=limit, rho=tuple(rho.tolist()))
@@ -135,12 +145,11 @@ def restricted_power_sums(
     Y: int,
     eta: float = DEFAULT_ETA,
     R: int | None = None,
-    budget: int = N_BUDGET,
 ) -> SmoothPowerSumSet:
     """S_r(Y): distinct sums of r l-th powers of smooth integers."""
     if r < 1 or l < 1 or Y < 0:
         raise PreconditionError(f"need r, l >= 1 and Y >= 0, got r={r}, l={l}, Y={Y}")
-    if r * Y**l > budget:
+    if r * Y**l > N_BUDGET:
         raise ResourceError(f"r * Y^l = {r * Y ** l} exceeds budget")
     if R is None:
         R = realized_smoothness_bound(Y, eta)
@@ -151,12 +160,12 @@ def restricted_power_sums(
     return SmoothPowerSumSet(r=r, l=l, Y=Y, R=R, values=tuple(sorted(values)))
 
 
-def default_y_grid(r: int, l: int, budget: int = N_BUDGET) -> list[int]:
+def default_y_grid(r: int, l: int) -> list[int]:
     """Four-point doubling grid ending at the largest Y with r Y^l within
-    budget, capped at 400 (so l = 2 gives the standard 50/100/200/400)."""
+    N_BUDGET, capped at 400 (so l = 2 gives the standard 50/100/200/400)."""
     if r < 1 or l < 1:
         raise PreconditionError(f"need r, l >= 1, got r={r}, l={l}")
-    y_max = min(400, math.floor((budget / r) ** (1.0 / l)))
+    y_max = min(400, math.floor((N_BUDGET / r) ** (1.0 / l)))
     if y_max < 16:
         raise PreconditionError("budget too small for a 4-point grid")
     return [y_max // 8, y_max // 4, y_max // 2, y_max]

@@ -25,7 +25,7 @@ from waringtk.convolve import convolution_power, count_array, exact_product
 from waringtk.errors import PreconditionError, ResourceError
 from waringtk.integral import c_tl
 from waringtk.params import ProblemParams
-from waringtk.powersets import DEFAULT_ETA, power_indicator, rep_count_table, restricted_power_sums
+from waringtk.powersets import DEFAULT_ETA, _kth_power_cap, power_indicator, rep_count_table, restricted_power_sums
 from waringtk.singular import _check_q_budget, _d_table, truncated_series
 
 N_MAX_BUDGET = 10**6
@@ -60,16 +60,6 @@ class CountVector:
 
     def __getitem__(self, n: int) -> int:
         return int(self.entries[n])
-
-
-def _kth_power_cap(n_max: int, k: int) -> int:
-    """Largest m with m^k <= n_max."""
-    m = int(round(n_max ** (1.0 / k)))
-    while m**k > n_max:
-        m -= 1
-    while (m + 1) ** k <= n_max:
-        m += 1
-    return m
 
 
 def form_power_base(n_max: int, k: int, l: int, t: int) -> np.ndarray:
@@ -232,7 +222,7 @@ def window_ratio(
     weights = np.arange(n_lo, n_hi + 1) ** (s * xi / (k * l) - 1.0)
     total = float(np.sum(weights))
     for q in range(2, Q + 1):
-        factor = _d_table(q, k, l, xi, s, "form_only")
+        factor = _d_table(q, k, l, xi, s, "SnPrime")
         offset = n_lo % q
         padded = np.zeros(-(-(offset + len(weights)) // q) * q)
         padded[offset : offset + len(weights)] = weights

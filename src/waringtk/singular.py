@@ -27,7 +27,7 @@ CRT product hist_q[x] = hist_{p^e}[x mod p^e] hist_m[x mod m].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -91,40 +91,36 @@ class SeriesFactor:
 
 
 @lru_cache(maxsize=2048)
-def _d_table(q: int, k: int, l: int, t: int, s: int, variant: str) -> SeriesFactor:
-    """The factor d[n] = S_n(q) (variant 'full') or S'_n(q) (variant
-    'form_only'), empty until read; coef is the weight of each unit."""
+def _d_table(q: int, k: int, l: int, t: int, s: int, series: str) -> SeriesFactor:
+    """The factor d[n] = S_n(q) (series 'Sn') or S'_n(q) (series
+    'SnPrime'), empty until read; coef is the weight of each unit."""
     units, sform = s_form_all(q, k, l, t)
     coef = (sform / q**t) ** s
-    if variant == "full":
+    if series == "Sn":
         _, sk = expsums.s_k_all(q, k)
         _, wv = expsums.w_all(q, k)
         coef = coef * (sk / q) ** 2 * (wv / euler_phi(q)) ** 2
-    elif variant != "form_only":
-        raise PreconditionError(f"unknown variant {variant!r}")
+    elif series != "SnPrime":
+        raise PreconditionError(f"series must be 'Sn' or 'SnPrime', got {series!r}")
     return SeriesFactor(q, units, coef)
 
 
 def s_n_q(q: int, n: int, k: int, l: int, t: int, s: int) -> complex:
     """The full arithmetic factor S_n(q); S_n(1) = 1."""
-    return _d_table(q, k, l, t, s, "full")[n]
+    return _d_table(q, k, l, t, s, "Sn")[n]
 
 
 def s_n_prime_q(q: int, n: int, k: int, l: int, t: int, s: int) -> complex:
     """S'_n(q): the form-only factor (no S_k / W weights)."""
-    return _d_table(q, k, l, t, s, "form_only")[n]
+    return _d_table(q, k, l, t, s, "SnPrime")[n]
 
 
 @dataclass(frozen=True)
 class SeriesTruncation:
     value: float
-    Q_cutoff: int
     per_q_terms: tuple[complex, ...]
     tail_estimate: float
-    euler_variant: bool = False
-    prime_cutoff: int | None = None
-    h_cutoff: int | None = None
-    imag_residual: float = field(default=0.0)
+    imag_residual: float
 
 
 def truncated_series(
@@ -145,18 +141,16 @@ def truncated_series(
     variant='full': direct sum over q <= Q.
     variant='prime': Euler product over p <= prime_cutoff, p^h <= ph_cutoff.
     """
-    dvariant = "full" if series == "Sn" else "form_only"
     if series not in ("Sn", "SnPrime"):
         raise PreconditionError(f"series must be 'Sn' or 'SnPrime', got {series!r}")
     if variant not in ("full", "prime"):
         raise PreconditionError(f"variant must be 'full' or 'prime', got {variant!r}")
     _check_series_args(Q if variant == "full" else ph_cutoff, k, l, t, s)
     if variant == "full":
-        terms = [_d_table(q, k, l, t, s, dvariant)[n] for q in range(1, Q + 1)]
+        terms = [_d_table(q, k, l, t, s, series)[n] for q in range(1, Q + 1)]
         total = complex(sum(terms))
         return SeriesTruncation(
             value=total.real,
-            Q_cutoff=Q,
             per_q_terms=tuple(terms),
             tail_estimate=Q ** (-1.0 / k),
             imag_residual=abs(total.imag),
@@ -166,18 +160,14 @@ def truncated_series(
         sigma = 1 + 0j
         h = 1
         while p**h <= ph_cutoff:
-            sigma += _d_table(p**h, k, l, t, s, dvariant)[n]
+            sigma += _d_table(p**h, k, l, t, s, series)[n]
             h += 1
         factors.append(sigma)
     total = complex(math.prod(factors))
     return SeriesTruncation(
         value=total.real,
-        Q_cutoff=ph_cutoff,
         per_q_terms=tuple(factors),
         tail_estimate=ph_cutoff ** (-1.0 / k),
-        euler_variant=True,
-        prime_cutoff=prime_cutoff,
-        h_cutoff=ph_cutoff,
         imag_residual=abs(total.imag),
     )
 
@@ -214,16 +204,16 @@ def positivity_sweep(
     s: int,
     Q: int = DEFAULT_Q_CUTOFF,
     series: str = "Sn",
-    check_primes_upto: int = 13,
 ) -> PositivityReport:
-    """Minimum truncated series value over an n-range, with per-prime
-    local-solubility diagnostics for the lemma backing positivity."""
+    """Minimum truncated series value over an n-range, with the
+    local-solubility diagnostics at the primes p <= 13 for the lemma
+    backing positivity."""
     if not n_values:
         raise PreconditionError("positivity sweep over an empty n range")
     _check_series_args(Q, k, l, t, s)
     which = "M" if series == "Sn" else "Mstar"
     failures = []
-    for p in sieve_primes(check_primes_upto):
+    for p in sieve_primes(13):
         try:
             rep = local.verify_local_solubility(p, k, l, t, s, which=which)
             if not rep.all_positive:

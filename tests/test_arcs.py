@@ -2,6 +2,7 @@ import cmath
 import math
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -84,6 +85,27 @@ def test_f_alpha_matches_direct(alpha):
     got = f_alpha(alpha, k, table)
     want = f_alpha_direct(alpha, k, l, t, limit)
     assert abs(got - want) < 1e-8 * max(1.0, abs(want))
+
+
+def _f_alpha_by_python_ints(alpha, k, table):
+    """f(alpha) with each phase reduced as Python float * int, entry by entry."""
+    rho = np.array(table.rho, dtype=np.float64)
+    support = np.nonzero(rho)[0]
+    support = support[support >= 1]
+    vals = np.array([float((alpha * int(m) ** k) % 1.0) for m in support])
+    return complex(np.dot(rho[support], np.exp(2j * np.pi * vals)))
+
+
+@pytest.mark.parametrize("k, limit", [(2, 500), (3, 500), (4, 500), (4, 12000)])
+def test_f_alpha_bits_match_python_int_phases(k, limit):
+    """f_alpha rounds each exact m^k to float64 once, as float * int does,
+    so its bits are those of the per-entry Python-int phases; at limit
+    12000, m^4 passes 2^53, where a float64 power would round twice."""
+    table = rep_count_table(2, 2, limit)
+    alphas = [0.0, -0.37, -1 / 7, *np.random.default_rng(k * limit).uniform(-1, 1, 20).tolist()]
+    for alpha in alphas:
+        got, want = f_alpha(alpha, k, table), _f_alpha_by_python_ints(alpha, k, table)
+        assert (got.real, got.imag) == (want.real, want.imag), alpha
 
 
 def test_f_alpha_at_zero_is_mass():

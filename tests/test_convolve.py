@@ -143,36 +143,36 @@ def test_empty_inputs():
 
 
 def test_short_product_beyond_int64():
-    """A short product whose output bound passes 2^63 goes to the
-    schoolbook, here past 2^600."""
+    """A short product whose output bound passes 2^63 runs on object
+    arrays, here past 2^600."""
     a, b = [2**300, 1], [2**300]
     assert exact_convolve(a, b) == schoolbook_convolve(a, b)
 
 
 @pytest.mark.parametrize(
-    "a, b, schoolbook_calls",
+    "a, b, object_calls",
     [
         ([2**62, 2**62 - 1], [1, 1], 0),  # bound min(sum(a) max(b), sum(b) max(a)) = 2^63 - 1
         ([2**62, 2**62], [1, 1], 1),  # bound 2^63: past int64
         ([math.isqrt((2**63 - 1) // 300)] * 300, None, 0),  # a dense square just below 2^63
     ],
 )
-def test_short_product_on_np_convolve_up_to_the_int64_bound(a, b, schoolbook_calls):
-    """A short product runs on np.convolve while its output bound is at
-    most 2^63 - 1 and on the schoolbook from 2^63 on; it is int64 exactly
-    when every entry fits."""
+def test_short_product_on_np_convolve_up_to_the_int64_bound(a, b, object_calls):
+    """A short product runs on np.convolve in int64 while its output bound
+    is at most 2^63 - 1 and on object arrays from 2^63 on; it is int64
+    exactly when every entry fits."""
     b = a if b is None else b
-    calls = []
-    real = convolve._schoolbook
+    dtypes = []
+    real = np.convolve
 
-    def spy(*args):
-        calls.append(args)
-        return real(*args)
+    def spy(x, y, *args):
+        dtypes.append((x.dtype, y.dtype))
+        return real(x, y, *args)
 
-    with mock.patch.object(convolve, "_schoolbook", spy):
+    with mock.patch.object(convolve.np, "convolve", spy):
         out = convolve.exact_product(a, b)
     want = schoolbook_convolve(a, b)
-    assert len(calls) == schoolbook_calls
+    assert dtypes == [(np.dtype(object if object_calls else np.int64),) * 2]
     assert out.tolist() == want
     assert out.dtype == (np.int64 if max(want) < 1 << 63 else object)
 

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from waringtk.arcs import g_alpha
 from waringtk.errors import PreconditionError
+from waringtk.expsums import w_q
 from waringtk.integral import (
     U_major,
     c_tl,
@@ -109,3 +111,21 @@ def test_j_singular_scaling():
     v1, _ = j_singular_exact(2000, 1, 2, 2, 8)
     v2, _ = j_singular_exact(4000, 1, 2, 2, 8)
     assert 1.0 < v2 / v1 < 2.0 ** 6
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: w_q(0, 1, 2),
+        lambda: w_q(-4, 1, 2),
+        lambda: U_major(0.1, 1, 0, 100, 2, 2, 8),
+        lambda: w_beta(0.1, 100, 0),
+        lambda: v_support(100, 1),
+        lambda: v_beta(0.1, 100, 1),
+        lambda: g_alpha(0.1, 1, 100),
+    ],
+    ids=["w_q-q0", "w_q-q-4", "U_major-q0", "w_beta-k0", "v_support-k1", "v_beta-k1", "g_alpha-k1"],
+)
+def test_out_of_domain_arguments_are_precondition_errors(call):
+    with pytest.raises(PreconditionError):
+        call()

@@ -1,6 +1,7 @@
 import math
 import os
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from waringtk.powersets import (
     density_report,
     distinct_count,
     grid_exponent,
+    power_indicator,
     read_table_cache,
     realized_smoothness_bound,
     rep_count_enumerate,
@@ -81,8 +83,9 @@ def test_restricted_power_sums_tiny():
 
 
 def test_restricted_power_sums_budget():
+    """r Y^l = 4 * 10^9 is past N_BUDGET, and is refused before any work."""
     with pytest.raises(ResourceError):
-        restricted_power_sums(4, 3, 10**3, budget=10**6)
+        restricted_power_sums(4, 3, 10**3)
 
 
 @given(st.integers(min_value=5, max_value=200), st.integers(min_value=5, max_value=200))
@@ -109,6 +112,18 @@ def test_grid_exponent_two_points():
     assert g == pytest.approx(
         math.log(rows[1]["cardinality"] / rows[0]["cardinality"]) / math.log(4)
     )
+
+
+def test_power_indicator_matches_loop():
+    for l in range(1, 5):
+        for limit in range(-1, 2001):
+            want = [0] * max(limit + 1, 0)
+            x = 1
+            while x**l <= limit:
+                want[x**l] = 1
+                x += 1
+            got = power_indicator(l, limit)
+            assert got.dtype == np.int64 and got.tolist() == want, (l, limit)
 
 
 def test_default_y_grid_respects_budget():

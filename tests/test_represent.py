@@ -106,7 +106,7 @@ def test_window_ratio_matches_the_summed_series_factors():
             ns = range(n_lo, n_lo + length)
             mains = [
                 n ** (s * xi / (k * l) - 1.0)
-                * (1 + sum(_d_table(q, k, l, xi, s, "form_only")[n].real for q in range(2, Q + 1)))
+                * (1 + sum(_d_table(q, k, l, xi, s, "SnPrime")[n].real for q in range(2, Q + 1)))
                 for n in ns
             ]
             want = (sum(ns) / length) / (main_term_constant(k, l, xi, s) * math.fsum(mains) / length)

@@ -150,13 +150,13 @@ def test_cyclic_powers_only_at_prime_powers():
     assert moduli == prime_powers
 
 
-def _d_table_per_residue(q, k, l, t, s, variant):
+def _d_table_per_residue(q, k, l, t, s, series):
     """The tables as one np.dot per residue on its own index row."""
     if q == 1:
         return np.array([1 + 0j])
     units, sform = s_form_all(q, k, l, t)
     coef = (sform / q**t) ** s
-    if variant == "full":
+    if series == "Sn":
         _, sk = expsums.s_k_all(q, k)
         _, wv = expsums.w_all(q, k)
         coef = coef * (sk / q) ** 2 * (wv / euler_phi(q)) ** 2
@@ -176,12 +176,12 @@ def test_d_table_bits_match_per_residue_loop(k, l, t, s):
     bit-identical to the per-residue sum, and none is filled before it is
     read."""
     rng = np.random.default_rng(1000 * k + 100 * l + 10 * t + s)
-    for variant in ("form_only", "full"):
+    for series in ("SnPrime", "Sn"):
         for q in range(1, 201):
-            table = _d_table.__wrapped__(q, k, l, t, s, variant)
-            want = _d_table_per_residue(q, k, l, t, s, variant)
+            table = _d_table.__wrapped__(q, k, l, t, s, series)
+            want = _d_table_per_residue(q, k, l, t, s, series)
             order = rng.permutation(q)
             for count in (q // 2, q):
                 read = np.array([table[int(m) + q * int(m % 3)] for m in order[:count]], dtype=np.complex128)
-                assert sorted(table.row) == sorted(order[:count].tolist()), (q, variant)
-                assert np.array_equal(read.view(np.float64), want[order[:count]].view(np.float64)), (q, variant)
+                assert sorted(table.row) == sorted(order[:count].tolist()), (q, series)
+                assert np.array_equal(read.view(np.float64), want[order[:count]].view(np.float64)), (q, series)
