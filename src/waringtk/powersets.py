@@ -167,7 +167,7 @@ def default_y_grid(r: int, l: int) -> list[int]:
         raise PreconditionError(f"need r, l >= 1, got r={r}, l={l}")
     y_max = min(400, math.floor((N_BUDGET / r) ** (1.0 / l)))
     if y_max < 16:
-        raise PreconditionError("budget too small for a 4-point grid")
+        raise PreconditionError(f"r Y^l <= N_BUDGET keeps Y below 16, too small for a 4-point grid (r={r}, l={l})")
     return [y_max // 8, y_max // 4, y_max // 2, y_max]
 
 
