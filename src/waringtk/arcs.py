@@ -38,6 +38,7 @@ from waringtk.powersets import (
 
 IOTA = 1.0 / 1000.0
 VMV_BUDGET = 4 * 10**6
+CLASSIFY_Q_BUDGET = 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -81,11 +82,13 @@ class ArcPoint:
 
 
 def classify_major(alpha: float, n: int, Q: int) -> ArcPoint:
-    """Exact membership in M(Q), Q >= 1, by scanning denominators q <= Q."""
+    """Exact membership in M(Q), 1 <= Q <= CLASSIFY_Q_BUDGET, by scanning q <= Q."""
     if not 0 <= alpha < 1:
         raise PreconditionError("need alpha in [0, 1)")
     if n < 1 or Q < 1:
         raise PreconditionError(f"need n, Q >= 1, got n={n}, Q={Q}")
+    if Q > CLASSIFY_Q_BUDGET:
+        raise ResourceError(f"Q = {Q} exceeds the scan budget {CLASSIFY_Q_BUDGET}")
     best: tuple[float, int, int] | None = None
     for q in range(1, Q + 1):
         a = round(alpha * q)

@@ -113,8 +113,16 @@ def _sieve(powersets, args, header):
     ]
 
 
+def _int_list(text: str) -> list[int]:
+    """A comma-separated list of integers; empty items are skipped."""
+    try:
+        return [int(y) for y in text.split(",") if y]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}") from None
+
+
 def _density(powersets, args, header):
-    grid = [int(y) for y in args.grid.split(",") if y] if args.grid else powersets.default_y_grid(args.r, args.l)
+    grid = args.grid if args.grid is not None else powersets.default_y_grid(args.r, args.l)
     report = powersets.density_report(args.r, args.l, grid, args.eta)
     header.append(f"grid_exponent={powersets.grid_exponent(report):.12g}")
     return [dict(r) for r in report]
@@ -324,7 +332,7 @@ COMMANDS: dict[tuple[str, ...], tuple] = {
     ("sieve",): ("powersets", _sieve, _ints("--l", "--t", "--limit")),
     ("density",): ("powersets", _density, {
         **_ints("--r", "--l"),
-        "--grid": {"type": str, "default": None,
+        "--grid": {"type": _int_list, "default": None,
                    "help": "comma-separated Y values (default: budget-aware doubling grid)"},
         "--eta": _ETA,
     }),

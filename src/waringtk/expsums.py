@@ -22,10 +22,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from waringtk.arith import factorize
+from waringtk.arith import euler_phi, factorize
 from waringtk.errors import PreconditionError, ResourceError
 
 S_FORM_Q_BUDGET = 5000
+HIST_Q_BUDGET = 10**6
 _DIRECT_ENUM_CAP = 2 * 10**6
 
 
@@ -36,9 +37,9 @@ def omega_table(q: int) -> np.ndarray:
 
 
 def _check_coprime(q: int, a: int) -> None:
-    if q == 1:
-        return
-    if math.gcd(a % q, q) != 1:
+    if q < 1:
+        raise PreconditionError("need q >= 1")
+    if q > 1 and math.gcd(a % q, q) != 1:
         raise PreconditionError(f"need gcd(a, q) = 1, got a={a}, q={q}")
 
 
@@ -62,7 +63,9 @@ def _power_mod(r: np.ndarray, k: int, q: int) -> np.ndarray:
 @lru_cache(maxsize=512)
 def power_residue_histogram(q: int, k: int, units_only: bool = False) -> np.ndarray:
     """counts[m] = #{r in [1, q] : r^k = m (mod q)}, optionally unit r, as
-    a read-only int64 array."""
+    a read-only int64 array, for q <= HIST_Q_BUDGET."""
+    if q > HIST_Q_BUDGET:
+        raise ResourceError(f"q = {q} exceeds the histogram budget {HIST_Q_BUDGET}")
     r = coprime_residues(q) if units_only else np.arange(1, q + 1, dtype=np.int64)
     counts = np.bincount(_power_mod(r, k, q), minlength=q)
     counts.flags.writeable = False
@@ -84,20 +87,12 @@ def _hist_dft_at(q: int, hist, a: int) -> complex:
 
 def s_k(q: int, a: int, k: int) -> complex:
     """Complete Weyl sum S_k(q, a) with (a, q) = 1."""
-    if q < 1:
-        raise PreconditionError("need q >= 1")
-    if q == 1:
-        return 1 + 0j
     _check_coprime(q, a)
     return _hist_dft_at(q, power_residue_histogram(q, k), a)
 
 
 def w_q(q: int, a: int, k: int) -> complex:
     """W(q, a): the Weyl sum restricted to units."""
-    if q < 1:
-        raise PreconditionError("need q >= 1")
-    if q == 1:
-        return 1 + 0j
     _check_coprime(q, a)
     return _hist_dft_at(q, power_residue_histogram(q, k, units_only=True), a)
 
@@ -220,22 +215,6 @@ def hist_dft_all(q: int, hist, units: np.ndarray) -> np.ndarray:
     return out
 
 
-def s_k_all(q: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(units, S_k(q, a) for each coprime a)."""
-    units = coprime_residues(q)
-    if q == 1:
-        return units, np.array([1 + 0j])
-    return units, hist_dft_all(q, power_residue_histogram(q, k), units)
-
-
-def w_all(q: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(units, W(q, a) for each coprime a)."""
-    units = coprime_residues(q)
-    if q == 1:
-        return units, np.array([1 + 0j])
-    return units, hist_dft_all(q, power_residue_histogram(q, k, units_only=True), units)
-
-
 def weight_bound_sweep(Q: int, k: int, which: str = "Sk") -> float:
     """Empirical constant in the w_k majorant bounds.
 
@@ -245,16 +224,13 @@ def weight_bound_sweep(Q: int, k: int, which: str = "Sk") -> float:
     """
     if which not in ("Sk", "W"):
         raise PreconditionError(f"which must be 'Sk' or 'W', got {which!r}")
-    from waringtk.arith import euler_phi
-
     best = 1.0  # q = 1 gives ratio exactly 1
     for q in range(2, Q + 1):
         if which == "Sk":
-            _, vals = s_k_all(q, k)
-            norm = q
+            hist, norm = power_residue_histogram(q, k), q
         else:
-            _, vals = w_all(q, k)
-            norm = euler_phi(q)
+            hist, norm = power_residue_histogram(q, k, units_only=True), euler_phi(q)
+        vals = hist_dft_all(q, hist, coprime_residues(q))
         ratio = float(np.max(np.abs(vals))) / (norm * w_k_weight(q, k))
         best = max(best, ratio)
     return best

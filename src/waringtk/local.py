@@ -14,8 +14,8 @@ object past 2^63); the lru-cached ones are read-only. form_histogram
 holds the one t-fold cyclic power per (p^h, l, t), and
 form_power_histogram, the histogram of T(r)^k mod q, is its pushforward
 under m -> m^k at prime powers and a CRT product at composite q. The
-local counts here and the singular series (singular.s_form_all) both
-read it, so every k shares that power.
+local counts here and the singular series both read it, so every k
+shares that power.
 """
 
 from __future__ import annotations
@@ -61,16 +61,12 @@ def mask_units(hist: np.ndarray, p: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=512)
-def form_histogram(p: int, h: int, l: int, t: int, restrict_first_unit: bool = False) -> np.ndarray:
-    """Distribution of T(x) = x_1^l + ... + x_t^l mod p^h over x in [0,p^h)^t,
-    with restrict_first_unit over x with p not dividing x_1."""
+def form_histogram(p: int, h: int, l: int, t: int) -> np.ndarray:
+    """Distribution of T(x) = x_1^l + ... + x_t^l mod p^h over x in [0,p^h)^t."""
     q = p**h
     if q > FORM_HIST_BUDGET:
         raise ResourceError(f"p^h = {q} exceeds the histogram budget {FORM_HIST_BUDGET}")
-    if not restrict_first_unit:
-        return _frozen(cyclic_power(power_residue_histogram(q, l), t, q))
-    first = power_residue_histogram(q, l, units_only=True)
-    return first if t == 1 else _frozen(cyclic_convolve(first, form_histogram(p, h, l, t - 1), q))
+    return _frozen(cyclic_power(power_residue_histogram(q, l), t, q))
 
 
 @lru_cache(maxsize=1024)
@@ -133,7 +129,10 @@ def _m_star_histogram(p: int, h: int, k: int, l: int, t: int, s: int) -> np.ndar
     if s < 1:
         raise PreconditionError("M* needs s >= 1")
     # first block: x_{1,1} a unit AND the form value T(x_1) a unit
-    first = pushforward_power(mask_units(form_histogram(p, h, l, t, restrict_first_unit=True), p), k)
+    first = power_residue_histogram(q, l, units_only=True)
+    if t > 1:
+        first = cyclic_convolve(first, form_histogram(p, h, l, t - 1), q)
+    first = pushforward_power(mask_units(first, p), k)
     if s > 1:
         first = cyclic_convolve(first, cyclic_power(form_power_histogram(q, k, l, t), s - 1, q), q)
     return _frozen(first)

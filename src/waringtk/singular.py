@@ -15,13 +15,13 @@ the roots of unity of its residue, and kept. A series at one n reads one
 entry per q, and a sweep never computes an entry twice, so no table is
 filled beyond what is read and every entry is bit-identical to the
 per-residue sum. Window means (represent.window_ratio) read coef alone.
-S(q, a) for all coprime a at once is computed from the exact residue
-histogram of T(r)^k mod q (mathematically identical to the u-reduction
-in expsums.s_form; the two routes are cross-checked in the test suite).
-That histogram is local.form_power_histogram, the one the local counts
-read: the pushforward of the cached cyclic power local.form_histogram at
-prime powers q, and at a composite q = p^e m with p not dividing m the
-CRT product hist_q[x] = hist_{p^e}[x mod p^e] hist_m[x mod m].
+_d_table takes the units of q once and each factor of coef as one
+expsums.hist_dft_all of an exact histogram at them: S(q, a) of T(r)^k
+mod q (the u-reduction expsums.s_form is its test oracle), and for 'Sn'
+S_k(q, a) and W(q, a) of r^k over all r and over the units r. The first
+is local.form_power_histogram, which the local counts read too: the
+image of the cached cyclic power local.form_histogram at prime powers,
+and hist_q[x] = hist_{p^e}[x mod p^e] hist_m[x mod m] at q = p^e m, p ∤ m.
 """
 
 from __future__ import annotations
@@ -33,10 +33,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from waringtk import expsums, local
+from waringtk import local
 from waringtk.arith import euler_phi, sieve_primes
 from waringtk.errors import PreconditionError, ResourceError
-from waringtk.expsums import S_FORM_Q_BUDGET, coprime_residues, hist_dft_all, omega_table
+from waringtk.expsums import S_FORM_Q_BUDGET, coprime_residues, hist_dft_all, omega_table, power_residue_histogram
 from waringtk.local import form_power_histogram
 
 DEFAULT_Q_CUTOFF = 200
@@ -58,16 +58,6 @@ def _check_series_args(Q: int, k: int, l: int, t: int, s: int) -> None:
             f"need Q >= 1, k, l, t >= 1 and s >= 0, got Q={Q}, k={k}, l={l}, t={t}, s={s}"
         )
     _check_q_budget(Q)
-
-
-def s_form_all(q: int, k: int, l: int, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """(units, S(q, a) for every coprime a), via the exact histogram."""
-    units = coprime_residues(q)
-    if q == 1:
-        return units, np.array([1 + 0j])
-    _check_q_budget(q)
-    hist = form_power_histogram(q, k, l, t)
-    return units, hist_dft_all(q, hist, units)
 
 
 class SeriesFactor:
@@ -94,14 +84,15 @@ class SeriesFactor:
 def _d_table(q: int, k: int, l: int, t: int, s: int, series: str) -> SeriesFactor:
     """The factor d[n] = S_n(q) (series 'Sn') or S'_n(q) (series
     'SnPrime'), empty until read; coef is the weight of each unit."""
-    units, sform = s_form_all(q, k, l, t)
-    coef = (sform / q**t) ** s
-    if series == "Sn":
-        _, sk = expsums.s_k_all(q, k)
-        _, wv = expsums.w_all(q, k)
-        coef = coef * (sk / q) ** 2 * (wv / euler_phi(q)) ** 2
-    elif series != "SnPrime":
+    if series not in ("Sn", "SnPrime"):
         raise PreconditionError(f"series must be 'Sn' or 'SnPrime', got {series!r}")
+    _check_q_budget(q)
+    units = coprime_residues(q)
+    coef = (hist_dft_all(q, form_power_histogram(q, k, l, t), units) / q**t) ** s
+    if series == "Sn":
+        sk = hist_dft_all(q, power_residue_histogram(q, k), units)
+        wv = hist_dft_all(q, power_residue_histogram(q, k, units_only=True), units)
+        coef = coef * (sk / q) ** 2 * (wv / euler_phi(q)) ** 2
     return SeriesFactor(q, units, coef)
 
 

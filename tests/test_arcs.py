@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from waringtk.arcs import (
+    CLASSIFY_Q_BUDGET,
     F_alpha,
     G_alpha,
     classify_major,
@@ -29,7 +30,7 @@ from waringtk.arcs import (
     weyl_bound_sweep,
 )
 from waringtk.arith import sieve_primes
-from waringtk.errors import PreconditionError
+from waringtk.errors import PreconditionError, ResourceError
 from waringtk.params import ProblemParams
 from waringtk.powersets import rep_count_table, restricted_power_sums
 
@@ -58,6 +59,12 @@ def test_classify_major_examples():
     # far from every a/q with q <= Q
     pt = classify_major((math.sqrt(5) - 1) / 2, n, Q)
     assert pt.classification == "minor"
+
+
+def test_classify_major_scan_budget():
+    assert classify_major(0.5, 100, CLASSIFY_Q_BUDGET).q == 2
+    with pytest.raises(ResourceError):
+        classify_major(0.5, 100, CLASSIFY_Q_BUDGET + 1)
 
 
 def test_classify_mm_exclusion():

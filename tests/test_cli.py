@@ -63,6 +63,40 @@ def test_series_budget_exits_three_before_any_table(capsys):
     assert time.perf_counter() - start < 5.0  # building the 5000 tables takes minutes
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expsum", "--q", "1000000000000", "--a", "1", "--k", "2"],
+        ["arcs", "classify", "--alpha", "0.3", "--n", "100", "--Q", "1000000000000"],
+    ],
+    ids=["expsum-q", "classify-Q"],
+)
+def test_unscannable_sizes_exit_three_at_once(capsys, argv):
+    """q = 10^12 cannot be allocated and Q = 10^12 denominators take days
+    to scan: both exit 3 before any work."""
+    start = time.perf_counter()
+    assert run(argv) == 3
+    assert "resource budget exceeded" in capsys.readouterr().err
+    assert time.perf_counter() - start < 5.0
+
+
+@pytest.mark.parametrize("grid, code", [("x", 1), ("50,x", 1), ("1.5", 1), (",", 2)])
+@pytest.mark.parametrize("via_config", [False, True], ids=["argv", "config"])
+def test_bad_density_grid_never_raises(tmp_path, capsys, grid, code, via_config):
+    """A grid that is not a list of integers is a usage error; an empty
+    one is a precondition violation."""
+    argv = ["density", "--r", "2", "--l", "2"]
+    if via_config:
+        path = os.path.join(tmp_path, "cfg")
+        with open(path, "w") as fh:
+            fh.write(f"grid={grid}\n")
+        argv += ["--config", path]
+    else:
+        argv += ["--grid", grid]
+    assert run(argv) == code
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_golden_determinism(capsys):
     argv = ["series", "trunc", "--n", "10", "--Q", "40", "--k", "2", "--l", "2", "--t", "8", "--s", "1"]
     _, out1 = run_capture(argv, capsys)

@@ -5,22 +5,24 @@ import numpy as np
 import pytest
 
 from waringtk.arith import euler_phi
-from waringtk.errors import PreconditionError
+from waringtk.errors import PreconditionError, ResourceError
 from waringtk.expsums import (
+    HIST_Q_BUDGET,
     coprime_residues,
     e_error,
+    hist_dft_all,
+    omega_table,
     power_residue_histogram,
     s_form,
     s_form_direct,
     s_k,
-    s_k_all,
     s_k_linear,
-    w_all,
     w_k_weight,
     w_q,
     weight_bound_sweep,
     weight_sum_growth,
 )
+from waringtk.local import form_power_histogram
 
 
 def modinv(a, m):
@@ -116,11 +118,33 @@ def test_e_error_envelope():
 
 def test_all_tables_match_pointwise():
     for q in (5, 8, 9, 12):
-        units, sk = s_k_all(q, 2)
-        _, wv = w_all(q, 2)
+        units = coprime_residues(q)
+        sk = hist_dft_all(q, power_residue_histogram(q, 2), units)
+        wv = hist_dft_all(q, power_residue_histogram(q, 2, units_only=True), units)
         for u, v1, v2 in zip(units, sk, wv):
             assert abs(v1 - s_k(q, int(u), 2)) < 1e-9
             assert abs(v2 - w_q(q, int(u), 2)) < 1e-9
+
+
+def test_hist_dft_all_row_by_row_past_the_matrix_cap():
+    """Past 4 * 10^6 terms hist_dft_all takes one np.dot per unit instead
+    of one matrix product; both give the same sums."""
+    q = 2003
+    hist = form_power_histogram(q, 1, 2, 2)
+    units = coprime_residues(q)
+    support = np.nonzero(hist)[0]
+    assert len(units) * len(support) == 4_010_006
+    want = omega_table(q)[np.outer(units, support) % q] @ hist[support].astype(np.float64)
+    got = hist_dft_all(q, hist, units)
+    assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+def test_power_residue_histogram_budget():
+    """q past HIST_Q_BUDGET raises before any array is allocated."""
+    with pytest.raises(ResourceError):
+        power_residue_histogram(10**12, 2)
+    with pytest.raises(ResourceError):
+        s_k(HIST_Q_BUDGET + 1, 1, 2)
 
 
 def test_coprime_residues():

@@ -189,8 +189,7 @@ def test_cached_histograms_are_read_only():
     hists = [
         power_residue_histogram(9, 2),
         form_histogram(3, 2, 2, 4),
-        form_histogram(3, 2, 2, 4, restrict_first_unit=True),
-        form_histogram(3, 2, 2, 1, restrict_first_unit=True),
+        local._m_star_histogram(3, 2, 2, 2, 1, 1),
         form_power_histogram(9, 2, 2, 4),
         form_power_histogram(36, 2, 2, 4),
         local._m_n_histogram(3, 2, 2, 2, 4, 1),

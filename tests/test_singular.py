@@ -8,12 +8,11 @@ from waringtk import expsums, local
 from waringtk.arith import euler_phi, factorize
 from waringtk.convolve import cyclic_power
 from waringtk.errors import PreconditionError, ResourceError
-from waringtk.expsums import S_FORM_Q_BUDGET, omega_table, s_form
+from waringtk.expsums import S_FORM_Q_BUDGET, coprime_residues, hist_dft_all, omega_table, s_form
 from waringtk.singular import (
     _d_table,
     form_power_histogram,
     positivity_sweep,
-    s_form_all,
     s_n_prime_q,
     s_n_q,
     snm_identity_check,
@@ -23,9 +22,10 @@ from waringtk.singular import (
 K, L, T = 2, 2, 8
 
 
-def test_s_form_all_matches_u_reduction():
+def test_form_histogram_dft_matches_u_reduction():
     for q in (2, 3, 4, 6, 9, 12, 25):
-        units, vals = s_form_all(q, K, L, T)
+        units = coprime_residues(q)
+        vals = hist_dft_all(q, form_power_histogram(q, K, L, T), units)
         for a, v in zip(units, vals):
             if math.gcd(int(a), q) == 1:
                 assert abs(v - s_form(q, int(a), K, L, T)) < 1e-9 * max(1.0, abs(v))
@@ -93,8 +93,10 @@ def test_bad_series_name():
 
 
 def test_s_form_budget_is_a_resource_error():
+    misses = form_power_histogram.cache_info().misses
     with pytest.raises(ResourceError):
-        s_form_all(S_FORM_Q_BUDGET + 1, K, L, T)
+        s_n_prime_q(S_FORM_Q_BUDGET + 1, 0, K, L, T, 1)
+    assert form_power_histogram.cache_info().misses == misses
     with pytest.raises(ResourceError):
         s_form(S_FORM_Q_BUDGET + 1, 1, K, L, T)
 
@@ -128,7 +130,7 @@ def test_composite_histogram_past_int64(q, entry_bits):
 
 
 def test_cyclic_powers_only_at_prime_powers():
-    """The series (s_form_all) and the local counts (m_n) of k = 2 and
+    """The series (_d_table) and the local counts (m_n) of k = 2 and
     k = 3 share one cyclic power of the form histogram per prime power."""
     moduli = []
     real = local.cyclic_power
@@ -138,13 +140,13 @@ def test_cyclic_powers_only_at_prime_powers():
             moduli.append(m)
         return real(base, t, m)
 
-    for cached in (local.form_histogram, form_power_histogram, local._m_n_histogram):
+    for cached in (local.form_histogram, form_power_histogram, local._m_n_histogram, _d_table):
         cached.cache_clear()
     with mock.patch.object(local, "cyclic_power", spy):
         for k in (2, 3):
             for q in range(1, 101):
                 form_power_histogram(q, k, 2, 6)
-            s_form_all(49, k, 2, 6)
+            s_n_prime_q(49, 0, k, 2, 6, 1)
             local.m_n(7, 2, 4, k, 2, 6, 2)
     prime_powers = [q for q in range(1, 101) if len(factorize(q).entries) <= 1]
     assert moduli == prime_powers
@@ -154,11 +156,11 @@ def _d_table_per_residue(q, k, l, t, s, series):
     """The tables as one np.dot per residue on its own index row."""
     if q == 1:
         return np.array([1 + 0j])
-    units, sform = s_form_all(q, k, l, t)
-    coef = (sform / q**t) ** s
+    units = coprime_residues(q)
+    coef = (hist_dft_all(q, form_power_histogram(q, k, l, t), units) / q**t) ** s
     if series == "Sn":
-        _, sk = expsums.s_k_all(q, k)
-        _, wv = expsums.w_all(q, k)
+        sk = hist_dft_all(q, expsums.power_residue_histogram(q, k), units)
+        wv = hist_dft_all(q, expsums.power_residue_histogram(q, k, units_only=True), units)
         coef = coef * (sk / q) ** 2 * (wv / euler_phi(q)) ** 2
     om = omega_table(q)
     out = np.empty(q, dtype=np.complex128)
