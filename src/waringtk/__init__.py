@@ -14,7 +14,7 @@ Submodules:
   local      p-adic solution counts M_n(p^h), M*_n(p^h)
   singular   singular series factors S_n(q), S'_n(q) and truncations
   integral   weighted generating sums u, v, w and singular integrals
-  arcs       Hardy-Littlewood dissections and generating functions
+  arcs       Hardy-Littlewood dissections and the generating function f
   represent  exact global representation counting
   cli        command-line interface
 """

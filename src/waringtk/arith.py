@@ -11,9 +11,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from waringtk.errors import PreconditionError, ResourceError
-
-ENUM_BUDGET = 10**6  # brute-force residue enumeration cap
+from waringtk.errors import PreconditionError
 
 
 @dataclass(frozen=True)
@@ -167,36 +165,3 @@ def smallest_prime_factors(limit: int) -> list[int]:
                     spf[m] = p
     return spf
 
-
-def kth_power_residue_solutions(p: int, h: int, k: int, c: int) -> list[int]:
-    """All x in [0, p^h) with x^k == c (mod p^h), sorted.
-
-    Brute force when p^h is within the enumeration budget.  Above that,
-    solution sets are refined level by level starting from a brute-forced
-    base level: every solution mod p^(j+1) reduces to one mod p^j, so
-    lifting x -> x + i*p^j and filtering is exhaustive.  Refinement needs
-    p itself within budget and p not dividing c (counts then stay small).
-    """
-    if not is_prime(p):
-        raise PreconditionError(f"{p} is not prime")
-    q = p**h
-    if h < 1 or not 0 <= c < q or k < 2:
-        raise PreconditionError("need h >= 1, 0 <= c < p^h, k >= 2")
-    if q <= ENUM_BUDGET:
-        return [x for x in range(q) if pow(x, k, q) == c]
-    if c % p == 0 or p > ENUM_BUDGET:
-        raise ResourceError(
-            f"p^h = {q} exceeds the enumeration budget and lifting is unavailable"
-        )
-    # base level: largest j with p^j inside the budget (>= gamma since p^h is bigger)
-    j = 1
-    while p ** (j + 1) <= ENUM_BUDGET:
-        j += 1
-    pj = p**j
-    sols = [x for x in range(pj) if pow(x, k, pj) == c % pj]
-    while j < h:
-        pj1 = pj * p
-        cj = c % pj1
-        sols = [y for x in sols for y in range(x, pj1, pj) if pow(y, k, pj1) == cj]
-        pj, j = pj1, j + 1
-    return sorted(sols)

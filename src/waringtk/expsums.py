@@ -15,7 +15,6 @@ final accumulation (documented tolerance 1e-9 per summed term).
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from functools import lru_cache
@@ -97,20 +96,6 @@ def w_q(q: int, a: int, k: int) -> complex:
     return _hist_dft_at(q, power_residue_histogram(q, k, units_only=True), a)
 
 
-def s_k_linear(q: int, a: int, u: int, k: int) -> complex:
-    """S_k(q, a, -u) = sum_r e_q(a r^k - u r); a need not be coprime here."""
-    if q < 1:
-        raise PreconditionError("need q >= 1")
-    om = omega_table(q)
-    re = []
-    im = []
-    for r in range(1, q + 1):
-        w = om[(a * pow(r, k, q) - u * r) % q]
-        re.append(w.real)
-        im.append(w.imag)
-    return complex(math.fsum(re), math.fsum(im))
-
-
 @lru_cache(maxsize=256)
 def _s_l_table(q: int, l: int) -> np.ndarray:
     """S_l(q, u) for u = 0..q-1 (index u % q; u = q means u = 0)."""
@@ -178,16 +163,6 @@ def w_k_weight(q: int, k: int) -> float:
         else:
             out *= float(p) ** (-u - 1)
     return out
-
-
-def e_error(p: int, h: int, a: int, k: int, l: int, t: int) -> tuple[complex, float]:
-    """E(p^h, a) = S(p^h, a) - p^((t-1)h) S_k(p^h, a), with the reference
-    envelope p^(ht - h/k - (t/l - 1)) reported alongside."""
-    q = p**h
-    big = s_form(q, a, k, l, t)
-    main = p ** ((t - 1) * h) * s_k(q, a, k)
-    envelope = float(p) ** (h * t - h / k - (t / l - 1))
-    return big - main, envelope
 
 
 # ---------------------------------------------------------------------------

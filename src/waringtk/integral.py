@@ -26,7 +26,7 @@ N_BUDGET = 10**7
 
 
 def _x1(n: int, k: int) -> float:
-    """X1 = 2^(-1) (2k)^(-1/(k-1)) n^(1/k), the scale of the v and g supports."""
+    """X1 = 2^(-1) (2k)^(-1/(k-1)) n^(1/k), the scale of the v support."""
     if k < 2:
         raise PreconditionError(f"X1 needs k >= 2, got k={k}")
     return 0.5 * (2 * k) ** (-1.0 / (k - 1)) * n ** (1.0 / k)

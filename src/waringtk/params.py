@@ -27,11 +27,6 @@ def delta_r(r: int, l: int) -> float:
     return math.exp(1.0 - 2.0 * r / l)
 
 
-def capital_delta_r(r: int, l: int, k: int) -> float:
-    """delta_r * k(k+1)/2, the exponent loss in the mean-value bound."""
-    return delta_r(r, l) * k * (k + 1) / 2.0
-
-
 def varphi(k: int, t1: int, l: int) -> float:
     """1 - k(k+1) delta_{t1}/2 - 1/e, positive once t1/l is large enough."""
     return 1.0 - k * (k + 1) * delta_r(t1, l) / 2.0 - math.exp(-1.0)
@@ -40,13 +35,6 @@ def varphi(k: int, t1: int, l: int) -> float:
 def xi0(k: int, l: int) -> int:
     """ceil(l/2 * (log l + log(k(k+1)) + 2)), threshold for positive density."""
     return math.ceil(l / 2.0 * (math.log(l) + math.log(k * (k + 1)) + 2.0))
-
-
-def t0(l: int) -> float:
-    """l/2 * (log l + log log l + 2); o(1) term dropped at desk scale."""
-    if l < 3:
-        raise PreconditionError("t0 needs l >= 3 for log log l")
-    return l / 2.0 * (math.log(l) + math.log(math.log(l)) + 2.0)
 
 
 def c1_constant(k: int, l: int, t1: int) -> float:

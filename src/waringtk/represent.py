@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from waringtk.convolve import convolution_power, count_array, exact_product
-from waringtk.errors import PreconditionError, ResourceError
+from waringtk.errors import PreconditionError, ResourceError, require_integers
 from waringtk.integral import c_tl
 from waringtk.params import ProblemParams
 from waringtk.powersets import DEFAULT_ETA, _kth_power_cap, power_indicator, rep_count_table, restricted_power_sums
@@ -76,6 +76,7 @@ def form_power_base(n_max: int, k: int, l: int, t: int) -> np.ndarray:
 def count_conje(n_max: int, k: int, l: int, t: int, s: int, r_extra: int) -> CountVector:
     """Ordered solutions of n = sum_i T_t(x_i)^k + sum_j y_j^k, all
     variables positive integers."""
+    require_integers(n_max=n_max, k=k, l=l, t=t, s=s, r_extra=r_extra)
     if n_max > N_MAX_BUDGET:
         raise ResourceError(f"n_max {n_max} exceeds budget {N_MAX_BUDGET}")
     if n_max < 0:
@@ -99,6 +100,7 @@ def count_theorem13(
 ) -> CountVector:
     """Ordered solutions of n = sum_{i<=s} x_i^k with x_i in the value set
     of the xi-variable form; weighted=True counts preimage tuples."""
+    require_integers(n_max=n_max, k=k, l=l, xi=xi, s=s)
     if n_max > N_MAX_BUDGET:
         raise ResourceError(f"n_max {n_max} exceeds budget {N_MAX_BUDGET}")
     if n_max < 0:
@@ -189,15 +191,6 @@ def main_term(n: int, k: int, l: int, xi: int, s: int, Q: int = MAIN_TERM_Q) -> 
     return main_term_constant(k, l, xi, s) * n ** (s * xi / (k * l) - 1.0) * series
 
 
-def main_term_ratio(
-    vec: CountVector, n: int, k: int, l: int, xi: int, s: int, Q: int = MAIN_TERM_Q
-) -> float:
-    mt = main_term(n, k, l, xi, s, Q)
-    if mt <= 0:
-        raise PreconditionError(f"truncated series vanishes at n={n}; ratio undefined")
-    return vec[n] / mt
-
-
 def window_ratio(
     vec: CountVector,
     n_lo: int,
@@ -233,17 +226,6 @@ def window_ratio(
     if denom <= 0:
         raise PreconditionError("window-averaged main term is nonpositive")
     return float(np.mean(counts)) / denom
-
-
-def find_positivity_onset(vec: CountVector, width: int = 1000) -> int | None:
-    """Smallest N0 >= 1 with vec[n] > 0 for every n in [N0, N0 + width],
-    if any: the start of the first run of positive entries after index 0,
-    between two barriers (index 0, the zeros, index n_max + 1), that is
-    longer than width."""
-    zeros = np.flatnonzero(vec.entries[1:] <= 0) + 1
-    barriers = np.concatenate(([0], zeros, [vec.n_max + 1]))
-    long_runs = np.flatnonzero(np.diff(barriers) > width + 1)
-    return int(barriers[long_runs[0]]) + 1 if len(long_runs) else None
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from waringtk.arith import (
     factorize,
     gamma_exponent,
     is_prime,
-    kth_power_residue_solutions,
     nu_exponent,
     p_adic_valuation,
     sieve_primes,
@@ -78,18 +77,6 @@ def test_gamma_and_nu_exponents():
 def test_smallest_prime_factors():
     spf = smallest_prime_factors(30)
     assert spf[2] == 2 and spf[15] == 3 and spf[29] == 29 and spf[30] == 2
-
-
-@pytest.mark.parametrize("p,h,k,c", [(7, 1, 2, 2), (5, 2, 2, 11), (3, 3, 3, 26), (2, 5, 2, 17)])
-def test_kth_power_residues_brute(p, h, k, c):
-    q = p**h
-    expected = [x for x in range(q) if pow(x, k, q) == c % q]
-    assert kth_power_residue_solutions(p, h, k, c) == expected
-
-
-def test_kth_power_residue_no_solution():
-    # 2 is not a QR mod 5
-    assert kth_power_residue_solutions(5, 1, 2, 2) == []
 
 
 def test_factorize_rejects_zero():

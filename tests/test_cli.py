@@ -1,8 +1,13 @@
 import contextlib
 import csv
+import importlib
+import inspect
 import io
 import json
 import os
+import pathlib
+import pkgutil
+import re
 import subprocess
 import sys
 import time
@@ -518,6 +523,39 @@ def test_every_integer_flag_has_a_domain():
     """A new integer flag must declare its domain in _DOMAIN."""
     flags = {(path, flag) for path, (_, _, fl) in COMMANDS.items() for flag, kw in fl.items() if kw.get("type") is int}
     assert {(path, flag) for path, flag, _ in _BOUNDS} == flags
+
+
+# Public objects that no CLI row, bench op or script reaches: the second
+# routes the tests check production against, and S'_n(q), which criterion 3
+# reads.
+ORACLES = {
+    "count_oracle", "count_enumerate", "f_alpha_direct", "s_form_direct",
+    "rep_count_enumerate", "schoolbook_convolve", "v_beta", "w_beta", "s_n_prime_q",
+}
+
+
+def test_every_public_object_is_reached():
+    """Every top-level function or class of waringtk is named, as a word, in
+    cli.py, bench/workloads.py, scripts/*.py or the source of an object they
+    reach, except the oracles."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    roots = [root / "src" / "waringtk" / "cli.py", root / "bench" / "workloads.py", *sorted(root.glob("scripts/*.py"))]
+    objects: dict[str, list] = {}
+    for info in pkgutil.iter_modules(waringtk.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"waringtk.{info.name}")
+        for name, obj in vars(module).items():
+            if callable(obj) and getattr(obj, "__module__", None) == module.__name__:
+                objects.setdefault(name, []).append(inspect.unwrap(obj))
+    reached: set[str] = set()
+    texts = [path.read_text() for path in roots]
+    while texts:
+        words = set(re.findall(r"\w+", "\n".join(texts)))
+        new = (words & objects.keys()) - reached
+        reached |= new
+        texts = [inspect.getsource(obj) for name in new for obj in objects[name]]
+    assert {name for name in objects if not name.startswith("_")} - reached == ORACLES
 
 
 @pytest.mark.parametrize("path, flag, lo", _BOUNDS, ids=[" ".join([*p, f]) for p, f, _ in _BOUNDS])

@@ -9,14 +9,12 @@ from waringtk.errors import PreconditionError, ResourceError
 from waringtk.expsums import (
     HIST_Q_BUDGET,
     coprime_residues,
-    e_error,
     hist_dft_all,
     omega_table,
     power_residue_histogram,
     s_form,
     s_form_direct,
     s_k,
-    s_k_linear,
     w_k_weight,
     w_q,
     weight_bound_sweep,
@@ -63,14 +61,6 @@ def test_s_k_rejects_noncoprime():
         s_k(6, 3, 2)
 
 
-def test_s_k_linear_orthogonality():
-    # summing over the linear twist isolates r == 0 (mod q): the only
-    # surviving term is r = q, whose power-phase is 1, so the total is q
-    q, k = 9, 2
-    total = sum(s_k_linear(q, 1, u, k) for u in range(q))
-    assert abs(total - q) < 1e-8
-
-
 @pytest.mark.parametrize("q,k,l,t", [(2, 2, 2, 2), (3, 2, 2, 2), (4, 2, 2, 3), (5, 3, 2, 2), (5, 2, 3, 3)])
 def test_s_form_u_reduction_vs_direct(q, k, l, t):
     for a in range(1, q):
@@ -106,14 +96,6 @@ def test_w_k_weight_prime_power_cases():
     # multiplicative
     assert w_k_weight(45, k) == pytest.approx(w_k_weight(9, k) * w_k_weight(5, k))
     assert w_k_weight(1, k) == 1.0
-
-
-def test_e_error_envelope():
-    # E(p^h, a) stays under its envelope on small cases
-    for p, h in [(3, 1), (3, 2), (5, 1)]:
-        for a in (1, 2):
-            err, env = e_error(p, h, a, 2, 2, 4)
-            assert abs(err) <= env  # observed ratios are <= 2/3 on these cases
 
 
 def test_all_tables_match_pointwise():

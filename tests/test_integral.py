@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from waringtk.arcs import g_alpha
 from waringtk.errors import PreconditionError
 from waringtk.expsums import w_q
 from waringtk.integral import (
@@ -113,6 +112,25 @@ def test_j_singular_scaling():
     assert 1.0 < v2 / v1 < 2.0 ** 6
 
 
+@pytest.mark.parametrize("n, s", [(300, 0), (300, 1), (300, 2), (500, 2)])
+def test_j_singular_exact_matches_quadrature(n, s):
+    """J(n) = N^-1 sum_j v(j/N)^2 w(j/N)^2 u(j/N)^s e(-jn/N) with N = 8n:
+    the product's exponents lie in [0, (4 + s) n], so no alias lands on n."""
+    k, l, t = 2, 2, 8
+    N = 8 * n
+    total = 0j
+    for j in range(N):
+        beta = j / N
+        total += (
+            v_beta(beta, n, k) ** 2
+            * w_beta(beta, n, k) ** 2
+            * u_beta(beta, n, t, k, l) ** s
+            * np.exp(-2j * np.pi * j * n / N)
+        )
+    value, _ = j_singular_exact(n, s, k, l, t)
+    assert total.real / N == pytest.approx(value, rel=1e-9)
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -122,9 +140,8 @@ def test_j_singular_scaling():
         lambda: w_beta(0.1, 100, 0),
         lambda: v_support(100, 1),
         lambda: v_beta(0.1, 100, 1),
-        lambda: g_alpha(0.1, 1, 100),
     ],
-    ids=["w_q-q0", "w_q-q-4", "U_major-q0", "w_beta-k0", "v_support-k1", "v_beta-k1", "g_alpha-k1"],
+    ids=["w_q-q0", "w_q-q-4", "U_major-q0", "w_beta-k0", "v_support-k1", "v_beta-k1"],
 )
 def test_out_of_domain_arguments_are_precondition_errors(call):
     with pytest.raises(PreconditionError):

@@ -1,5 +1,4 @@
 import math
-import random
 from collections import Counter
 from itertools import product
 
@@ -17,11 +16,9 @@ from waringtk.represent import (
     count_enumerate,
     count_oracle,
     count_theorem13,
-    find_positivity_onset,
     k2_mean_value,
     main_term,
     main_term_constant,
-    main_term_ratio,
     q_m_table,
     window_ratio,
 )
@@ -80,9 +77,30 @@ def test_budget_and_precondition_gates():
         count_theorem13(100, 2, 2, 5, 0)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: count_theorem13(2e5, 2, 2, 5, 6),
+        lambda: count_theorem13(2000, 2.0, 2, 5, 6),
+        lambda: count_conje(2000.0, 2, 2, 8, 1, 1),
+    ],
+    ids=["thm13-nmax-float", "thm13-k-float", "conje-nmax-float"],
+)
+def test_non_integer_arguments_are_precondition_errors(call):
+    with pytest.raises(PreconditionError):
+        call()
+
+
+def test_numpy_integer_arguments_count_as_integers():
+    want = count_theorem13(2000, 2, 2, 5, 6).entries
+    assert np.array_equal(count_theorem13(np.int64(2000), 2, 2, 5, 6).entries, want)
+    want = count_conje(2000, 2, 2, 8, 1, 1).entries
+    assert np.array_equal(count_conje(np.int64(2000), 2, 2, 8, 1, 1).entries, want)
+
+
 def test_main_term_positive_and_ratio_finite():
     vec = count_theorem13(20000, 2, 2, 5, 6)
-    r = main_term_ratio(vec, 20000, 2, 2, 5, 6, Q=50)
+    r = vec[20000] / main_term(20000, 2, 2, 5, 6, Q=50)
     assert 0 < r < 1.0  # positive-variable deficit keeps this below 1
 
 
@@ -134,31 +152,6 @@ def test_scaling_exponent_over_a_decade():
     slope = math.log(hi / lo) / math.log(10)
     limit = s * xi / (k * l) - 1
     assert limit <= slope <= limit + 1.0
-
-
-def test_positivity_onset():
-    vec = count_conje(3000, 2, 2, 8, 11, 4)
-    assert find_positivity_onset(vec, width=1000) == 761
-    tiny = CountVector((0, 1, 0, 1), "toy")
-    assert find_positivity_onset(tiny, width=1) is None
-
-
-def test_positivity_onset_matches_running_count():
-    """The vectorised onset against a running count of positive entries."""
-
-    def running(entries, width):
-        run = 0
-        for n in range(1, len(entries)):
-            run = run + 1 if entries[n] > 0 else 0
-            if run >= width + 1:
-                return n - width
-        return None
-
-    rng = random.Random(3)
-    for _ in range(300):
-        entries = [int(rng.random() < 0.8) for _ in range(rng.randrange(1, 40))]
-        width = rng.randrange(0, 8)
-        assert find_positivity_onset(CountVector(entries, "toy"), width) == running(entries, width)
 
 
 def test_count_vector_entries():
