@@ -119,12 +119,11 @@ def classify_mm(alpha: float, n: int, k: int, M: float) -> ArcPoint:
 
 def f_alpha(alpha: float, k: int, table: PowerSumTable) -> complex:
     """f(alpha) = sum_m rho_t[m] e(alpha m^k) over the table support."""
-    rho = np.array(table.rho, dtype=np.float64)
-    support = np.nonzero(rho)[0]
-    support = support[support >= 1]
+    support = np.flatnonzero(table.rho[1:]) + 1
     # exact k-th powers, each rounded once to float64 as float * int rounds it
     mk = (support.astype(object) ** k).astype(np.float64)
-    return complex(np.dot(rho[support], np.exp(2j * np.pi * ((alpha * mk) % 1.0))))
+    weights = table.rho[support].astype(np.float64)
+    return complex(np.dot(weights, np.exp(2j * np.pi * ((alpha * mk) % 1.0))))
 
 
 def f_alpha_direct(alpha: float, k: int, l: int, t: int, limit: int) -> complex:

@@ -108,7 +108,7 @@ def _sieve(powersets, args, header):
             "t": args.t,
             "limit": args.limit,
             "distinct": powersets.distinct_count(table, args.limit),
-            "mass": sum(table.rho),
+            "mass": sum(table.rho.tolist()),
         }
     ]
 

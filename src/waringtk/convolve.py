@@ -33,8 +33,8 @@ is the widest width with
 min(L_a, L_b) (2^w - 1)^2 sqrt(n_a n_b) c log2(N) 2^-53 <= 1/4,
 which also keeps every exact output limb below 2^53.
 
-The dispatch (_product, behind exact_product, exact_convolve,
-cyclic_convolve and the powers) cuts both operands to the kept length
+The dispatch (_product, behind exact_product, cyclic_convolve and the
+powers) cuts both operands to the kept length
 and works from the a-priori bound on the output entries,
 min(sum(a) * max(b), sum(b) * max(a)). Below 2^63 np.convolve and the
 direct kernel accumulate in plain int64 (every partial sum of
@@ -101,6 +101,17 @@ def count_array(a: list[int] | np.ndarray) -> np.ndarray:
         return np.asarray(a, dtype=np.int64)
     except OverflowError:
         return np.array(a, dtype=object)
+
+
+def read_only_counts(a: list[int] | np.ndarray) -> np.ndarray:
+    """A read-only copy of the nonnegative counts a, as count_array gives
+    them."""
+    counts = count_array(a)
+    counts = counts.copy() if counts is a else counts
+    if len(counts) and counts.min() < 0:
+        raise PreconditionError("counts must be nonnegative")
+    counts.flags.writeable = False
+    return counts
 
 
 def _total(arr: np.ndarray) -> int:
@@ -260,7 +271,7 @@ def _product(a: np.ndarray, b: np.ndarray, trunc: int | None) -> np.ndarray:
     short = len(a) * len(b) <= _SCHOOLBOOK_CAP
     negative = a.min() < 0 or b.min() < 0
     if negative and not short:
-        raise PreconditionError("exact_convolve needs nonnegative entries beyond the schoolbook cap")
+        raise PreconditionError("an exact product needs nonnegative entries beyond the schoolbook cap")
     max_a, max_b = int(a.max()), int(b.max())
     bound = None if negative else min(_total(a) * max_b, _total(b) * max_a) + 1
     if short:
@@ -293,11 +304,6 @@ def exact_product(a: list[int] | np.ndarray, b: list[int] | np.ndarray, trunc: i
     if trunc is not None and trunc < 0:
         raise PreconditionError(f"trunc must be nonnegative, got {trunc}")
     return _product(*_operands(a, b), trunc)
-
-
-def exact_convolve(a: list[int], b: list[int], trunc: int | None = None) -> list[int]:
-    """exact_product as a list of Python ints."""
-    return exact_product(a, b, trunc).tolist()
 
 
 def cyclic_convolve(a: list[int] | np.ndarray, b: list[int] | np.ndarray, m: int) -> np.ndarray:

@@ -211,10 +211,10 @@ def weight_bound_sweep(Q: int, k: int, which: str = "Sk") -> float:
     return best
 
 
-def weight_sum_growth(Q_grid: list[int], k: int, s: int | None = None) -> list[dict]:
-    """Rows of (Q, sum w_k(q)^2, sum q w_k(q)^s) for an epsilon-growth check."""
-    if s is None:
-        s = max(4, k + 1)
+def weight_sum_growth(Q_grid: list[int], k: int) -> list[dict]:
+    """Rows of (Q, sum w_k(q)^2, sum q w_k(q)^s), s = max(4, k + 1), for an
+    epsilon-growth check."""
+    s = max(4, k + 1)
     if sorted(Q_grid) != list(Q_grid):
         raise PreconditionError("Q_grid must be ascending")
     rows = []

@@ -141,11 +141,9 @@ def _check_jprime_args(n: int, xi: int, k: int, l: int) -> None:
 
 
 def j_prime_exact(n: int, s: int, xi: int, k: int, l: int) -> float:
-    """J'_s(n) as the weighted composition count, exact convolution.
-
-    s = 2 is a direct O(n) sum (and is exactly k^-2 (n-1) when xi = kl);
-    s >= 3 goes through the FFT convolution chain.
-    """
+    """J'_s(n) as the weighted composition count: s - 2 FFT convolutions,
+    then one dot product for the entry at n (k^-2 (n-1) when s = 2 and
+    xi = kl)."""
     if s < 2:
         raise PreconditionError("need s >= 2")
     _check_jprime_args(n, xi, k, l)
@@ -153,9 +151,6 @@ def j_prime_exact(n: int, s: int, xi: int, k: int, l: int) -> float:
         raise ResourceError("n exceeds the singular-integral budget")
     if n < s:
         return 0.0
-    if s == 2:
-        w = _u_weights(n - 1, xi, k, l)[0]  # read backwards, the weights of n - m
-        return float(np.sum(w * w[::-1])) / k**2
     w = _on_grid(_u_weights(n, xi, k, l)[0], n)
     acc = w
     for _ in range(s - 2):

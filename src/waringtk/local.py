@@ -192,19 +192,15 @@ def check_lemma_hypotheses(p: int, k: int, l: int, t: int, s: int, which: str) -
         )
 
 
-def verify_local_solubility(
-    p: int, k: int, l: int, t: int, s: int, which: str = "M", level: int | None = None
-) -> SolubilityReport:
-    """Positivity of M_n (at level gamma) or M*_n (at level nu) for every
-    residue class n.  Hypotheses are checked mechanically first."""
+def verify_local_solubility(p: int, k: int, l: int, t: int, s: int, which: str = "M") -> SolubilityReport:
+    """Positivity of M_n (at level gamma) or M*_n (at level nu, both at
+    least 1) for every residue class n.  Hypotheses are checked
+    mechanically first."""
     if which not in ("M", "Mstar"):
         raise PreconditionError(f"which must be 'M' or 'Mstar', got {which!r}")
-    _check_local_args(p, level or 0, k, l, t, s)
+    _check_local_args(p, 0, k, l, t, s)  # h = 0 checks no level; the derived one is at least 1
     check_lemma_hypotheses(p, k, l, t, s, which)
-    if level is None:
-        level = gamma_exponent(p, k) if which == "M" else nu_exponent(p, k, l)
-    if level == 0:
-        return SolubilityReport(p=p, level=0, which=which, counts=(1,))
+    level = gamma_exponent(p, k) if which == "M" else nu_exponent(p, k, l)
     if which == "M":
         hist = _m_n_histogram(p, level, k, l, t, s)
     else:

@@ -37,21 +37,6 @@ def xi0(k: int, l: int) -> int:
     return math.ceil(l / 2.0 * (math.log(l) + math.log(k * (k + 1)) + 2.0))
 
 
-def c1_constant(k: int, l: int, t1: int) -> float:
-    return (k * (k + 1) * 2 ** (k + 1) * t1**k) ** (-1.0 / (l * k))
-
-
-def c2_constant(k: int, l: int) -> float:
-    return min(
-        (2 * l * k) ** (-1.0 / l),
-        (k * (k + 1) * 2 ** (k + 1) * l**k) ** (-1.0 / (l * k)),
-    )
-
-
-def c3_constant(k: int, l: int, xi1: int) -> float:
-    return (2 ** (k + 1) * k * (k + 1)) ** (-1.0 / (k * l)) * xi1 ** (-1.0 / l)
-
-
 @dataclass(frozen=True)
 class ProblemParams:
     """The global tuple (k, l, t, xi) for a target n."""
@@ -86,17 +71,20 @@ class ProblemParams:
     def c1(self) -> float:
         if self.t1 < 1:
             raise PreconditionError("C1 needs t1 = t - l >= 1")
-        return c1_constant(self.k, self.l, self.t1)
+        k, l = self.k, self.l
+        return (k * (k + 1) * 2 ** (k + 1) * self.t1**k) ** (-1.0 / (l * k))
 
     @property
     def c2(self) -> float:
-        return c2_constant(self.k, self.l)
+        k, l = self.k, self.l
+        return min((2 * l * k) ** (-1.0 / l), (k * (k + 1) * 2 ** (k + 1) * l**k) ** (-1.0 / (l * k)))
 
     @property
     def c3(self) -> float:
         if self.xi1 < 1:
             raise PreconditionError("C3 needs xi1 = xi - 1 >= 1")
-        return c3_constant(self.k, self.l, self.xi1)
+        k, l = self.k, self.l
+        return (2 ** (k + 1) * k * (k + 1)) ** (-1.0 / (k * l)) * self.xi1 ** (-1.0 / l)
 
     @property
     def p1(self) -> int:
@@ -105,7 +93,3 @@ class ProblemParams:
     @property
     def p2(self) -> int:
         return math.floor(self.c2 * self.P)
-
-    @property
-    def p3(self) -> float:
-        return self.c3 * self.P

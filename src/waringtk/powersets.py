@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from waringtk.arith import smallest_prime_factors
-from waringtk.convolve import convolution_power
+from waringtk.convolve import convolution_power, read_only_counts
 from waringtk.errors import PreconditionError, ResourceError
 from waringtk.params import delta_r
 
@@ -25,18 +25,24 @@ DEFAULT_ETA = 0.25
 CACHE_MAGIC = b"WFC1"
 CACHE_VERSION = 1
 CACHE_HEADER_BYTES = 32  # magic, version u32, l/t/limit u64
+_U64 = np.dtype("<u8")  # a cached count
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PowerSumTable:
-    """Exact ordered-representation counts rho over [0..limit]."""
+    """Exact ordered-representation counts rho over [0..limit].
+
+    rho is a read-only copy of the given counts, in the count_array rule:
+    an int64 array, or an object array of Python ints when an entry
+    reaches 2^63."""
 
     l: int
     t: int
     limit: int
-    rho: tuple[int, ...]
+    rho: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "rho", read_only_counts(self.rho))
         if len(self.rho) != self.limit + 1:
             raise PreconditionError("rho length must be limit + 1")
 
@@ -82,7 +88,7 @@ def rep_count_table(l: int, t: int, limit: int) -> PowerSumTable:
         raise ResourceError(f"limit {limit} exceeds budget {N_BUDGET}")
     base = power_indicator(l, limit)
     rho = convolution_power(base, t, trunc=limit + 1)
-    return PowerSumTable(l=l, t=t, limit=limit, rho=tuple(rho.tolist()))
+    return PowerSumTable(l=l, t=t, limit=limit, rho=rho)
 
 
 def rep_count_enumerate(l: int, t: int, limit: int) -> list[int]:
@@ -110,7 +116,7 @@ def distinct_count(table: PowerSumTable, limit: int) -> int:
     """#{m <= limit : rho[m] > 0}."""
     if limit > table.limit:
         raise PreconditionError("limit exceeds table coverage")
-    return sum(1 for m in range(1, limit + 1) if table.rho[m] > 0)
+    return int(np.count_nonzero(table.rho[1 : limit + 1]))
 
 
 def smooth_set(Y: int, R: int) -> list[int]:
@@ -139,20 +145,14 @@ def realized_smoothness_bound(Y: int, eta: float) -> int:
     return max(2, math.floor(Y**eta))
 
 
-def restricted_power_sums(
-    r: int,
-    l: int,
-    Y: int,
-    eta: float = DEFAULT_ETA,
-    R: int | None = None,
-) -> SmoothPowerSumSet:
-    """S_r(Y): distinct sums of r l-th powers of smooth integers."""
+def restricted_power_sums(r: int, l: int, Y: int, eta: float = DEFAULT_ETA) -> SmoothPowerSumSet:
+    """S_r(Y): distinct sums of r l-th powers of R-smooth integers,
+    R = realized_smoothness_bound(Y, eta)."""
     if r < 1 or l < 1 or Y < 0:
         raise PreconditionError(f"need r, l >= 1 and Y >= 0, got r={r}, l={l}, Y={Y}")
     if r * Y**l > N_BUDGET:
         raise ResourceError(f"r * Y^l = {r * Y ** l} exceeds budget")
-    if R is None:
-        R = realized_smoothness_bound(Y, eta)
+    R = realized_smoothness_bound(Y, eta)
     powers = [x**l for x in smooth_set(Y, R)]
     values = set(powers)
     for _ in range(r - 1):
@@ -218,7 +218,7 @@ def write_table_cache(table: PowerSumTable, path: str) -> None:
 
     The file is written under a temporary name and renamed into place,
     so a reader never sees a partly written table."""
-    if any(c >= 1 << 64 for c in table.rho):
+    if len(table.rho) and table.rho.max() >= 1 << 64:
         raise PreconditionError("a count exceeds u64; refusing to write cache")
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"
@@ -226,7 +226,7 @@ def write_table_cache(table: PowerSumTable, path: str) -> None:
         fh.write(CACHE_MAGIC)
         fh.write(struct.pack("<I", CACHE_VERSION))
         fh.write(struct.pack("<QQQ", table.l, table.t, table.limit))
-        fh.write(struct.pack(f"<{len(table.rho)}Q", *table.rho))
+        fh.write(table.rho.astype(_U64).tobytes())
     os.replace(tmp, path)
 
 
@@ -246,5 +246,6 @@ def read_table_cache(path: str) -> PowerSumTable:
     want = CACHE_HEADER_BYTES + 8 * (limit + 1)
     if len(data) != want:
         raise PreconditionError(f"cache file {path} has {len(data)} bytes, its header needs {want}")
-    rho = struct.unpack_from(f"<{limit + 1}Q", data, CACHE_HEADER_BYTES)
+    rho = np.frombuffer(data, dtype=_U64, offset=CACHE_HEADER_BYTES)
+    rho = rho.astype(object if len(rho) and rho.max() >= 1 << 63 else np.int64)
     return PowerSumTable(l=l, t=t, limit=limit, rho=rho)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from waringtk.convolve import convolution_power, count_array, exact_product
+from waringtk.convolve import convolution_power, exact_product, read_only_counts
 from waringtk.errors import PreconditionError, ResourceError, require_integers
 from waringtk.integral import c_tl
 from waringtk.params import ProblemParams
@@ -43,12 +43,7 @@ class CountVector:
     provenance: str
 
     def __post_init__(self):
-        entries = count_array(self.entries)  # a copy unless self.entries was int64 already
-        entries = entries.copy() if entries is self.entries else entries
-        if len(entries) and entries.min() < 0:
-            raise PreconditionError("counts must be nonnegative")
-        entries.flags.writeable = False
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "entries", read_only_counts(self.entries))
 
     @property
     def n_max(self) -> int:
@@ -67,9 +62,8 @@ def form_power_base(n_max: int, k: int, l: int, t: int) -> np.ndarray:
     an int64 array (object when a weight reaches 2^63)."""
     cap = _kth_power_cap(n_max, k)
     rho = rep_count_table(l, t, cap).rho
-    weights = count_array(rho[1:])
-    base = np.zeros(n_max + 1, dtype=weights.dtype)
-    base[np.arange(1, cap + 1) ** k] = weights
+    base = np.zeros(n_max + 1, dtype=rho.dtype)
+    base[np.arange(1, cap + 1) ** k] = rho[1:]
     return base
 
 
@@ -233,12 +227,11 @@ def window_ratio(
 # ---------------------------------------------------------------------------
 
 
-def q_m_table(params: ProblemParams, H: int | None = None, eta: float = DEFAULT_ETA) -> CountVector:
+def q_m_table(params: ProblemParams, eta: float = DEFAULT_ETA) -> CountVector:
     """Q(m): ordered ways to write m = sum_{i<=H} (y_i + z_i)^k over
     (y, z) in S1 x S2, H = k(k+1); verifies the support claim m <= n/2."""
     k = params.k
-    if H is None:
-        H = k * (k + 1)
+    H = k * (k + 1)
     s1 = restricted_power_sums(params.t1, params.l, params.p1, eta).values
     s2 = restricted_power_sums(params.l, params.l, params.p2, eta).values
     pair_max = (max(s1) + max(s2)) ** k
@@ -254,15 +247,10 @@ def q_m_table(params: ProblemParams, H: int | None = None, eta: float = DEFAULT_
     return CountVector(out, f"qm k={k} H={H} P1={params.p1} P2={params.p2}")
 
 
-def k2_mean_value(
-    t: int,
-    X_cap: int,
-    l: int = 2,
-    Y: int | None = None,
-    eta: float = DEFAULT_ETA,
-) -> tuple[int, int]:
+def k2_mean_value(t: int, X_cap: int, l: int = 2, Y: int | None = None) -> tuple[int, int]:
     """(diagonal, offdiagonal) counts of x_1^2 + y_1^2 + y_2^2 =
-    x_2^2 + y_3^2 + y_4^2 with X/2 <= x_i <= X and y_i in S_t(Y).
+    x_2^2 + y_3^2 + y_4^2 with X/2 <= x_i <= X and y_i in S_t(Y) at
+    eta = DEFAULT_ETA.
 
     Split by x_1 = x_2 vs x_1 != x_2; the y-pairs enter only through the
     histogram of y_1^2 + y_2^2 values, joined across the two sides.
@@ -271,7 +259,7 @@ def k2_mean_value(
         raise PreconditionError(f"need X >= 0, got {X_cap}")
     if Y is None:
         Y = max(2, math.floor(X_cap ** (1.0 / l)))
-    values = restricted_power_sums(t, l, Y, eta).values
+    values = restricted_power_sums(t, l, Y).values
     if len(values) ** 2 * X_cap > 10**8:
         raise ResourceError("k=2 mean-value instance too large")
     hist: Counter = Counter()

@@ -123,42 +123,37 @@ def truncated_series(
     s: int,
     series: str = "Sn",
     variant: str = "full",
-    prime_cutoff: int = DEFAULT_PRIME_CUTOFF,
-    ph_cutoff: int = DEFAULT_PH_CUTOFF,
 ) -> SeriesTruncation:
     """Truncation of the singular series (series='Sn') or its form-only
     analogue (series='SnPrime').
 
     variant='full': direct sum over q <= Q.
-    variant='prime': Euler product over p <= prime_cutoff, p^h <= ph_cutoff.
+    variant='prime': Euler product over p <= DEFAULT_PRIME_CUTOFF,
+    p^h <= DEFAULT_PH_CUTOFF (Q is not read).
     """
     if series not in ("Sn", "SnPrime"):
         raise PreconditionError(f"series must be 'Sn' or 'SnPrime', got {series!r}")
     if variant not in ("full", "prime"):
         raise PreconditionError(f"variant must be 'full' or 'prime', got {variant!r}")
-    _check_series_args(Q if variant == "full" else ph_cutoff, k, l, t, s)
+    cutoff = Q if variant == "full" else DEFAULT_PH_CUTOFF
+    _check_series_args(cutoff, k, l, t, s)
     if variant == "full":
         terms = [_d_table(q, k, l, t, s, series)[n] for q in range(1, Q + 1)]
         total = complex(sum(terms))
-        return SeriesTruncation(
-            value=total.real,
-            per_q_terms=tuple(terms),
-            tail_estimate=Q ** (-1.0 / k),
-            imag_residual=abs(total.imag),
-        )
-    factors = []
-    for p in sieve_primes(prime_cutoff):
-        sigma = 1 + 0j
-        h = 1
-        while p**h <= ph_cutoff:
-            sigma += _d_table(p**h, k, l, t, s, series)[n]
-            h += 1
-        factors.append(sigma)
-    total = complex(math.prod(factors))
+    else:
+        terms = []
+        for p in sieve_primes(DEFAULT_PRIME_CUTOFF):
+            sigma = 1 + 0j
+            h = 1
+            while p**h <= cutoff:
+                sigma += _d_table(p**h, k, l, t, s, series)[n]
+                h += 1
+            terms.append(sigma)
+        total = complex(math.prod(terms))
     return SeriesTruncation(
         value=total.real,
-        per_q_terms=tuple(factors),
-        tail_estimate=ph_cutoff ** (-1.0 / k),
+        per_q_terms=tuple(terms),
+        tail_estimate=cutoff ** (-1.0 / k),
         imag_residual=abs(total.imag),
     )
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from waringtk.arith import (
+    FACTOR_BUDGET,
     euler_phi,
     factorize,
     gamma_exponent,
@@ -14,7 +15,7 @@ from waringtk.arith import (
     sieve_primes,
     smallest_prime_factors,
 )
-from waringtk.errors import PreconditionError
+from waringtk.errors import PreconditionError, ResourceError
 
 
 def trial_factor(n):
@@ -82,3 +83,13 @@ def test_smallest_prime_factors():
 def test_factorize_rejects_zero():
     with pytest.raises(PreconditionError):
         factorize(0)
+
+
+def test_factorize_budget():
+    """Trial division runs up to FACTOR_BUDGET = 2^40 and refuses above it;
+    primality of larger numbers stays with Miller-Rabin."""
+    assert factorize(FACTOR_BUDGET).entries == ((2, 40),)
+    assert factorize(1099511627689).entries == ((1099511627689, 1),)  # the largest prime below 2^40
+    with pytest.raises(ResourceError):
+        factorize(FACTOR_BUDGET + 1)
+    assert is_prime(10**18 + 3) and not is_prime((10**9 + 7) * (10**9 + 9))

@@ -1,15 +1,20 @@
+import ast
+import collections
 import contextlib
 import csv
+import dataclasses
+import functools
 import importlib
+import importlib.util
 import inspect
 import io
 import json
 import os
 import pathlib
 import pkgutil
-import re
 import subprocess
 import sys
+import textwrap
 import time
 
 import pytest
@@ -532,14 +537,43 @@ ORACLES = {
     "count_oracle", "count_enumerate", "f_alpha_direct", "s_form_direct",
     "rep_count_enumerate", "schoolbook_convolve", "v_beta", "w_beta", "s_n_prime_q",
 }
+# Defaulted parameters that no production call passes. window_ratio's Q is
+# main_term's cutoff (which the CLI sets) applied to a window; its
+# FFT-route test checks every offset only at a small Q.
+UNSET_DEFAULTS = {("window_ratio", "Q")}
+
+_ROOT = pathlib.Path(__file__).resolve().parents[1]
+_SCRIPTS = sorted(_ROOT.glob("scripts/*.py"))
 
 
-def test_every_public_object_is_reached():
-    """Every top-level function or class of waringtk is named, as a word, in
-    cli.py, bench/workloads.py, scripts/*.py or the source of an object they
-    reach, except the oracles."""
-    root = pathlib.Path(__file__).resolve().parents[1]
-    roots = [root / "src" / "waringtk" / "cli.py", root / "bench" / "workloads.py", *sorted(root.glob("scripts/*.py"))]
+def _references(tree: ast.AST) -> set[str]:
+    """The names, attribute names and imported names that tree's code uses."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.alias):
+            refs.add(node.name)
+    return refs
+
+
+def _bench_op_names() -> set[str]:
+    """The function names of the op strings of bench/workloads.py."""
+    spec = importlib.util.spec_from_file_location("_workloads", _ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    chains = [chain for name in workloads.WORKLOADS for chain in workloads.all_chains(name)]
+    return {op.rpartition(".")[2] for chain in chains for op, _, _ in chain}
+
+
+@functools.cache
+def _production() -> tuple[dict[str, list], set[str], list[ast.AST]]:
+    """(every top-level function or class of waringtk by name, lru caches
+    unwrapped; the names of those that cli.py, bench/workloads.py or
+    scripts/*.py reach, directly or through the source of an object
+    reached; the syntax trees of those roots and sources)."""
     objects: dict[str, list] = {}
     for info in pkgutil.iter_modules(waringtk.__path__):
         if info.name == "__main__":
@@ -548,14 +582,73 @@ def test_every_public_object_is_reached():
         for name, obj in vars(module).items():
             if callable(obj) and getattr(obj, "__module__", None) == module.__name__:
                 objects.setdefault(name, []).append(inspect.unwrap(obj))
-    reached: set[str] = set()
-    texts = [path.read_text() for path in roots]
-    while texts:
-        words = set(re.findall(r"\w+", "\n".join(texts)))
-        new = (words & objects.keys()) - reached
+    roots = [_ROOT / "src" / "waringtk" / "cli.py", _ROOT / "bench" / "workloads.py", *_SCRIPTS]
+    pending = [ast.parse(path.read_text()) for path in roots]
+    trees, refs, reached = [], _bench_op_names(), set()
+    while pending:
+        trees += pending
+        refs = refs.union(*map(_references, pending))
+        new = (refs & objects.keys()) - reached
         reached |= new
-        texts = [inspect.getsource(obj) for name in new for obj in objects[name]]
+        pending = [ast.parse(textwrap.dedent(inspect.getsource(obj))) for name in new for obj in objects[name]]
+    return objects, reached, trees
+
+
+def test_every_public_object_is_reached():
+    """Every top-level function or class of waringtk is referred to, by a
+    name, an attribute or an import, in cli.py, bench/workloads.py (its code
+    or its op strings), scripts/*.py or the source of an object they reach,
+    except the oracles."""
+    objects, reached, _ = _production()
     assert {name for name in objects if not name.startswith("_")} - reached == ORACLES
+
+
+def test_every_defaulted_parameter_is_set():
+    """Every defaulted parameter of a public waringtk function or dataclass
+    is passed, by position or by keyword, by some call in the roots or the
+    reached source of test_every_public_object_is_reached, except
+    UNSET_DEFAULTS. A call with *args or **kwargs passes every parameter."""
+    objects, _, trees = _production()
+    passed = collections.defaultdict(set)  # callee name -> positions and keywords some call passes
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, ast.Call):
+            callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+            starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+            passed[callee] |= {None} if starred else set(range(len(node.args)))
+            passed[callee] |= {kw.arg for kw in node.keywords}
+    unset = set()
+    for name, objs in objects.items():
+        for obj in objs:
+            if name.startswith("_") or not (inspect.isfunction(obj) or dataclasses.is_dataclass(obj)):
+                continue
+            for i, param in enumerate(inspect.signature(obj).parameters.values()):
+                ways = {param.name, None} | ({i} if param.kind is param.POSITIONAL_OR_KEYWORD else set())
+                if param.default is not param.empty and not ways & passed[name]:
+                    unset.add((name, param.name))
+    assert unset == UNSET_DEFAULTS
+
+
+# the arguments of each script's run and a line of its header
+_SCRIPT_RUNS = {
+    "density_sweep.py": ([], "r,l,Y,cardinality,pointwise_exponent,pair_slope,reference_exponent,grid_exponent"),
+    "main_term_scan.py": (["20000"], "window_lo,window_hi,ratio"),
+    "stability_report.py": ([], "== w_k majorant constants (q-range doubling) =="),
+}
+
+
+@pytest.mark.parametrize("script", list(_SCRIPT_RUNS))
+def test_script_runs(script):
+    """Each script of scripts/, a root of the guards above, exits 0 and
+    prints its header."""
+    assert sorted(path.name for path in _SCRIPTS) == sorted(_SCRIPT_RUNS)
+    args, header = _SCRIPT_RUNS[script]
+    src = os.path.dirname(os.path.dirname(waringtk.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, str(_ROOT / "scripts" / script), *args], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert header in proc.stdout.splitlines()
 
 
 @pytest.mark.parametrize("path, flag, lo", _BOUNDS, ids=[" ".join([*p, f]) for p, f, _ in _BOUNDS])

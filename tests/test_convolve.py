@@ -14,7 +14,7 @@ from waringtk.convolve import (
     convolution_power,
     cyclic_convolve,
     cyclic_power,
-    exact_convolve,
+    exact_product,
     float_convolve,
     schoolbook_convolve,
 )
@@ -23,10 +23,14 @@ from waringtk.errors import PreconditionError
 vec = st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=300)
 
 
+def exact_list(a, b, trunc=None):
+    return exact_product(a, b, trunc).tolist()
+
+
 @given(vec, vec)
 @settings(max_examples=60, deadline=None)
 def test_exact_matches_schoolbook(a, b):
-    assert exact_convolve(a, b) == schoolbook_convolve(a, b)
+    assert exact_list(a, b) == schoolbook_convolve(a, b)
 
 
 def test_fft_path_matches_schoolbook_long():
@@ -34,7 +38,7 @@ def test_fft_path_matches_schoolbook_long():
     a = rng.integers(0, 10**9, 2048).tolist()
     b = rng.integers(0, 10**9, 2048).tolist()
     # 2048*2048 > 2^17 and the dense rows send it to the FFT kernel
-    assert exact_convolve(a, b) == schoolbook_convolve(a, b)
+    assert exact_list(a, b) == schoolbook_convolve(a, b)
 
 
 def test_huge_entries_split_into_int64_words():
@@ -51,7 +55,7 @@ def test_huge_entries_split_into_int64_words():
         return real(arr_a, arr_b, keep, bound, plan)
 
     with mock.patch.object(convolve, "_fft_product", spy):
-        assert exact_convolve(a, b) == schoolbook_convolve(a, b)
+        assert exact_list(a, b) == schoolbook_convolve(a, b)
     assert len(bounds) == 1 and bounds[0] >= 1 << 63
 
 
@@ -76,7 +80,7 @@ def test_convolution_power_matches_repeats():
             for trunc in (1, 7, 20, 70):
                 acc = base
                 for _ in range(t - 1):
-                    acc = exact_convolve(acc, base, trunc=trunc)
+                    acc = exact_list(acc, base, trunc=trunc)
                 acc = acc[:trunc] + [0] * (trunc - len(acc))
                 assert convolution_power(base, t, trunc).tolist() == acc, (base, t, trunc)
             cyc = base
@@ -124,8 +128,8 @@ def test_cyclic_power_mass():
 
 def test_truncation_is_exact_prefix():
     a = list(range(1, 50))
-    full = exact_convolve(a, a)
-    assert exact_convolve(a, a, trunc=10) == full[:10]
+    full = exact_list(a, a)
+    assert exact_list(a, a, trunc=10) == full[:10]
 
 
 def test_float_convolve_matches_exact():
@@ -138,7 +142,7 @@ def test_float_convolve_matches_exact():
 
 
 def test_empty_inputs():
-    assert exact_convolve([], [1, 2]) == []
+    assert exact_list([], [1, 2]) == []
     assert convolution_power([], 3, trunc=4).tolist() == [0, 0, 0, 0]
 
 
@@ -146,7 +150,7 @@ def test_short_product_beyond_int64():
     """A short product whose output bound passes 2^63 runs on object
     arrays, here past 2^600."""
     a, b = [2**300, 1], [2**300]
-    assert exact_convolve(a, b) == schoolbook_convolve(a, b)
+    assert exact_list(a, b) == schoolbook_convolve(a, b)
 
 
 @pytest.mark.parametrize(
@@ -266,10 +270,10 @@ def test_fft_path_matches_schoolbook(seed, len_a, len_b, bits_a, bits_b, trunc):
     a, b = _vector(rng, len_a, bits_a), _vector(rng, len_b, bits_b)
     want = schoolbook_convolve(a, b)
     with _kernel("fft") as fft_calls:
-        assert exact_convolve(a, b) == want
-        assert exact_convolve(a, b, trunc=trunc) == want[:trunc]
+        assert exact_list(a, b) == want
+        assert exact_list(a, b, trunc=trunc) == want[:trunc]
         # a square passes the same object twice and takes one set of forward transforms
-        assert exact_convolve(a, a, trunc=trunc) == schoolbook_convolve(a, a)[:trunc]
+        assert exact_list(a, a, trunc=trunc) == schoolbook_convolve(a, a)[:trunc]
     # the direct kernel's work on an all-zero operand is 0, so only it skips the transforms
     assert bool(fft_calls) == any(a)
 
@@ -324,9 +328,9 @@ def _wide_and_long(a: list[int], b: list[int]) -> bool:
 def test_direct_path_matches_schoolbook(a, b, trunc):
     want = schoolbook_convolve(a, b)
     with _kernel("direct") as fft_calls:
-        assert exact_convolve(a, b) == want
-        assert exact_convolve(a, b, trunc=trunc) == want[:trunc]
-        assert exact_convolve(a, a, trunc=trunc) == schoolbook_convolve(a, a)[:trunc]
+        assert exact_list(a, b) == want
+        assert exact_list(a, b, trunc=trunc) == want[:trunc]
+        assert exact_list(a, a, trunc=trunc) == schoolbook_convolve(a, a)[:trunc]
     # a product kept to trunc entries is routed on its operands' first trunc
     # entries; the truncated a * b is wide and long only if the full one is
     assert bool(fft_calls) == (_wide_and_long(a, b) or _wide_and_long(a[:trunc], a[:trunc]))
@@ -424,13 +428,13 @@ def test_sparse_square_skips_the_fft(monkeypatch):
         raise AssertionError("the FFT kernel called for a sparse square")
 
     monkeypatch.setattr(convolve, "_fft_product", no_fft)
-    assert exact_convolve(squares, squares, trunc=n + 1) == want
+    assert exact_list(squares, squares, trunc=n + 1) == want
     assert convolution_power(squares, 2, n + 1).tolist() == want
 
 
 def test_negative_trunc_is_a_precondition_error():
     with pytest.raises(PreconditionError):
-        exact_convolve([1, 2], [3, 4], trunc=-1)
+        exact_list([1, 2], [3, 4], trunc=-1)
     with pytest.raises(PreconditionError):
         convolution_power([1, 2], 2, trunc=-1)
 
@@ -462,8 +466,8 @@ def test_long_products_match_kronecker(len_a, len_b, bits):
         a = [x | 1 << 300 for x in a]
     square = a[:2000]
     with _kernel("fft") as fft_calls:
-        assert exact_convolve(a, b) == _kronecker(a, b)
-        assert exact_convolve(square, square, trunc=1500) == _kronecker(square, square)[:1500]
+        assert exact_list(a, b) == _kronecker(a, b)
+        assert exact_list(square, square, trunc=1500) == _kronecker(square, square)[:1500]
     assert len(fft_calls) == 2
     assert convolve._fft_size(len_a + len_b - 1) <= 1 << 17
 
@@ -511,7 +515,7 @@ def test_rounding_check_raises_when_limbs_are_too_wide():
     a = [(1 << bits) - 1] * n
     wide = mock.patch.object(convolve, "_fft_plan", lambda *args: (size, 20, 2, 2))
     with _kernel("fft"), wide, pytest.raises(FloatingPointError):
-        exact_convolve(a, a)
+        exact_list(a, a)
 
 
 def test_square_takes_one_set_of_forward_transforms():
@@ -532,9 +536,9 @@ def test_square_takes_one_set_of_forward_transforms():
         return mock.patch.object(np.fft, name, spy)
 
     with _kernel("fft"), counting("rfft"), counting("irfft"):
-        exact_convolve(a, a)
+        exact_list(a, a)
         assert counts == {"rfft": limbs, "irfft": 2 * limbs - 1}
-        exact_convolve(a, b)
+        exact_list(a, b)
         assert counts == {"rfft": 3 * limbs, "irfft": 4 * limbs - 2}
 
 
@@ -578,5 +582,5 @@ def test_long_product_edges_match_schoolbook(case):
     a, b, keep = _edge_cases()[case]
     b = a if b is None else b
     with _kernel("fft") as fft_calls:
-        assert exact_convolve(a, b, trunc=keep) == schoolbook_convolve(a, b)[:keep]
+        assert exact_list(a, b, trunc=keep) == schoolbook_convolve(a, b)[:keep]
     assert fft_calls

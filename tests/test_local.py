@@ -237,11 +237,6 @@ def test_verify_solubility_reports():
     assert rep.level == 5 and len(rep.counts) == 32 and rep.all_positive
 
 
-def test_level_zero_vacuous():
-    rep = verify_local_solubility(3, 2, 2, 8, 2, which="M", level=0)
-    assert rep.all_positive and rep.counts == (1,)
-
-
 def test_counts_are_python_ints():
     assert type(m_n(3, 2, 4, 2, 2, 8, 2)) is int and type(m_star_n(3, 2, 4, 2, 2, 8, 2)) is int
     rep = verify_local_solubility(2, 2, 2, 8, 5, which="Mstar")

@@ -1,5 +1,6 @@
 import math
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -8,6 +9,9 @@ from hypothesis import strategies as st
 
 from waringtk.errors import PreconditionError, ResourceError
 from waringtk.powersets import (
+    CACHE_MAGIC,
+    CACHE_VERSION,
+    PowerSumTable,
     default_y_grid,
     density_report,
     distinct_count,
@@ -75,10 +79,10 @@ def test_realized_smoothness_bound():
 
 def test_restricted_power_sums_tiny():
     # r=1, l=2, Y=4, R=2: smooth = {1,2,4}; squares {1,4,16}
-    out = restricted_power_sums(1, 2, 4, R=2)
-    assert out.values == (1, 4, 16)
+    out = restricted_power_sums(1, 2, 4)
+    assert out.R == 2 and out.values == (1, 4, 16)
     # r=2: pairwise sums
-    out2 = restricted_power_sums(2, 2, 4, R=2)
+    out2 = restricted_power_sums(2, 2, 4)
     assert out2.values == (2, 5, 8, 17, 20, 32)
 
 
@@ -91,9 +95,10 @@ def test_restricted_power_sums_budget():
 @given(st.integers(min_value=5, max_value=200), st.integers(min_value=5, max_value=200))
 @settings(max_examples=20, deadline=None)
 def test_smooth_sums_monotone_in_y(y1, y2):
+    # R = max(2, floor(Y^eta)) never falls as Y grows
     lo, hi = sorted((y1, y2))
-    a = set(restricted_power_sums(2, 2, lo, R=3).values)
-    b = set(restricted_power_sums(2, 2, hi, R=3).values)
+    a = set(restricted_power_sums(2, 2, lo).values)
+    b = set(restricted_power_sums(2, 2, hi).values)
     assert a <= b
 
 
@@ -138,7 +143,31 @@ def test_cache_round_trip(tmp_path):
     path = os.path.join(tmp_path, "tables", "l2_t8_N500.bin")
     write_table_cache(table, path)
     back = read_table_cache(path)
-    assert back == table
+    assert (back.l, back.t, back.limit) == (2, 8, 500)
+    assert back.rho.dtype == np.int64 and back.rho.tolist() == table.rho.tolist()
+    assert not back.rho.flags.writeable
+
+
+def test_cache_bytes_follow_the_struct_layout(tmp_path):
+    """magic, version u32, l/t/limit u64 little-endian, then one u64 per count."""
+    table = rep_count_table(2, 3, 40)
+    path = os.path.join(tmp_path, "t.bin")
+    write_table_cache(table, path)
+    rho = table.rho.tolist()
+    want = CACHE_MAGIC + struct.pack("<I", CACHE_VERSION) + struct.pack("<QQQ", 2, 3, 40)
+    with open(path, "rb") as fh:
+        assert fh.read() == want + struct.pack(f"<{len(rho)}Q", *rho)
+
+
+def test_cache_round_trips_counts_past_int64(tmp_path):
+    """An entry in [2^63, 2^64) is written as its u64 and read back as a Python int."""
+    rho = [1, 0, 2**63, 2**64 - 1, 5]
+    path = os.path.join(tmp_path, "t.bin")
+    write_table_cache(PowerSumTable(l=2, t=40, limit=4, rho=rho), path)
+    back = read_table_cache(path)
+    assert back.rho.dtype == object and back.rho.tolist() == rho
+    with pytest.raises(PreconditionError):
+        write_table_cache(PowerSumTable(l=2, t=40, limit=0, rho=[2**64]), path)
 
 
 def test_cache_rejects_bad_magic(tmp_path):

@@ -54,10 +54,11 @@ def test_s_n_trivial_modulus():
 
 
 def test_truncation_agrees_with_euler_product():
-    # squarefull-supported terms: the direct sum over q <= Q and the Euler
-    # product over p^h <= Q pick up the same terms up to tail size
+    # the direct sum over q <= 60 and the Euler product over p <= 50,
+    # p^h <= 200 (DEFAULT_PRIME_CUTOFF, DEFAULT_PH_CUTOFF) differ by terms
+    # of tail size
     full = truncated_series(10, 60, K, L, T, 1, variant="full")
-    euler = truncated_series(10, 60, K, L, T, 1, variant="prime", prime_cutoff=60, ph_cutoff=60)
+    euler = truncated_series(10, 60, K, L, T, 1, variant="prime")
     assert full.imag_residual < 1e-10
     assert euler.imag_residual < 1e-10
     assert abs(full.value - euler.value) < 5 * full.tail_estimate
