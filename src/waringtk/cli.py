@@ -11,10 +11,12 @@ import argparse
 import csv
 import importlib
 import io
+import itertools
 import json
 import math
 import os
 import sys
+from collections.abc import Iterable, Iterator
 
 from waringtk.errors import PreconditionError, ResourceError
 
@@ -36,21 +38,27 @@ def _fmt(v):
     return v
 
 
-def emit_report(rows: list[dict], fmt: str, out, header_lines: list[str] | None = None) -> None:
-    """CSV (RFC-4180 quoting, header row) or JSON-lines; floats at 12
-    significant digits; deterministic bytes for fixed inputs."""
+def emit_report(rows: Iterable[dict], fmt: str, out, header_lines: list[str] | None = None) -> None:
+    """CSV (RFC-4180 quoting, header row from the first row's keys) or
+    JSON-lines; floats at 12 significant digits; deterministic bytes for
+    fixed inputs. rows may be any iterable, read once, so a long table is
+    written without holding all its rows."""
     for line in header_lines or []:
         out.write(f"# {line}\n")
     if fmt == "json":
         for row in rows:
             out.write(json.dumps({k: _fmt(v) for k, v in row.items()}) + "\n")
         return
-    if not rows:
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is None:
         return
-    writer = csv.DictWriter(out, fieldnames=list(rows[0].keys()), lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: (f"{v:.12g}" if isinstance(v, float) else v) for k, v in row.items()})
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(first.keys())
+    writer.writerows(
+        [f"{v:.12g}" if isinstance(v, float) else v for v in row.values()]
+        for row in itertools.chain([first], rows)
+    )
 
 
 def cache_path(cache_dir: str, l: int, t: int, N: int) -> str:
@@ -248,16 +256,19 @@ def _arcs_vmv(arcs, args, header):
     return [{"s": args.s, "k_sys": args.ksys, "r": args.r, "Y": args.Y, "J": J}]
 
 
-def _count_conje(represent, args, header):
-    vec = represent.count_conje(args.nmax, args.k, args.l, args.t, args.s, args.r)
+def _count_rows(vec, header) -> Iterator[dict]:
+    """One row per entry of the count vector, made as it is written."""
     header.append(f"provenance={vec.provenance}")
-    return [{"n": n, "count": c} for n, c in enumerate(vec.entries.tolist())]
+    return ({"n": n, "count": c} for n, c in enumerate(vec.entries.tolist()))
+
+
+def _count_conje(represent, args, header):
+    return _count_rows(represent.count_conje(args.nmax, args.k, args.l, args.t, args.s, args.r), header)
 
 
 def _count_thm13(represent, args, header):
     vec = represent.count_theorem13(args.nmax, args.k, args.l, args.xi, args.s, weighted=not args.set)
-    header.append(f"provenance={vec.provenance}")
-    return [{"n": n, "count": c} for n, c in enumerate(vec.entries.tolist())]
+    return _count_rows(vec, header)
 
 
 def _count_main_term(represent, args, header):
@@ -414,7 +425,7 @@ def build_parser(explicit: bool = False) -> _Parser:
     return p
 
 
-def _dispatch(args) -> tuple[list[dict], list[str]]:
+def _dispatch(args) -> tuple[Iterable[dict], list[str]]:
     """Returns (rows, header_lines); imports only the leaf's module."""
     module, rows_of, _ = COMMANDS[args.command]
     header: list[str] = []

@@ -97,6 +97,8 @@ def schoolbook_convolve(a: list[int], b: list[int]) -> list[int]:
 def count_array(a: list[int] | np.ndarray) -> np.ndarray:
     """a (a list or an array) as an int64 array, or as an object array when
     an entry is outside int64; an int64 array is returned as it is."""
+    if isinstance(a, np.ndarray) and a.dtype.kind == "u" and len(a) and a.max() >= 1 << 63:
+        return a.astype(object)  # the int64 cast below would wrap these entries
     try:
         return np.asarray(a, dtype=np.int64)
     except OverflowError:

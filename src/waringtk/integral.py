@@ -15,6 +15,7 @@ error stays at machine-epsilon scale.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,22 +33,29 @@ def _x1(n: int, k: int) -> float:
     return 0.5 * (2 * k) ** (-1.0 / (k - 1)) * n ** (1.0 / k)
 
 
-def _u_weights(n: int, xi: int, k: int, l: int) -> tuple[np.ndarray, np.ndarray]:
-    """(m^(xi/kl - 1), m) for m = 1..n: the u weights before the factor 1/k."""
+def _u_weights(n: int, xi: int, k: int, l: int) -> np.ndarray:
+    """m^(xi/kl - 1) for m = 1..n: the u weights before the factor 1/k."""
     m = np.arange(1, n + 1, dtype=np.float64)
-    return m ** (xi / (k * l) - 1.0), m
+    m **= xi / (k * l) - 1.0
+    return m
 
 
-def _v_weights(lo: int, hi: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(k^-1 x^(1/k - 1), x) for lo < x <= hi."""
+def _v_weights(lo: int, hi: int, k: int) -> np.ndarray:
+    """k^-1 x^(1/k - 1) for lo < x <= hi."""
     x = np.arange(lo + 1, hi + 1, dtype=np.float64)
-    return x ** (1.0 / k - 1.0) / k, x
+    x **= 1.0 / k - 1.0
+    x /= k
+    return x
 
 
-def _w_weights(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(k^-1 x^(1/k - 1) (log x)^-1, x) for 2 <= x <= n."""
+def _w_weights(n: int, k: int) -> np.ndarray:
+    """k^-1 x^(1/k - 1) (log x)^-1 for 2 <= x <= n."""
     x = np.arange(2, n + 1, dtype=np.float64)
-    return x ** (1.0 / k - 1.0) / (k * np.log(x)), x
+    scale = np.log(x)
+    scale *= k
+    x **= 1.0 / k - 1.0
+    x /= scale
+    return x
 
 
 def _on_grid(weights: np.ndarray, hi: int) -> np.ndarray:
@@ -57,19 +65,52 @@ def _on_grid(weights: np.ndarray, hi: int) -> np.ndarray:
     return vec
 
 
-def _weighted_exp_sum(weights: np.ndarray, support: np.ndarray, beta: float) -> complex:
-    phase = np.exp(2j * np.pi * beta * support)
-    return complex(np.dot(weights, phase))
+def _split_grid(weights: np.ndarray) -> np.ndarray:
+    """The weights of points lo, lo + 1, ... as the J x M grid of
+    _weighted_exp_sum (M = isqrt(len), at least 1), zero past the last."""
+    count = len(weights)
+    M = max(1, math.isqrt(count))
+    grid = np.zeros(M * -(-count // M))
+    grid[:count] = weights
+    return grid.reshape(-1, M)
+
+
+def _turns(phase: np.ndarray) -> np.ndarray:
+    """e(phase) = exp(2 pi i phase), each phase reduced mod 1 first."""
+    return np.exp(2j * np.pi * np.mod(phase, 1.0))
+
+
+def _weighted_exp_sum(grid: np.ndarray, lo: int, beta: float) -> complex:
+    """sum of grid[j, r] e(beta m) over the points m = lo + M j + r.
+
+    Baby-step/giant-step split: e(beta m) = e(beta lo) e(beta M j) e(beta r),
+    so the sum is the giant steps e(beta M j) against grid @ (baby steps
+    e(beta r)): M + J exponentials instead of one per point, and the real
+    grid meets the real and imaginary parts of the baby steps separately.
+    """
+    J, M = grid.shape
+    baby = _turns(beta * np.arange(M))
+    giant = _turns(beta * np.arange(0, M * J, M))
+    rows = grid @ baby.real + 1j * (grid @ baby.imag)
+    return complex(_turns(beta * lo) * np.dot(giant, rows))
+
+
+@lru_cache(maxsize=4)
+def _u_grid(n: int, t: int, k: int, l: int) -> np.ndarray:
+    """The read-only split grid of the u weights k^-1 m^(t/kl - 1), m = 1..n."""
+    grid = _split_grid(_u_weights(n, t, k, l))
+    grid /= k
+    grid.flags.writeable = False
+    return grid
 
 
 def u_beta(beta: float, n: int, t: int, k: int, l: int) -> complex:
-    """u(beta), direct O(n) summation."""
+    """u(beta) by the baby-step/giant-step split of the n-term sum."""
     if n < 1:
         raise PreconditionError("need n >= 1")
     if n > N_BUDGET:
         raise ResourceError(f"n = {n} exceeds budget {N_BUDGET}")
-    weights, m = _u_weights(n, t, k, l)
-    return _weighted_exp_sum(weights / k, m, beta)
+    return _weighted_exp_sum(_u_grid(n, t, k, l), 1, beta)
 
 
 def c_tl(t: int, l: int) -> float:
@@ -122,7 +163,7 @@ def v_beta(beta: float, n: int, k: int) -> complex:
     lo, hi = v_support(n, k)
     if hi > N_BUDGET:
         raise ResourceError("v support exceeds budget")
-    return _weighted_exp_sum(*_v_weights(lo, hi, k), beta)
+    return _weighted_exp_sum(_split_grid(_v_weights(lo, hi, k)), lo + 1, beta)
 
 
 def w_beta(beta: float, n: int, k: int) -> complex:
@@ -130,7 +171,7 @@ def w_beta(beta: float, n: int, k: int) -> complex:
         raise PreconditionError(f"need k >= 1, got k={k}")
     if n > N_BUDGET:
         raise ResourceError("w support exceeds budget")
-    return _weighted_exp_sum(*_w_weights(n, k), beta)
+    return _weighted_exp_sum(_split_grid(_w_weights(n, k)), 2, beta)
 
 
 def _check_jprime_args(n: int, xi: int, k: int, l: int) -> None:
@@ -151,7 +192,7 @@ def j_prime_exact(n: int, s: int, xi: int, k: int, l: int) -> float:
         raise ResourceError("n exceeds the singular-integral budget")
     if n < s:
         return 0.0
-    w = _on_grid(_u_weights(n, xi, k, l)[0], n)
+    w = _on_grid(_u_weights(n, xi, k, l), n)
     acc = w
     for _ in range(s - 2):
         acc = float_convolve(acc, w, trunc=n + 1)
@@ -162,17 +203,26 @@ def j_prime_exact(n: int, s: int, xi: int, k: int, l: int) -> float:
 def j_prime_quadrature(n: int, s: int, xi: int, k: int, l: int) -> float:
     """Trapezoid quadrature of int u(beta)^s e(-beta n) dbeta over a full
     period (at least 8n uniform nodes; equals the rectangle rule by
-    periodicity), evaluated through one FFT of the weight vector."""
+    periodicity), evaluated through one FFT of the weight vector.
+
+    The pipeline works in place on one complex N-array besides the FFT's
+    output and the phases; each step is the operation the out-of-place
+    form would run, so the result is the same to the bit."""
     _check_jprime_args(n, xi, k, l)
     N = 1
     while N < 8 * n:
         N *= 2
-    w = np.zeros(N)
-    w[1 : n + 1] = _u_weights(n, xi, k, l)[0] / k
-    U = np.fft.fft(w)  # U[j] = u(-j/N) conj pattern; u(j/N) = conj(U[j])
-    u_vals = np.conj(U)
-    phases = np.exp(-2j * np.pi * np.arange(N) * (n % N) / N)
-    return float(np.real(np.mean(u_vals**s * phases)))
+    U = np.zeros(N, dtype=complex)
+    U.real[1 : n + 1] = _u_weights(n, xi, k, l) / k
+    U = np.fft.fft(U)  # U[j] = u(-j/N) conj pattern; u(j/N) = conj(U[j])
+    np.conj(U, out=U)
+    U **= s
+    phases = np.arange(N, dtype=complex)
+    phases *= -2j * np.pi
+    phases *= n % N
+    phases /= N
+    U *= np.exp(phases, out=phases)
+    return float(np.real(np.mean(U)))
 
 
 def j_prime_main_term(n: int, s: int, xi: int, k: int, l: int) -> tuple[float, float]:
@@ -200,13 +250,13 @@ def j_singular_exact(n: int, s: int, k: int, l: int, t: int) -> tuple[float, flo
     if n > 10**6:
         raise ResourceError("n exceeds the singular-integral budget")
     lo, hi = v_support(n, k)
-    v = _on_grid(_v_weights(lo, min(hi, n), k)[0], min(hi, n))
-    wv = _on_grid(_w_weights(n, k)[0], n)
+    v = _on_grid(_v_weights(lo, min(hi, n), k), min(hi, n))
+    wv = _on_grid(_w_weights(n, k), n)
     acc = float_convolve(v, v, trunc=n + 1)
     acc = float_convolve(acc, wv, trunc=n + 1)
     acc = float_convolve(acc, wv, trunc=n + 1)
     if s > 0:
-        u = _on_grid(_u_weights(n, t, k, l)[0], n) / k
+        u = _on_grid(_u_weights(n, t, k, l), n) / k
         for _ in range(s):
             acc = float_convolve(acc, u, trunc=n + 1)
     X = n ** (1.0 / k)

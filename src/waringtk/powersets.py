@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from waringtk.arith import smallest_prime_factors
-from waringtk.convolve import convolution_power, read_only_counts
+from waringtk.convolve import convolution_power, count_array, read_only_counts
 from waringtk.errors import PreconditionError, ResourceError
 from waringtk.params import delta_r
 
@@ -246,6 +246,5 @@ def read_table_cache(path: str) -> PowerSumTable:
     want = CACHE_HEADER_BYTES + 8 * (limit + 1)
     if len(data) != want:
         raise PreconditionError(f"cache file {path} has {len(data)} bytes, its header needs {want}")
-    rho = np.frombuffer(data, dtype=_U64, offset=CACHE_HEADER_BYTES)
-    rho = rho.astype(object if len(rho) and rho.max() >= 1 << 63 else np.int64)
+    rho = count_array(np.frombuffer(data, dtype=_U64, offset=CACHE_HEADER_BYTES))
     return PowerSumTable(l=l, t=t, limit=limit, rho=rho)

@@ -41,7 +41,6 @@ from waringtk.local import form_power_histogram
 
 DEFAULT_Q_CUTOFF = 200
 DEFAULT_PRIME_CUTOFF = 50
-DEFAULT_PH_CUTOFF = 200
 POSITIVITY_FLOOR = 0.01
 
 
@@ -129,14 +128,13 @@ def truncated_series(
 
     variant='full': direct sum over q <= Q.
     variant='prime': Euler product over p <= DEFAULT_PRIME_CUTOFF,
-    p^h <= DEFAULT_PH_CUTOFF (Q is not read).
+    p^h <= Q.
     """
     if series not in ("Sn", "SnPrime"):
         raise PreconditionError(f"series must be 'Sn' or 'SnPrime', got {series!r}")
     if variant not in ("full", "prime"):
         raise PreconditionError(f"variant must be 'full' or 'prime', got {variant!r}")
-    cutoff = Q if variant == "full" else DEFAULT_PH_CUTOFF
-    _check_series_args(cutoff, k, l, t, s)
+    _check_series_args(Q, k, l, t, s)
     if variant == "full":
         terms = [_d_table(q, k, l, t, s, series)[n] for q in range(1, Q + 1)]
         total = complex(sum(terms))
@@ -145,7 +143,7 @@ def truncated_series(
         for p in sieve_primes(DEFAULT_PRIME_CUTOFF):
             sigma = 1 + 0j
             h = 1
-            while p**h <= cutoff:
+            while p**h <= Q:
                 sigma += _d_table(p**h, k, l, t, s, series)[n]
                 h += 1
             terms.append(sigma)
@@ -153,7 +151,7 @@ def truncated_series(
     return SeriesTruncation(
         value=total.real,
         per_q_terms=tuple(terms),
-        tail_estimate=cutoff ** (-1.0 / k),
+        tail_estimate=Q ** (-1.0 / k),
         imag_residual=abs(total.imag),
     )
 

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import waringtk
-from waringtk.cli import COMMANDS, run
+from waringtk.cli import COMMANDS, emit_report, run
 from waringtk.powersets import rep_count_table, write_table_cache
 
 
@@ -122,6 +122,37 @@ def test_json_mode(capsys):
     assert code == 0
     payload = [json.loads(ln) for ln in out.splitlines() if ln and not ln.startswith("#")]
     assert payload and "count" in payload[0]
+
+
+_REPORT_ROWS = [
+    {"n": 0, "value": 0.1 + 0.2, "label": 'a,"b"', "count": 2**64 + 1},
+    {"n": 1, "value": -1.5e-300, "label": "plain", "count": 2**63},
+    {"n": 2, "value": float("nan"), "label": "two\nlines", "count": 0},
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("rows", [_REPORT_ROWS, []], ids=["rows", "no-rows"])
+def test_emit_report_writes_a_generator_as_its_list(fmt, rows):
+    """Rows given as a generator give the bytes of the same rows as a list;
+    the CSV bytes are those of csv.DictWriter on the formatted rows."""
+
+    def written(given):
+        out = io.StringIO()
+        emit_report(given, fmt, out, ["provenance=test"])
+        return out.getvalue()
+
+    as_list = written(list(rows))
+    assert written(row for row in rows) == as_list
+    if fmt == "csv":
+        want = io.StringIO()
+        want.write("# provenance=test\n")
+        if rows:
+            writer = csv.DictWriter(want, fieldnames=list(rows[0]), lineterminator="\n")
+            writer.writeheader()
+            for row in rows:
+                writer.writerow({k: f"{v:.12g}" if isinstance(v, float) else v for k, v in row.items()})
+        assert as_list == want.getvalue()
 
 
 def test_global_flag_position_invariant(capsys):
@@ -266,18 +297,29 @@ _KLTS = ["--k", "2", "--l", "2", "--t", "8", "--s", "2"]
     "argv",
     [
         ["series", "trunc", "--n", "10", "--Q", "0", *_KLTS],
+        ["series", "trunc", "--n", "10", "--Q", "0", *_KLTS, "--variant", "prime"],
         ["count", "main-term", "--k", "2", "--l", "2", "--xi", "5", "--s", "6", "--n", "50", "--Q", "0"],
         ["series", "positivity", "--n-lo", "2", "--n-hi", "30", "--Q", "0", *_KLTS],
         ["series", "trunc", "--n", "10", "--Q", "20", "--k", "0", "--l", "2", "--t", "8", "--s", "2"],
         ["series", "positivity", "--n-lo", "30", "--n-hi", "2", *_KLTS],
     ],
-    ids=["trunc-Q0", "main-term-Q0", "positivity-Q0", "trunc-k0", "positivity-empty"],
+    ids=["trunc-Q0", "trunc-prime-Q0", "main-term-Q0", "positivity-Q0", "trunc-k0", "positivity-empty"],
 )
 def test_degenerate_series_is_a_precondition_violation(capsys, argv):
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert "precondition violation" in captured.err and "Traceback" not in captured.err
     assert not [ln for ln in captured.out.splitlines() if ln and not ln.startswith("#")]
+
+
+def test_prime_variant_cuts_the_euler_product_at_q(capsys):
+    """--variant prime keeps the factors p^h <= Q, so Q moves the value."""
+    values = []
+    for Q in ("7", "200"):
+        code, out = run_capture(["series", "trunc", "--n", "100", "--Q", Q, *_KLTS, "--variant", "prime"], capsys)
+        assert code == 0
+        values.append(parse_csv(out)[0]["value"])
+    assert values[0] != values[1]
 
 
 _LOCAL = ["local", "--p", "3", "--h", "2", "--n", "4"]

@@ -153,6 +153,18 @@ def test_short_product_beyond_int64():
     assert exact_list(a, b) == schoolbook_convolve(a, b)
 
 
+def test_uint64_counts_past_int64_stay_exact():
+    """A uint64 entry at or past 2^63 becomes a Python int, not a wrapped
+    negative int64; smaller uint64 counts become int64."""
+    big = np.array([2**63 + 5, 1], dtype=np.uint64)
+    arr = convolve.count_array(big)
+    assert arr.dtype == object and arr.tolist() == [2**63 + 5, 1]
+    assert exact_list(np.array([3], dtype=np.uint64), big) == [3 * (2**63 + 5), 3]
+    small = convolve.count_array(np.array([2**63 - 1, 0], dtype=np.uint64))
+    assert small.dtype == np.int64 and small.tolist() == [2**63 - 1, 0]
+    assert convolve.count_array(np.array([], dtype=np.uint64)).dtype == np.int64
+
+
 @pytest.mark.parametrize(
     "a, b, object_calls",
     [

@@ -1,4 +1,6 @@
+import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +27,71 @@ def test_u_beta_at_zero_is_weight_mass():
     n, t, k, l = 500, 8, 2, 2
     direct = sum(m ** (t / (k * l) - 1.0) for m in range(1, n + 1)) / k
     assert u_beta(0.0, n, t, k, l) == pytest.approx(direct)
+
+
+SERIES_TOL = 1e-9  # relative tolerance of exponential sums and singular integrals
+
+
+def _oracle_sum(weights: dict[int, float], beta: float) -> tuple[complex, float]:
+    """(sum of w_m e(beta m), sum of |w_m|) with exact phases: a float beta
+    is num / 2^e, so (beta m) mod 1 is an exact rational in Python ints."""
+    num, den = beta.as_integer_ratio()
+    terms = [w * cmath.exp(2j * math.pi * ((num * m) % den) / den) for m, w in weights.items()]
+    total = complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
+    return total, math.fsum(abs(w) for w in weights.values())
+
+
+_BETAS = [0.0, 0.5, -0.5, 1 / 3, -0.123456789, 0.3, 2.0**-30, 0.4999999, -0.0625]
+
+
+# the split grid has M = isqrt(count) columns: 1 to 3 points give one
+# column of 1 to 3 giant steps; 15, 16 and 17 points give a last row one
+# short, a full square and one point into a new row; 1000 points give 33
+# rows of 31, the last holding 8
+@pytest.mark.parametrize("n", [1, 2, 3, 15, 16, 17, 1000])
+def test_u_beta_matches_exact_phases(n):
+    t, k, l = 8, 2, 3
+    weights = {m: m ** (t / (k * l) - 1.0) / k for m in range(1, n + 1)}
+    for beta in _BETAS:
+        want, mass = _oracle_sum(weights, beta)
+        assert abs(u_beta(beta, n, t, k, l) - want) <= SERIES_TOL * mass
+
+
+@pytest.mark.parametrize("n, k", [(100, 2), (1000, 2), (5000, 2), (3000, 3)])
+def test_v_beta_matches_exact_phases(n, k):
+    lo, hi = v_support(n, k)
+    weights = {x: x ** (1.0 / k - 1.0) / k for x in range(lo + 1, hi + 1)}
+    for beta in _BETAS:
+        want, mass = _oracle_sum(weights, beta)
+        assert abs(v_beta(beta, n, k) - want) <= SERIES_TOL * mass
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 1000])
+def test_w_beta_matches_exact_phases(n):
+    k = 2
+    weights = {x: x ** (1.0 / k - 1.0) / (k * math.log(x)) for x in range(2, n + 1)}
+    for beta in _BETAS:
+        want, mass = _oracle_sum(weights, beta)
+        assert abs(w_beta(beta, n, k) - want) <= SERIES_TOL * mass
+
+
+def test_phase_sum_and_quadrature_memory():
+    """Traced peaks: the quadrature holds at most three complex N-arrays
+    (N = 2^17 at n = 10^4), and u_beta on its cached grid no n-length
+    array."""
+    tracemalloc.start()
+    try:
+        j_prime_quadrature(10000, 3, 5, 2, 2)
+        quadrature_peak = tracemalloc.get_traced_memory()[1]
+        u_beta(0.1, 62500, 8, 2, 2)
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        u_beta(0.3, 62500, 8, 2, 2)
+        u_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert quadrature_peak <= 3 * 16 * 2**17
+    assert u_peak < 0.5 * 2**20
 
 
 def test_u_beta_conjugate_symmetry():

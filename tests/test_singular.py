@@ -54,9 +54,8 @@ def test_s_n_trivial_modulus():
 
 
 def test_truncation_agrees_with_euler_product():
-    # the direct sum over q <= 60 and the Euler product over p <= 50,
-    # p^h <= 200 (DEFAULT_PRIME_CUTOFF, DEFAULT_PH_CUTOFF) differ by terms
-    # of tail size
+    # the direct sum over q <= 60 and the Euler product over p <= 50
+    # (DEFAULT_PRIME_CUTOFF), p^h <= 60 (Q) differ by terms of tail size
     full = truncated_series(10, 60, K, L, T, 1, variant="full")
     euler = truncated_series(10, 60, K, L, T, 1, variant="prime")
     assert full.imag_residual < 1e-10
