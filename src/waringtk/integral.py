@@ -205,9 +205,9 @@ def j_prime_quadrature(n: int, s: int, xi: int, k: int, l: int) -> float:
     period (at least 8n uniform nodes; equals the rectangle rule by
     periodicity), evaluated through one FFT of the weight vector.
 
-    The pipeline works in place on one complex N-array besides the FFT's
-    output and the phases; each step is the operation the out-of-place
-    form would run, so the result is the same to the bit."""
+    Every step after the FFT works in place on its output or on the
+    phases, and runs the operation of the out-of-place form in the same
+    order, so the result is the same to the bit."""
     _check_jprime_args(n, xi, k, l)
     N = 1
     while N < 8 * n:
