@@ -45,10 +45,10 @@ _BETAS = [0.0, 0.5, -0.5, 1 / 3, -0.123456789, 0.3, 2.0**-30, 0.4999999, -0.0625
 
 
 # the split grid has M = isqrt(count) columns: 1 to 3 points give one
-# column of 1 to 3 giant steps; 15, 16 and 17 points give a last row one
-# short, a full square and one point into a new row; 1000 points give 33
-# rows of 31, the last holding 8
-@pytest.mark.parametrize("n", [1, 2, 3, 15, 16, 17, 1000])
+# column of 1 to 3 giant steps; 11 points give a last row one short, 15
+# five full rows of 3, 16 a full square and 17 one point into a new row;
+# 1000 points give 33 rows of 31, the last holding 8
+@pytest.mark.parametrize("n", [1, 2, 3, 11, 15, 16, 17, 1000])
 def test_u_beta_matches_exact_phases(n):
     t, k, l = 8, 2, 3
     weights = {m: m ** (t / (k * l) - 1.0) / k for m in range(1, n + 1)}
