@@ -90,7 +90,9 @@ def euler_phi(q: int) -> int:
 
 
 def p_adic_valuation(p: int, m: int) -> int:
-    """tau with p^tau || m (m >= 1)."""
+    """tau with p^tau || m; needs p >= 2 and m >= 1, where the loop ends."""
+    if p < 2 or m < 1:
+        raise PreconditionError(f"need p >= 2 and m >= 1, got p={p}, m={m}")
     tau = 0
     while m % p == 0:
         m //= p

@@ -27,6 +27,12 @@ from waringtk.errors import PreconditionError, ResourceError
 S_FORM_Q_BUDGET = 5000
 HIST_Q_BUDGET = 10**6
 _DIRECT_ENUM_CAP = 2 * 10**6
+# OpenBLAS runs a complex matrix-vector product (zgemv) on one thread below
+# 4096 matrix entries and hands part of a larger one to a second thread,
+# a hand-off that can stall for milliseconds. hist_dft_all keeps each
+# block under it; blocks of a multiple of 4 rows keep every output in the
+# same 4-column kernel, so the sums are bit-identical to one full product.
+_GEMV_SINGLE_THREAD = 4096
 
 
 @lru_cache(maxsize=256)
@@ -175,19 +181,23 @@ def coprime_residues(q: int) -> np.ndarray:
     return r[np.gcd(r, q) == 1]
 
 
+def _block_rows(support_size: int) -> int:
+    """Units per block of hist_dft_all: the largest multiple of 4 whose
+    block has fewer than _GEMV_SINGLE_THREAD entries, and at least 4."""
+    return max(4, (_GEMV_SINGLE_THREAD - 1) // max(support_size, 1) // 4 * 4)
+
+
 def hist_dft_all(q: int, hist, units: np.ndarray) -> np.ndarray:
-    """sum_m hist[m] e_q(a m) for every a in units, vectorised."""
+    """sum_m hist[m] e_q(a m) for every a in units, one matrix product
+    per block of _block_rows(|support|) units."""
     om = omega_table(q)
     h = np.asarray(hist, dtype=np.float64)
     support = np.nonzero(h)[0]
-    weights = h[support]
-    if len(units) * len(support) <= 4_000_000:
-        idx = np.outer(units, support) % q
-        return om[idx] @ weights
-    out = np.empty(len(units), dtype=np.complex128)
-    for i, a in enumerate(units):
-        out[i] = np.dot(weights, om[(a * support) % q])
-    return out
+    weights = h[support].astype(np.complex128)
+    rows = _block_rows(len(support))
+    return np.concatenate(
+        [om[np.outer(units[i : i + rows], support) % q] @ weights for i in range(0, len(units), rows)]
+    )
 
 
 def weight_bound_sweep(Q: int, k: int, which: str = "Sk") -> float:

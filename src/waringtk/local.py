@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -179,7 +178,7 @@ def check_lemma_hypotheses(p: int, k: int, l: int, t: int, s: int, which: str) -
             raise PreconditionError(f"case p=k=2 needs s >= {need}, got s={s}")
     elif gamma == tau + 1:
         g = math.gcd(k, p**tau * (p - 1))
-        if Fraction(s + shift) < Fraction(p, p - 1) * g:
+        if (s + shift) * (p - 1) < p * g:
             raise PreconditionError(
                 f"case gamma=tau+1 needs s{'+3' if shift else ''} >= p/(p-1)*(k, p^tau(p-1)) = {p * g}/{p - 1}"
             )

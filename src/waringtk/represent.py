@@ -26,7 +26,7 @@ from waringtk.errors import PreconditionError, ResourceError, require_integers
 from waringtk.integral import c_tl
 from waringtk.params import ProblemParams
 from waringtk.powersets import DEFAULT_ETA, _kth_power_cap, power_indicator, rep_count_table, restricted_power_sums
-from waringtk.singular import _check_q_budget, _d_table, truncated_series
+from waringtk.singular import _check_series_args, _d_table, truncated_series
 
 N_MAX_BUDGET = 10**6
 MAIN_TERM_Q = 100
@@ -179,6 +179,7 @@ def main_term_constant(k: int, l: int, xi: int, s: int) -> float:
 
 def main_term(n: int, k: int, l: int, xi: int, s: int, Q: int = MAIN_TERM_Q) -> float:
     """C n^(s xi/kl - 1) S'(n), n >= 1, with the series truncated at Q."""
+    require_integers(n=n, k=k, l=l, xi=xi, s=s, Q=Q)
     if n < 1:
         raise PreconditionError(f"need n >= 1, got n={n}")
     series = truncated_series(n, Q, k, l, xi, s, series="SnPrime").value
@@ -203,9 +204,10 @@ def window_ratio(
     sum_n w_n d_q[n mod q] = sum_a coef_q(a) sum_r W_q[r] e_q(-a r) with
     W_q[r] the sum of w_n over n = r (mod q): one FFT of W_q per q, read
     at the units, so no d_q entry is computed."""
+    require_integers(n_lo=n_lo, n_hi=n_hi, k=k, l=l, xi=xi, s=s, Q=Q)
     if not 1 <= n_lo <= n_hi <= vec.n_max:
         raise PreconditionError("window out of range")
-    _check_q_budget(Q)
+    _check_series_args(Q, k, l, xi, s)
     weights = np.arange(n_lo, n_hi + 1) ** (s * xi / (k * l) - 1.0)
     total = float(np.sum(weights))
     for q in range(2, Q + 1):

@@ -28,14 +28,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from waringtk import local
 from waringtk.arith import euler_phi, sieve_primes
-from waringtk.errors import PreconditionError, ResourceError
+from waringtk.errors import PreconditionError, ResourceError, require_integers
 from waringtk.expsums import S_FORM_Q_BUDGET, coprime_residues, hist_dft_all, omega_table, power_residue_histogram
 from waringtk.local import form_power_histogram
 
@@ -130,6 +129,7 @@ def truncated_series(
     variant='prime': Euler product over p <= DEFAULT_PRIME_CUTOFF,
     p^h <= Q.
     """
+    require_integers(n=n, Q=Q, k=k, l=l, t=t, s=s)
     if series not in ("Sn", "SnPrime"):
         raise PreconditionError(f"series must be 'Sn' or 'SnPrime', got {series!r}")
     if variant not in ("full", "prime"):
@@ -168,8 +168,8 @@ def snm_identity_check(p: int, h: int, n: int, k: int, l: int, t: int, s: int) -
     lhs = 1 + 0j  # j = 0 term
     for j in range(1, h + 1):
         lhs += s_n_q(p**j, n, k, l, t, s)
-    rhs = Fraction(count, p ** (h * (s * t + 1)) * euler_phi(p**h) ** 2)
-    return abs(lhs - complex(float(rhs)))
+    rhs = count / (p ** (h * (s * t + 1)) * euler_phi(p**h) ** 2)  # int / int rounds once
+    return abs(lhs - rhs)
 
 
 @dataclass(frozen=True)

@@ -75,6 +75,23 @@ def test_gamma_and_nu_exponents():
     assert nu_exponent(3, 3, 2) == 3
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: p_adic_valuation(2, 0),
+        lambda: p_adic_valuation(1, 8),
+        lambda: gamma_exponent(3, 0),
+        lambda: nu_exponent(3, 0, 2),
+    ],
+    ids=["m=0", "p=1", "gamma_k=0", "nu_k=0"],
+)
+def test_p_adic_valuation_rejects_where_it_would_not_end(call):
+    """v_p(0) and v_1(m) have no finite value: the division loop never
+    ends, so these calls must raise rather than hang."""
+    with pytest.raises(PreconditionError):
+        call()
+
+
 def test_smallest_prime_factors():
     spf = smallest_prime_factors(30)
     assert spf[2] == 2 and spf[15] == 3 and spf[29] == 29 and spf[30] == 2

@@ -7,7 +7,9 @@ import pytest
 from waringtk.arith import euler_phi
 from waringtk.errors import PreconditionError, ResourceError
 from waringtk.expsums import (
+    _GEMV_SINGLE_THREAD,
     HIST_Q_BUDGET,
+    _block_rows,
     coprime_residues,
     hist_dft_all,
     omega_table,
@@ -108,9 +110,46 @@ def test_all_tables_match_pointwise():
             assert abs(v2 - w_q(q, int(u), 2)) < 1e-9
 
 
+def _hist_dft_cases():
+    """The histograms the series and the weight sweep read: r^k over all
+    r and over the units for q <= 400, T(r)^k for six forms for q <= 200,
+    and two primes past 1000."""
+    for q in range(1, 401):
+        for k in (2, 3, 4):
+            yield q, power_residue_histogram(q, k)
+        for k in (2, 3):
+            yield q, power_residue_histogram(q, k, units_only=True)
+        if q <= 200:
+            for k, l, t in ((2, 2, 8), (2, 2, 5), (3, 2, 5), (1, 2, 2), (3, 2, 8), (4, 2, 8)):
+                yield q, form_power_histogram(q, k, l, t)
+    for q in (1031, 1999):
+        yield q, form_power_histogram(q, 1, 2, 2)
+
+
+def test_hist_dft_all_blocks_match_one_matrix_product_bit_for_bit():
+    """Row blocks of a multiple of 4 units give the bits of one full
+    matrix product, on either side of the 4096-entry threading limit."""
+    blocked = 0
+    for q, hist in _hist_dft_cases():
+        units = coprime_residues(q)
+        support = np.nonzero(hist)[0]
+        want = omega_table(q)[np.outer(units, support) % q] @ hist[support].astype(np.float64)
+        got = hist_dft_all(q, hist, units)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), q
+        blocked += len(units) > _block_rows(len(support))
+    assert blocked > 1000
+
+
+def test_block_rows_stay_under_the_threading_limit():
+    for size in range(1, 1024):
+        rows = _block_rows(size)
+        assert rows % 4 == 0 and rows * size < _GEMV_SINGLE_THREAD <= (rows + 4) * size, size
+    assert _block_rows(1024) == _block_rows(5000) == 4
+
+
 def test_hist_dft_all_row_by_row_past_the_matrix_cap():
-    """Past 4 * 10^6 terms hist_dft_all takes one np.dot per unit instead
-    of one matrix product; both give the same sums."""
+    """A call past 4 * 10^6 terms (q = 2003) runs in the same blocks as
+    any other and stays within 1e-9 of one full matrix product."""
     q = 2003
     hist = form_power_histogram(q, 1, 2, 2)
     units = coprime_residues(q)

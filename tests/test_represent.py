@@ -9,7 +9,7 @@ from waringtk.errors import PreconditionError, ResourceError
 from waringtk.expsums import S_FORM_Q_BUDGET
 from waringtk.params import ProblemParams
 from waringtk.powersets import restricted_power_sums
-from waringtk.singular import _d_table
+from waringtk.singular import _d_table, truncated_series
 from waringtk.represent import (
     CountVector,
     count_conje,
@@ -138,6 +138,26 @@ def test_window_ratio_budget_checked_before_any_table():
     with pytest.raises(ResourceError):
         window_ratio(vec, 50, 100, 2, 2, 5, 6, Q=S_FORM_Q_BUDGET + 1)
     assert _d_table.cache_info().misses == 0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda vec: truncated_series(1.5, 100, 2, 2, 8, 2),
+        lambda vec: truncated_series(100, 100.0, 2, 2, 8, 2),
+        lambda vec: main_term(100.5, 2, 2, 5, 6),
+        lambda vec: window_ratio(vec, 50, 100, 2, 2, 5, 6, Q=2.5),
+        lambda vec: window_ratio(vec, 50, 100, 2, 2, 5, 6, Q=0),
+        lambda vec: window_ratio(vec, 50, 100, 2, 2, 5, 6, Q=-3),
+    ],
+    ids=["series_n", "series_Q", "main_term_n", "window_Q_float", "window_Q_0", "window_Q_negative"],
+)
+def test_series_layer_rejects_bad_integers(call):
+    """A float, or a window cut at Q < 1 (which would drop every series
+    factor), raises PreconditionError instead of failing inside numpy or
+    returning the count mean over the bare weight sum."""
+    with pytest.raises(PreconditionError):
+        call(CountVector(np.arange(200), "ramp"))
 
 
 def test_scaling_exponent_over_a_decade():
