@@ -35,9 +35,9 @@ _DIRECT_ENUM_CAP = 2 * 10**6
 _GEMV_SINGLE_THREAD = 4096
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=2048)
 def omega_table(q: int) -> np.ndarray:
-    """exp(2 pi i j / q) for j in [0, q)."""
+    """exp(2 pi i j / q) for j in [0, q), kept for as many q as singular._d_table."""
     return np.exp(2j * np.pi * np.arange(q) / q)
 
 

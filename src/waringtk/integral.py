@@ -24,6 +24,7 @@ from waringtk.errors import PreconditionError, ResourceError
 from waringtk.expsums import s_form
 
 N_BUDGET = 10**7
+J_BUDGET = 10**6  # the largest n of J'_s(n) and J(n)
 
 
 def _x1(n: int, k: int) -> float:
@@ -174,9 +175,11 @@ def w_beta(beta: float, n: int, k: int) -> complex:
     return _weighted_exp_sum(_split_grid(_w_weights(n, k)), 2, beta)
 
 
-def _check_jprime_args(n: int, xi: int, k: int, l: int) -> None:
-    """The weights m^(xi/kl - 1), m = 1..n, and the main term need
-    n, xi, k, l >= 1."""
+def _check_jprime_args(n: int, s: int, xi: int, k: int, l: int) -> None:
+    """J'_s(n) and its main term need s >= 2; the weights m^(xi/kl - 1),
+    m = 1..n, need n, xi, k, l >= 1."""
+    if s < 2:
+        raise PreconditionError("need s >= 2")
     if min(n, xi, k, l) < 1:
         raise PreconditionError(f"need n, xi, k, l >= 1, got n={n}, xi={xi}, k={k}, l={l}")
 
@@ -185,10 +188,8 @@ def j_prime_exact(n: int, s: int, xi: int, k: int, l: int) -> float:
     """J'_s(n) as the weighted composition count: s - 2 FFT convolutions,
     then one dot product for the entry at n (k^-2 (n-1) when s = 2 and
     xi = kl)."""
-    if s < 2:
-        raise PreconditionError("need s >= 2")
-    _check_jprime_args(n, xi, k, l)
-    if n > 10**6:
+    _check_jprime_args(n, s, xi, k, l)
+    if n > J_BUDGET:
         raise ResourceError("n exceeds the singular-integral budget")
     if n < s:
         return 0.0
@@ -208,7 +209,9 @@ def j_prime_quadrature(n: int, s: int, xi: int, k: int, l: int) -> float:
     Every step after the FFT works in place on its output or on the
     phases, and runs the operation of the out-of-place form in the same
     order, so the result is the same to the bit."""
-    _check_jprime_args(n, xi, k, l)
+    _check_jprime_args(n, s, xi, k, l)
+    if n > J_BUDGET:
+        raise ResourceError("n exceeds the singular-integral budget")
     N = 1
     while N < 8 * n:
         N *= 2
@@ -228,9 +231,7 @@ def j_prime_quadrature(n: int, s: int, xi: int, k: int, l: int) -> float:
 def j_prime_main_term(n: int, s: int, xi: int, k: int, l: int) -> tuple[float, float]:
     """(main, B): main = n^(s xi/kl - 1) k^-s Gamma(xi/kl)^s / Gamma(s xi/kl),
     B(n) = n^-1 + n^(-xi/kl)."""
-    if s < 2:
-        raise PreconditionError("need s >= 2")
-    _check_jprime_args(n, xi, k, l)
+    _check_jprime_args(n, s, xi, k, l)
     c = xi / (k * l)
     main = n ** (s * c - 1.0) * math.gamma(c) ** s / (k**s * math.gamma(s * c))
     B = 1.0 / n + n ** (-c)
@@ -247,7 +248,7 @@ def j_singular_exact(n: int, s: int, k: int, l: int, t: int) -> tuple[float, flo
     """
     if n < 2 or k < 2 or l < 1 or s < 0 or t < 1:
         raise PreconditionError(f"need n, k >= 2, l, t >= 1 and s >= 0, got n={n}, k={k}, l={l}, s={s}, t={t}")
-    if n > 10**6:
+    if n > J_BUDGET:
         raise ResourceError("n exceeds the singular-integral budget")
     lo, hi = v_support(n, k)
     v = _on_grid(_v_weights(lo, min(hi, n), k), min(hi, n))

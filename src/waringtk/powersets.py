@@ -114,6 +114,8 @@ def rep_count_enumerate(l: int, t: int, limit: int) -> list[int]:
 
 def distinct_count(table: PowerSumTable, limit: int) -> int:
     """#{m <= limit : rho[m] > 0}."""
+    if limit < 0:
+        raise PreconditionError(f"need limit >= 0, got {limit}")
     if limit > table.limit:
         raise PreconditionError("limit exceeds table coverage")
     return int(np.count_nonzero(table.rho[1 : limit + 1]))

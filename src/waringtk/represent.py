@@ -26,7 +26,7 @@ from waringtk.errors import PreconditionError, ResourceError, require_integers
 from waringtk.integral import c_tl
 from waringtk.params import ProblemParams
 from waringtk.powersets import DEFAULT_ETA, _kth_power_cap, power_indicator, rep_count_table, restricted_power_sums
-from waringtk.singular import _check_series_args, _d_table, truncated_series
+from waringtk.singular import truncated_series, window_series_sum
 
 N_MAX_BUDGET = 10**6
 MAIN_TERM_Q = 100
@@ -197,27 +197,12 @@ def window_ratio(
     Q: int = MAIN_TERM_Q,
 ) -> float:
     """(window average of counts) / (window average of main terms) over
-    n in [n_lo, n_hi].
-
-    With w_n = n^(s xi/kl - 1), the main-term sum is
-    C (sum_n w_n + sum_{2<=q<=Q} Re sum_n w_n d_q[n mod q]), and
-    sum_n w_n d_q[n mod q] = sum_a coef_q(a) sum_r W_q[r] e_q(-a r) with
-    W_q[r] the sum of w_n over n = r (mod q): one FFT of W_q per q, read
-    at the units, so no d_q entry is computed."""
-    require_integers(n_lo=n_lo, n_hi=n_hi, k=k, l=l, xi=xi, s=s, Q=Q)
+    n in [n_lo, n_hi], the series cut at Q (singular.window_series_sum)."""
+    require_integers(n_lo=n_lo, n_hi=n_hi)
     if not 1 <= n_lo <= n_hi <= vec.n_max:
         raise PreconditionError("window out of range")
-    _check_series_args(Q, k, l, xi, s)
-    weights = np.arange(n_lo, n_hi + 1) ** (s * xi / (k * l) - 1.0)
-    total = float(np.sum(weights))
-    for q in range(2, Q + 1):
-        factor = _d_table(q, k, l, xi, s, "SnPrime")
-        offset = n_lo % q
-        padded = np.zeros(-(-(offset + len(weights)) // q) * q)
-        padded[offset : offset + len(weights)] = weights
-        residue_sums = padded.reshape(-1, q).sum(axis=0)
-        total += float(np.real(np.dot(factor.coef, np.fft.fft(residue_sums)[factor.units])))
-    denom = main_term_constant(k, l, xi, s) * total / len(weights)
+    total = window_series_sum(n_lo, n_hi, k, l, xi, s, Q)
+    denom = main_term_constant(k, l, xi, s) * total / (n_hi - n_lo + 1)
     counts = vec.entries[n_lo : n_hi + 1].astype(np.float64)
     if denom <= 0:
         raise PreconditionError("window-averaged main term is nonpositive")

@@ -9,12 +9,13 @@ The printed series start at "q = 0"; S_n(0) is undefined and the sum is
 implemented from q = 1 with S_n(1) = 1 (classical convention).
 
 Each q contributes through d_q[m] = sum_a coef(a) e_q(-a m), so that
-S_n(q) = d_q[n mod q]. The per-q object (_d_table) holds the units and
-coef; an entry is computed on its first read, as one np.dot of coef with
-the roots of unity of its residue, and kept. A series at one n reads one
-entry per q, and a sweep never computes an entry twice, so no table is
-filled beyond what is read and every entry is bit-identical to the
-per-residue sum. Window means (represent.window_ratio) read coef alone.
+S_n(q) = d_q[n mod q]. _d_table holds the read-only (units, coef) of
+each q, and no other module reads it. _d_entry computes one entry, as
+one np.dot of coef with the roots of unity of its residue, for s_n_q,
+s_n_prime_q and truncated_series: a series at one n computes one entry
+per q, and every entry is bit-identical to the per-residue sum.
+window_series_sum, the window sum behind represent.window_ratio, takes
+one FFT of the window's residue-class weight sums per q, read at the units.
 _d_table takes the units of q once and each factor of coef as one
 expsums.hist_dft_all of an exact histogram at them: S(q, a) of T(r)^k
 mod q (the u-reduction expsums.s_form is its test oracle), and for 'Sn'
@@ -58,30 +59,10 @@ def _check_series_args(Q: int, k: int, l: int, t: int, s: int) -> None:
     _check_q_budget(Q)
 
 
-class SeriesFactor:
-    """d_q[m] = sum over the units a of q of coef(a) e_q(-a m), entries
-    computed on first read: d[n] is np.dot(coef, om[(-units * m) % q])
-    for m = n mod q, kept in row. One np.dot per residue keeps every float
-    bit-identical to that per-residue sum; one matrix product over the
-    residues would sum in another order."""
-
-    def __init__(self, q: int, units: np.ndarray, coef: np.ndarray):
-        self.q, self.units, self.coef = q, units, coef
-        self.row: dict[int, complex] = {}
-        self._om = omega_table(q)
-
-    def __getitem__(self, n: int) -> complex:
-        m = n % self.q
-        value = self.row.get(m)
-        if value is None:
-            value = self.row[m] = complex(np.dot(self.coef, self._om[(-self.units * m) % self.q]))
-        return value
-
-
 @lru_cache(maxsize=2048)
-def _d_table(q: int, k: int, l: int, t: int, s: int, series: str) -> SeriesFactor:
-    """The factor d[n] = S_n(q) (series 'Sn') or S'_n(q) (series
-    'SnPrime'), empty until read; coef is the weight of each unit."""
+def _d_table(q: int, k: int, l: int, t: int, s: int, series: str) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only (units, coef) of the factor S_n(q) (series 'Sn') or
+    S'_n(q) (series 'SnPrime'): the units a of q and the weight of each."""
     if series not in ("Sn", "SnPrime"):
         raise PreconditionError(f"series must be 'Sn' or 'SnPrime', got {series!r}")
     _check_q_budget(q)
@@ -91,23 +72,32 @@ def _d_table(q: int, k: int, l: int, t: int, s: int, series: str) -> SeriesFacto
         sk = hist_dft_all(q, power_residue_histogram(q, k), units)
         wv = hist_dft_all(q, power_residue_histogram(q, k, units_only=True), units)
         coef = coef * (sk / q) ** 2 * (wv / euler_phi(q)) ** 2
-    return SeriesFactor(q, units, coef)
+    units.setflags(write=False)
+    coef.setflags(write=False)
+    return units, coef
+
+
+def _d_entry(q: int, n: int, k: int, l: int, t: int, s: int, series: str) -> complex:
+    """d_q[n] = sum over the units a of q of coef(a) e_q(-a n), as one
+    np.dot of coef with the roots of unity at -a (n mod q); one matrix
+    product over all residues would sum in another order."""
+    units, coef = _d_table(q, k, l, t, s, series)
+    return complex(np.dot(coef, omega_table(q)[(-units * (n % q)) % q]))
 
 
 def s_n_q(q: int, n: int, k: int, l: int, t: int, s: int) -> complex:
     """The full arithmetic factor S_n(q); S_n(1) = 1."""
-    return _d_table(q, k, l, t, s, "Sn")[n]
+    return _d_entry(q, n, k, l, t, s, "Sn")
 
 
 def s_n_prime_q(q: int, n: int, k: int, l: int, t: int, s: int) -> complex:
     """S'_n(q): the form-only factor (no S_k / W weights)."""
-    return _d_table(q, k, l, t, s, "SnPrime")[n]
+    return _d_entry(q, n, k, l, t, s, "SnPrime")
 
 
 @dataclass(frozen=True)
 class SeriesTruncation:
     value: float
-    per_q_terms: tuple[complex, ...]
     tail_estimate: float
     imag_residual: float
 
@@ -136,24 +126,44 @@ def truncated_series(
         raise PreconditionError(f"variant must be 'full' or 'prime', got {variant!r}")
     _check_series_args(Q, k, l, t, s)
     if variant == "full":
-        terms = [_d_table(q, k, l, t, s, series)[n] for q in range(1, Q + 1)]
-        total = complex(sum(terms))
+        total = complex(sum(_d_entry(q, n, k, l, t, s, series) for q in range(1, Q + 1)))
     else:
-        terms = []
+        total = 1 + 0j
         for p in sieve_primes(DEFAULT_PRIME_CUTOFF):
-            sigma = 1 + 0j
-            h = 1
-            while p**h <= Q:
-                sigma += _d_table(p**h, k, l, t, s, series)[n]
-                h += 1
-            terms.append(sigma)
-        total = complex(math.prod(terms))
+            sigma, q = 1 + 0j, p
+            while q <= Q:
+                sigma += _d_entry(q, n, k, l, t, s, series)
+                q *= p
+            total *= sigma
     return SeriesTruncation(
         value=total.real,
-        per_q_terms=tuple(terms),
         tail_estimate=Q ** (-1.0 / k),
         imag_residual=abs(total.imag),
     )
+
+
+def window_series_sum(n_lo: int, n_hi: int, k: int, l: int, t: int, s: int, Q: int) -> float:
+    """sum over n_lo <= n <= n_hi of w_n S'_n cut at Q, w_n = n^(st/kl - 1):
+    the window sum of the main term C w_n S'(n) over C.
+
+    It is sum_n w_n + sum_{2<=q<=Q} Re sum_n w_n d_q[n mod q], and
+    sum_n w_n d_q[n mod q] = sum_a coef_q(a) sum_r W_q[r] e_q(-a r) with
+    W_q[r] the sum of w_n over n = r (mod q): one FFT of W_q per q, read
+    at the units, so no d_q entry is computed."""
+    require_integers(n_lo=n_lo, n_hi=n_hi, k=k, l=l, t=t, s=s, Q=Q)
+    if not 1 <= n_lo <= n_hi:
+        raise PreconditionError(f"need 1 <= n_lo <= n_hi, got n_lo={n_lo}, n_hi={n_hi}")
+    _check_series_args(Q, k, l, t, s)
+    weights = np.arange(n_lo, n_hi + 1) ** (s * t / (k * l) - 1.0)
+    total = float(np.sum(weights))
+    for q in range(2, Q + 1):
+        units, coef = _d_table(q, k, l, t, s, "SnPrime")
+        offset = n_lo % q
+        padded = np.zeros(-(-(offset + len(weights)) // q) * q)
+        padded[offset : offset + len(weights)] = weights
+        residue_sums = padded.reshape(-1, q).sum(axis=0)
+        total += float(np.real(np.dot(coef, np.fft.fft(residue_sums)[units])))
+    return total
 
 
 def snm_identity_check(p: int, h: int, n: int, k: int, l: int, t: int, s: int) -> float:

@@ -1,7 +1,7 @@
 """Acceptance gate: eleven pass/fail criteria, one printed line each.
 
-Criterion 8 is a known honest failure at desk scale; see
-/root/notes/decisions.md ("main-term window ratio") for the full analysis.
+Criterion 8 is a known honest failure at desk scale; see the README
+(Tests) and ROADMAP open item 4 for the analysis and the measured windows.
 Every other criterion passes at the stated tolerance.
 """
 

@@ -670,6 +670,32 @@ def test_every_defaulted_parameter_is_set():
     assert unset == UNSET_DEFAULTS
 
 
+# The underscore names that one waringtk module imports from another:
+# each is a helper that the module owning it shares with one neighbour.
+SHARED_PRIVATES = {("convolve", "_total"), ("expsums", "_power_mod"), ("powersets", "_kth_power_cap")}
+
+
+def test_no_module_reads_another_modules_privates():
+    """No waringtk module imports an underscore name of another waringtk
+    module, or reads one as an attribute of a waringtk module it imported,
+    except SHARED_PRIVATES: a module's private layout stays its own."""
+    shared = set()
+    for path in sorted((_ROOT / "src" / "waringtk").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = {}  # local name -> waringtk module it is bound to
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "waringtk":
+                modules |= {alias.asname or alias.name: alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("waringtk."):
+                owner = node.module.removeprefix("waringtk.")
+                shared |= {(owner, alias.name) for alias in node.names if alias.name.startswith("_")}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+                if node.attr.startswith("_"):
+                    shared.add((modules[node.value.id], node.attr))
+    assert shared == SHARED_PRIVATES
+
+
 # the arguments of each script's run and a line of its header
 _SCRIPT_RUNS = {
     "density_sweep.py": ([], "r,l,Y,cardinality,pointwise_exponent,pair_slope,reference_exponent,grid_exponent"),

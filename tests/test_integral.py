@@ -5,9 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from waringtk.errors import PreconditionError
+from waringtk.errors import PreconditionError, ResourceError
 from waringtk.expsums import w_q
 from waringtk.integral import (
+    J_BUDGET,
     U_major,
     c_tl,
     decay_exponent,
@@ -92,6 +93,25 @@ def test_phase_sum_and_quadrature_memory():
         tracemalloc.stop()
     assert quadrature_peak <= 3 * 16 * 2**17
     assert u_peak < 0.5 * 2**20
+
+
+def test_quadrature_budget_checked_before_any_array():
+    """n = J_BUDGET + 1 would ask for 2^23 complex nodes (134 MB); the
+    budget is checked first."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError):
+            j_prime_quadrature(J_BUDGET + 1, 3, 5, 2, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("s", [1, 0, -1])
+def test_quadrature_needs_two_summands(s):
+    with pytest.raises(PreconditionError):
+        j_prime_quadrature(100, s, 5, 2, 2)
 
 
 def test_u_beta_conjugate_symmetry():

@@ -49,6 +49,13 @@ def test_distinct_count_monotone_in_t():
         assert distinct_count(big, 300) >= distinct_count(small, 299)
 
 
+@pytest.mark.parametrize("limit", [-3, -40])
+def test_distinct_count_rejects_a_negative_limit(limit):
+    """rho[1 : limit + 1] would count from the end of the table."""
+    with pytest.raises(PreconditionError):
+        distinct_count(rep_count_table(2, 2, 50), limit)
+
+
 def test_smooth_set_by_factorization():
     got = smooth_set(50, 3)
     want = [

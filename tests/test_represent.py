@@ -9,7 +9,7 @@ from waringtk.errors import PreconditionError, ResourceError
 from waringtk.expsums import S_FORM_Q_BUDGET
 from waringtk.params import ProblemParams
 from waringtk.powersets import restricted_power_sums
-from waringtk.singular import _d_table, truncated_series
+from waringtk.singular import _d_table, s_n_prime_q, truncated_series, window_series_sum
 from waringtk.represent import (
     CountVector,
     count_conje,
@@ -124,7 +124,7 @@ def test_window_ratio_matches_the_summed_series_factors():
             ns = range(n_lo, n_lo + length)
             mains = [
                 n ** (s * xi / (k * l) - 1.0)
-                * (1 + sum(_d_table(q, k, l, xi, s, "SnPrime")[n].real for q in range(2, Q + 1)))
+                * (1 + sum(s_n_prime_q(q, n, k, l, xi, s).real for q in range(2, Q + 1)))
                 for n in ns
             ]
             want = (sum(ns) / length) / (main_term_constant(k, l, xi, s) * math.fsum(mains) / length)
@@ -149,13 +149,15 @@ def test_window_ratio_budget_checked_before_any_table():
         lambda vec: window_ratio(vec, 50, 100, 2, 2, 5, 6, Q=2.5),
         lambda vec: window_ratio(vec, 50, 100, 2, 2, 5, 6, Q=0),
         lambda vec: window_ratio(vec, 50, 100, 2, 2, 5, 6, Q=-3),
+        lambda vec: window_series_sum(0, 100, 2, 2, 5, 6, 30),
     ],
-    ids=["series_n", "series_Q", "main_term_n", "window_Q_float", "window_Q_0", "window_Q_negative"],
+    ids=["series_n", "series_Q", "main_term_n", "window_Q_float", "window_Q_0", "window_Q_negative", "window_sum_n_0"],
 )
 def test_series_layer_rejects_bad_integers(call):
-    """A float, or a window cut at Q < 1 (which would drop every series
-    factor), raises PreconditionError instead of failing inside numpy or
-    returning the count mean over the bare weight sum."""
+    """A float, a window cut at Q < 1 (which would drop every series
+    factor) or a window sum from n = 0 (the main term needs n >= 1)
+    raises PreconditionError instead of failing inside numpy or returning
+    the count mean over the bare weight sum."""
     with pytest.raises(PreconditionError):
         call(CountVector(np.arange(200), "ramp"))
 

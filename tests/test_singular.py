@@ -10,6 +10,7 @@ from waringtk.convolve import cyclic_power
 from waringtk.errors import PreconditionError, ResourceError
 from waringtk.expsums import S_FORM_Q_BUDGET, coprime_residues, hist_dft_all, omega_table, s_form
 from waringtk.singular import (
+    _d_entry,
     _d_table,
     form_power_histogram,
     positivity_sweep,
@@ -108,6 +109,12 @@ def test_series_budget_checked_before_any_table():
     assert _d_table.cache_info().misses == 0
 
 
+def test_d_table_is_read_only():
+    units, coef = _d_table(12, K, L, T, 2, "Sn")
+    assert units.tolist() == [1, 5, 7, 11]
+    assert not units.flags.writeable and not coef.flags.writeable
+
+
 def _histogram_by_cyclic_power(q, k, l, t):
     return local.pushforward_power(cyclic_power(expsums.power_residue_histogram(q, l), t, q), k).tolist()
 
@@ -173,17 +180,13 @@ def _d_table_per_residue(q, k, l, t, s, series):
     "k, l, t, s", [(2, 2, 5, 6), (3, 2, 5, 3), (2, 2, 8, 2), (2, 2, 6, 3), (3, 2, 8, 4), (2, 3, 6, 4), (2, 2, 7, 2)]
 )
 def test_d_table_bits_match_per_residue_loop(k, l, t, s):
-    """Entries filled lazily in a shuffled order, half of them first, then
-    all, each read at some n = m (mod q), most of them past q: each is
-    bit-identical to the per-residue sum, and none is filled before it is
-    read."""
+    """Every entry, read through _d_entry in a shuffled order at some
+    n = m (mod q), most of them past q, is bit-identical to the
+    per-residue sum."""
     rng = np.random.default_rng(1000 * k + 100 * l + 10 * t + s)
     for series in ("SnPrime", "Sn"):
         for q in range(1, 201):
-            table = _d_table.__wrapped__(q, k, l, t, s, series)
             want = _d_table_per_residue(q, k, l, t, s, series)
             order = rng.permutation(q)
-            for count in (q // 2, q):
-                read = np.array([table[int(m) + q * int(m % 3)] for m in order[:count]], dtype=np.complex128)
-                assert sorted(table.row) == sorted(order[:count].tolist()), (q, series)
-                assert np.array_equal(read.view(np.float64), want[order[:count]].view(np.float64)), (q, series)
+            read = np.array([_d_entry(q, int(m) + q * int(m % 3), k, l, t, s, series) for m in order], dtype=np.complex128)
+            assert np.array_equal(read.view(np.float64), want[order].view(np.float64)), (q, series)
