@@ -99,9 +99,11 @@ def classify_major(alpha: float, n: int, Q: int) -> ArcPoint:
 
 def classify_mm(alpha: float, n: int, k: int, M: float) -> ArcPoint:
     """Membership in m_M: Dirichlet pair with q <= 2kX, |beta| <= (2kqX)^-1,
-    subject to |beta| >= M/(qn) whenever q <= M; n, k >= 1."""
+    subject to |beta| >= M/(qn) whenever q <= M; n, k >= 1 and M not NaN."""
     if n < 1 or k < 1:
         raise PreconditionError(f"need n, k >= 1, got n={n}, k={k}")
+    if math.isnan(M):
+        raise PreconditionError("need M to be a number, got nan")
     X = n ** (1.0 / k)
     bound = math.floor(2 * k * X)
     a, q = dirichlet_approx(alpha, bound)

@@ -1,6 +1,10 @@
 """Command-line interface: one subcommand per capability, CSV or
 JSON-lines reports, binary table caching.
 
+Global flags go before or after the command. A --config file's
+key=value lines are read as flags placed right after the command path,
+so the flags argv gives win.
+
 Exit codes: 0 success, 1 usage error, 2 precondition violation,
 3 resource-budget violation.
 """
@@ -149,7 +153,10 @@ def _expsum(expsums, args, header):
         "w_im": wv.imag,
         "wk_weight": expsums.w_k_weight(args.q, args.k),
     }
-    if args.l is not None and args.t is not None:
+    if (args.l is None) != (args.t is None):
+        missing = "--t" if args.t is None else "--l"
+        raise PreconditionError(f"the form columns need --l and --t, and {missing} is missing")
+    if args.l is not None:
         sf = expsums.s_form(args.q, args.a, args.k, args.l, args.t)
         row["form_re"] = sf.real
         row["form_im"] = sf.imag
@@ -242,12 +249,12 @@ def _arcs_weyl(arcs, args, header):
 def _arcs_classify(arcs, args, header):
     if args.k < 1:  # --k is read only with --M, but checked with --Q too
         raise PreconditionError(f"need k >= 1, got k={args.k}")
+    if (args.Q is None) == (args.M is None):
+        raise PreconditionError("classify takes exactly one of --Q (major/minor) and --M (mM)")
     if args.Q is not None:
         ap = arcs.classify_major(args.alpha, args.n, args.Q)
-    elif args.M is not None:
-        ap = arcs.classify_mm(args.alpha, args.n, args.k, args.M)
     else:
-        raise PreconditionError("classify needs --Q (major/minor) or --M (mM)")
+        ap = arcs.classify_mm(args.alpha, args.n, args.k, args.M)
     return [{"alpha": ap.alpha, "a": ap.a, "q": ap.q, "beta": ap.beta, "classification": ap.classification}]
 
 
@@ -390,22 +397,10 @@ COMMANDS: dict[tuple[str, ...], tuple] = {
 }
 
 
-class _ArgvError(Exception):
-    """argv does not parse; raised instead of printing usage and exiting."""
-
-
-class _ExplicitParser(_Parser):
-    def error(self, message):
-        raise _ArgvError(message)
-
-
-def build_parser(explicit: bool = False) -> _Parser:
-    """The argparse tree of COMMANDS. With explicit, no flag is required or
-    has a default and there is no -h, so the namespace holds exactly the
-    flags that argv gives, and a parse error raises _ArgvError."""
-    cls, helps = (_ExplicitParser, False) if explicit else (_Parser, True)
-    p = cls(prog="waringtk", description="circle-method toolkit for diagonal-form powers", add_help=helps)
-    _add_global_flags(p, leaf=explicit)
+def build_parser() -> _Parser:
+    """The argparse tree of COMMANDS."""
+    p = _Parser(prog="waringtk", description="circle-method toolkit for diagonal-form powers")
+    _add_global_flags(p, leaf=False)
     common = argparse.ArgumentParser(add_help=False)
     _add_global_flags(common, leaf=True)
     # subparsers of each group, keyed by the group's path; every parser
@@ -414,12 +409,10 @@ def build_parser(explicit: bool = False) -> _Parser:
     for path, (_, _, flags) in COMMANDS.items():
         group = path[:-1]
         if group not in subs:
-            grp = subs[()].add_parser(group[0], parents=[common], add_help=helps)
+            grp = subs[()].add_parser(group[0], parents=[common])
             subs[group] = grp.add_subparsers(dest="sub", required=True)
-        leaf = subs[group].add_parser(path[-1], parents=[common], add_help=helps)
+        leaf = subs[group].add_parser(path[-1], parents=[common])
         for flag, kwargs in flags.items():
-            if explicit:
-                kwargs = {**kwargs, "required": False, "default": argparse.SUPPRESS}
             leaf.add_argument(flag, **kwargs)
         leaf.set_defaults(command=path)
     return p
@@ -439,27 +432,21 @@ _SWITCHES = {
 _TRUE, _FALSE = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
 
 
-def _with_config(argv: list[str]) -> list[str]:
-    """argv plus the flags of its --config file; a flag given in argv wins
-    over the file. The config path and the flags given are read by
-    argparse itself, so abbreviations (`--conf FILE`, `--co=FILE`, `--a 3`)
-    and `--flag=value` count as they do in the real parse; argv that does
-    not parse is returned as it is, for the real parse to report. A switch
-    (`star=1`) is added bare when true, left off when false."""
-    # the explicit parse builds a second argparse tree (about 5 ms): only
-    # a token whose text before `=` is at least `--c` and a prefix of
-    # `--config` can name the file
-    heads = {tok.split("=", 1)[0] for tok in argv}
-    if not any(len(h) > 2 and "--config".startswith(h) for h in heads):
-        return argv
-    try:
-        given = vars(build_parser(explicit=True).parse_known_args(argv)[0])
-    except _ArgvError:
-        return argv
-    if "config" not in given:
-        return argv
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv, with the flags of its --config file, parsed once by the tree.
+
+    A pre-parse with only the global flags takes them out of argv, reading
+    abbreviations (`--conf FILE`, `--co=FILE`, `--fo csv`) and ambiguity
+    (`--c`) as the tree does; no command flag shares a prefix with a global
+    flag. The file's flags go in right after the command path, before those
+    of argv, and argparse keeps a flag's last value, so argv wins. A file key
+    that names a global flag argv gave is skipped. A switch (`star=1`) goes
+    in bare when true and is left out when false."""
+    pre = _Parser(prog="waringtk", add_help=False)
+    _add_global_flags(pre, leaf=True)
+    given, rest = pre.parse_known_args(argv)
     extra: list[str] = []
-    for key, val in _load_config(given["config"]).items():
+    for key, val in (_load_config(given.config) if "config" in given else {}).items():
         flag = f"--{key}"
         if key.replace("-", "_") in given:
             continue
@@ -469,13 +456,13 @@ def _with_config(argv: list[str]) -> list[str]:
             extra.append(flag)
         elif val.lower() not in _FALSE:
             raise PreconditionError(f"config value {key}={val!r} is not one of {_TRUE + _FALSE}")
-    return argv + extra
+    at = next((len(path) for path in COMMANDS if tuple(rest[: len(path)]) == path), len(rest))
+    return build_parser().parse_args(rest[:at] + extra + rest[at:], namespace=given)
 
 
 def run(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(_with_config(argv))
+        args = _parse(argv)
         rows, header = _dispatch(args)
         buf = io.StringIO()
         emit_report(rows, args.format, buf, header)

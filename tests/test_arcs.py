@@ -64,6 +64,12 @@ def test_classify_mm_exclusion():
     assert pt2.classification in ("mM", "mM-excluded")
 
 
+def test_classify_mm_rejects_nan_m():
+    """A NaN M fails every comparison, so it would put alpha in m_M."""
+    with pytest.raises(PreconditionError):
+        classify_mm(0.3, 10, 2, math.nan)
+
+
 @pytest.mark.parametrize("alpha", [0.0, 0.3, 1 / 7, 0.917])
 def test_f_alpha_matches_direct(alpha):
     k, l, t, limit = 2, 2, 2, 60

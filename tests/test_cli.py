@@ -246,31 +246,68 @@ def test_ambiguous_config_prefix_is_a_usage_error(tmp_path, capsys):
     assert "ambiguous option" in capsys.readouterr().err
 
 
-def test_parser_built_twice_only_for_a_config_prefix(capsys, monkeypatch):
-    """The explicit parser behind --config is built only when a token
-    before `=` could be a prefix of --config; the output is the same."""
+@pytest.mark.parametrize(
+    "spelling", [[], ["--config", "{}"], ["--conf={}"], ["--co", "{}"]], ids=["none", "config", "conf=", "co"]
+)
+def test_parser_built_once_per_run(tmp_path, capsys, monkeypatch, spelling):
+    """run builds the argparse tree of COMMANDS once, with or without a
+    config file, whether --config comes before or after the command."""
     from waringtk import cli
 
+    cfg = os.path.join(tmp_path, "cfg")
+    with open(cfg, "w") as fh:
+        fh.write("k=2\n")
+    _, want = run_capture(["expsum", "--q", "5", "--a", "2", "--k", "2"], capsys)
     built = []
     real = cli.build_parser
 
-    def counting(*args, **kwargs):
-        built.append(kwargs.get("explicit", False))
-        return real(*args, **kwargs)
+    def counting():
+        built.append(1)
+        return real()
 
     monkeypatch.setattr(cli, "build_parser", counting)
-    argv = ["expsum", "--q", "5", "--a", "2", "--k", "2"]
-    code, want = run_capture(argv, capsys)
-    assert code == 0 and built == [False]
-    cases = [(["--format", "csv"], 1), (["--cache-dir=x"], 1), (["--cox"], 1), (["--c=x"], 2), (["--con"], 2)]
-    for extra, builds in cases:
+    flag = [tok.format(cfg) for tok in spelling]
+    given = ["--q", "5", "--a", "2"] + ([] if spelling else ["--k", "2"])
+    for argv in (["expsum", *given, *flag], [*flag, "expsum", *given]):
         del built[:]
-        run(argv + extra)
-        capsys.readouterr()
-        assert len(built) == builds, extra
-    del built[:]
-    assert run_capture(argv + ["--format=csv"], capsys) == (0, want)
-    assert built == [False]
+        assert run_capture(argv, capsys) == (0, want), argv
+        assert built == [1], argv
+
+
+_GLOBAL_FLAGS = ("--format", "--out", "--cache-dir", "--config")
+
+
+def test_no_command_flag_shares_a_prefix_with_a_global_flag():
+    """cli._parse takes the global flags, abbreviated or not, out of argv
+    before the tree reads it; a command flag that shared more than its
+    leading `--` with a global flag could be taken for it."""
+    shared = {
+        (flag, glob)
+        for _, _, flags in COMMANDS.values()
+        for flag in flags
+        for glob in _GLOBAL_FLAGS
+        if os.path.commonprefix([flag, glob]) != "--"
+    }
+    assert not shared
+
+
+def test_config_sets_global_flags(tmp_path, capsys):
+    """A global flag in the config file applies when argv does not give
+    it; argv's, before or after the command and abbreviated or not, wins."""
+    cfg = os.path.join(tmp_path, "cfg")
+    with open(cfg, "w") as fh:
+        fh.write("format=json\nq=5\na=2\nk=2\n")
+    direct = ["expsum", "--q", "5", "--a", "2", "--k", "2"]
+    _, as_csv = run_capture(direct, capsys)
+    _, as_json = run_capture(direct + ["--format", "json"], capsys)
+    assert as_json != as_csv
+    assert run_capture(["expsum", "--config", cfg], capsys) == (0, as_json)
+    for argv in (
+        ["--format", "csv", "expsum", "--config", cfg],
+        ["expsum", "--config", cfg, "--format=csv"],
+        ["expsum", "--fo", "csv", "--config", cfg],
+    ):
+        assert run_capture(argv, capsys) == (0, as_csv), argv
 
 
 @pytest.mark.parametrize(
@@ -373,6 +410,27 @@ def test_classify_reports_arc(capsys):
     rows = parse_csv(out)
     assert rows[0]["classification"] == "major"
     assert int(rows[0]["q"]) == 3
+
+
+@pytest.mark.parametrize(
+    "given, wrong",
+    [(["--M", "nan"], "nan"), (["--Q", "3", "--M", "4"], "exactly one of --Q"), ([], "exactly one of --Q")],
+    ids=["M-nan", "Q-and-M", "neither"],
+)
+def test_classify_bad_arc_flags_exit_two(capsys, given, wrong):
+    """classify reads exactly one of --Q and --M, and M must be a number."""
+    assert run(["arcs", "classify", "--alpha", "0.3", "--n", "10", *given]) == 2
+    err = capsys.readouterr().err
+    assert wrong in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("given, missing", [(["--l", "2"], "--t"), (["--t", "8"], "--l")])
+def test_expsum_form_needs_l_and_t(capsys, given, missing):
+    """The form columns need both --l and --t; one alone exits 2 and names
+    the other."""
+    assert run(["expsum", "--q", "5", "--a", "2", "--k", "2", *given]) == 2
+    err = capsys.readouterr().err
+    assert f"{missing} is missing" in err and "Traceback" not in err
 
 
 def test_report_runs(capsys):
