@@ -438,24 +438,25 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     A pre-parse with only the global flags takes them out of argv, reading
     abbreviations (`--conf FILE`, `--co=FILE`, `--fo csv`) and ambiguity
     (`--c`) as the tree does; no command flag shares a prefix with a global
-    flag. The file's flags go in right after the command path, before those
-    of argv, and argparse keeps a flag's last value, so argv wins. A file key
-    that names a global flag argv gave is skipped. A switch (`star=1`) goes
-    in bare when true and is left out when false."""
+    flag. The same pre-parse takes the global flags out of the file's flags,
+    and those argv gives win. The file's other flags go in right after the
+    command path, before those of argv, and argparse keeps a flag's last
+    value, so argv wins there too. A switch (`star=1`) goes in bare when
+    true and is left out when false."""
     pre = _Parser(prog="waringtk", add_help=False)
     _add_global_flags(pre, leaf=True)
     given, rest = pre.parse_known_args(argv)
     extra: list[str] = []
     for key, val in (_load_config(given.config) if "config" in given else {}).items():
         flag = f"--{key}"
-        if key.replace("-", "_") in given:
-            continue
         if flag not in _SWITCHES:
             extra += [flag, val]
         elif val.lower() in _TRUE:
             extra.append(flag)
         elif val.lower() not in _FALSE:
             raise PreconditionError(f"config value {key}={val!r} is not one of {_TRUE + _FALSE}")
+    from_file, extra = pre.parse_known_args(extra)
+    given = argparse.Namespace(**{**vars(from_file), **vars(given)})
     at = next((len(path) for path in COMMANDS if tuple(rest[: len(path)]) == path), len(rest))
     return build_parser().parse_args(rest[:at] + extra + rest[at:], namespace=given)
 

@@ -238,6 +238,15 @@ def test_abbreviated_flag_wins_over_config(tmp_path, capsys, given):
         assert out == want
 
 
+def test_flag_wins_over_abbreviated_config_key(tmp_path, capsys):
+    """A file key that abbreviates a flag loses to the flag in argv."""
+    cfg = os.path.join(tmp_path, "cfg")
+    with open(cfg, "w") as fh:
+        fh.write("nm=20\nk=2\nl=2\nxi=5\ns=2\n")
+    _, want = run_capture(["count", "thm13", "--nmax", "30", "--k", "2", "--l", "2", "--xi", "5", "--s", "2"], capsys)
+    assert run_capture(["count", "thm13", "--config", cfg, "--nmax", "30"], capsys) == (0, want)
+
+
 def test_ambiguous_config_prefix_is_a_usage_error(tmp_path, capsys):
     cfg = os.path.join(tmp_path, "cfg")
     with open(cfg, "w") as fh:
@@ -291,12 +300,14 @@ def test_no_command_flag_shares_a_prefix_with_a_global_flag():
     assert not shared
 
 
-def test_config_sets_global_flags(tmp_path, capsys):
-    """A global flag in the config file applies when argv does not give
-    it; argv's, before or after the command and abbreviated or not, wins."""
+@pytest.mark.parametrize("key", ["format", "fo"])
+def test_config_sets_global_flags(tmp_path, capsys, key):
+    """A global flag in the config file, abbreviated or not, applies when
+    argv does not give it; argv's, before or after the command and
+    abbreviated or not, wins."""
     cfg = os.path.join(tmp_path, "cfg")
     with open(cfg, "w") as fh:
-        fh.write("format=json\nq=5\na=2\nk=2\n")
+        fh.write(f"{key}=json\nq=5\na=2\nk=2\n")
     direct = ["expsum", "--q", "5", "--a", "2", "--k", "2"]
     _, as_csv = run_capture(direct, capsys)
     _, as_json = run_capture(direct + ["--format", "json"], capsys)
