@@ -141,6 +141,9 @@ def _density(powersets, args, header):
 
 
 def _expsum(expsums, args, header):
+    if (args.l is None) != (args.t is None):
+        missing = "--t" if args.t is None else "--l"
+        raise PreconditionError(f"the form columns need --l and --t, and {missing} is missing")
     sk = expsums.s_k(args.q, args.a, args.k)
     wv = expsums.w_q(args.q, args.a, args.k)
     row = {
@@ -153,9 +156,6 @@ def _expsum(expsums, args, header):
         "w_im": wv.imag,
         "wk_weight": expsums.w_k_weight(args.q, args.k),
     }
-    if (args.l is None) != (args.t is None):
-        missing = "--t" if args.t is None else "--l"
-        raise PreconditionError(f"the form columns need --l and --t, and {missing} is missing")
     if args.l is not None:
         sf = expsums.s_form(args.q, args.a, args.k, args.l, args.t)
         row["form_re"] = sf.real
