@@ -20,7 +20,7 @@ from itertools import product
 
 import numpy as np
 
-from waringtk.errors import PreconditionError, ResourceError
+from waringtk.errors import PreconditionError, ResourceError, require_integers
 from waringtk.expsums import coprime_residues
 from waringtk.integral import U_major
 from waringtk.powersets import (
@@ -45,8 +45,7 @@ def dirichlet_approx(alpha: float, denom_bound: int) -> tuple[int, int]:
     """
     if not 0 <= alpha < 1:
         raise PreconditionError("need alpha in [0, 1)")
-    if denom_bound < 1:
-        raise PreconditionError("need denom_bound >= 1")
+    require_integers(1, denom_bound=denom_bound)
     a_prev, q_prev = 1, 0
     a_cur, q_cur = 0, 1  # convergent 0/1 from a0 = 0
     x = alpha
@@ -77,8 +76,7 @@ def classify_major(alpha: float, n: int, Q: int) -> ArcPoint:
     """Exact membership in M(Q), 1 <= Q <= CLASSIFY_Q_BUDGET, by scanning q <= Q."""
     if not 0 <= alpha < 1:
         raise PreconditionError("need alpha in [0, 1)")
-    if n < 1 or Q < 1:
-        raise PreconditionError(f"need n, Q >= 1, got n={n}, Q={Q}")
+    require_integers(1, n=n, Q=Q)
     if Q > CLASSIFY_Q_BUDGET:
         raise ResourceError(f"Q = {Q} exceeds the scan budget {CLASSIFY_Q_BUDGET}")
     best: tuple[float, int, int] | None = None
@@ -100,8 +98,7 @@ def classify_major(alpha: float, n: int, Q: int) -> ArcPoint:
 def classify_mm(alpha: float, n: int, k: int, M: float) -> ArcPoint:
     """Membership in m_M: Dirichlet pair with q <= 2kX, |beta| <= (2kqX)^-1,
     subject to |beta| >= M/(qn) whenever q <= M; n, k >= 1 and M not NaN."""
-    if n < 1 or k < 1:
-        raise PreconditionError(f"need n, k >= 1, got n={n}, k={k}")
+    require_integers(1, n=n, k=k)
     if math.isnan(M):
         raise PreconditionError("need M to be a number, got nan")
     X = n ** (1.0 / k)
@@ -168,11 +165,8 @@ def major_residual_sweep(
     Samples are stratified by q: denominators cycle through [1, Q], the
     numerator and offset beta are drawn from the arc around a/q.
     """
-    if min(n, k, l, Q, sample_count) < 1 or seed < 0:
-        raise PreconditionError(
-            f"need n, k, l, Q, sample_count >= 1 and seed >= 0, got n={n}, k={k}, l={l}, Q={Q}, "
-            f"sample_count={sample_count}, seed={seed}"
-        )
+    require_integers(1, n=n, k=k, l=l, Q=Q, sample_count=sample_count)
+    require_integers(0, seed=seed)
     P = n ** (1.0 / (k * l))
     if Q >= P:
         raise PreconditionError("major-arc approximation needs q <= Q < P")
@@ -204,11 +198,8 @@ def weyl_bound_sweep(
 ) -> float:
     """max over sampled alpha of |f(alpha)| / (P^t (q^-1 + P^-1 + q P^-kl)^e)
     with e = 2^(1-kl) and (a, q) the Dirichlet pair of alpha."""
-    if min(n, k, l, sample_count) < 1 or seed < 0:
-        raise PreconditionError(
-            f"need n, k, l, sample_count >= 1 and seed >= 0, got n={n}, k={k}, l={l}, "
-            f"sample_count={sample_count}, seed={seed}"
-        )
+    require_integers(1, n=n, k=k, l=l, sample_count=sample_count)
+    require_integers(0, seed=seed)
     P = n ** (1.0 / (k * l))
     rng = np.random.default_rng(seed)
     table = _rho_table_for(l, t, math.floor(P**l))
@@ -232,8 +223,7 @@ def vinogradov_mean_value(
 ) -> int:
     """Exact J_{s,r}^(k_sys)(Y): solutions of sum x_i^j = sum x_{s+i}^j for
     j = 1..k_sys with all 2s variables in S_r(Y), by meet-in-the-middle."""
-    if s < 1 or k_sys < 1 or l < 1:
-        raise PreconditionError(f"need s, k_sys, l >= 1, got s={s}, k_sys={k_sys}, l={l}")
+    require_integers(1, s=s, k_sys=k_sys, l=l)
     values = restricted_power_sums(r, l, Y, eta).values
     if len(values) ** s > VMV_BUDGET:
         raise ResourceError(f"|S|^s = {len(values) ** s} exceeds budget {VMV_BUDGET}")

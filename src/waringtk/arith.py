@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from waringtk.errors import PreconditionError, ResourceError
+from waringtk.errors import PreconditionError, ResourceError, require_integers
 
 # trial division to the square root of 2^40 tries at most 2^19 odd divisors
 # (0.07 s with CPython 3.11 on a 2-core x86-64 VM)
@@ -60,8 +60,7 @@ def is_prime(n: int) -> bool:
 def factorize(q: int) -> Factorization:
     """Exact prime factorization of 1 <= q <= FACTOR_BUDGET by trial
     division; q = 1 gives the empty product."""
-    if q < 1:
-        raise PreconditionError(f"factorize needs q >= 1, got {q}")
+    require_integers(1, q=q)
     if q > FACTOR_BUDGET:
         raise ResourceError(f"q = {q} exceeds the trial-division budget {FACTOR_BUDGET}")
     entries = []
@@ -81,8 +80,7 @@ def factorize(q: int) -> Factorization:
 
 def euler_phi(q: int) -> int:
     """Euler's totient, via the factorization."""
-    if q < 1:
-        raise PreconditionError(f"euler_phi needs q >= 1, got {q}")
+    require_integers(1, q=q)
     out = 1
     for p, e in factorize(q).entries:
         out *= p ** (e - 1) * (p - 1)
@@ -91,8 +89,8 @@ def euler_phi(q: int) -> int:
 
 def p_adic_valuation(p: int, m: int) -> int:
     """tau with p^tau || m; needs p >= 2 and m >= 1, where the loop ends."""
-    if p < 2 or m < 1:
-        raise PreconditionError(f"need p >= 2 and m >= 1, got p={p}, m={m}")
+    require_integers(2, p=p)
+    require_integers(1, m=m)
     tau = 0
     while m % p == 0:
         m //= p

@@ -22,7 +22,7 @@ import os
 import sys
 from collections.abc import Iterable, Iterator
 
-from waringtk.errors import PreconditionError, ResourceError
+from waringtk.errors import PreconditionError, ResourceError, require_integers
 
 DEFAULT_CACHE_DIR = os.path.expanduser("~/.cache/waringtk")
 
@@ -112,7 +112,10 @@ def _sieve(powersets, args, header):
         header.append(f"cache=hit path={path}")
     else:
         table = powersets.rep_count_table(args.l, args.t, args.limit)
-        powersets.write_table_cache(table, path)
+        try:
+            powersets.write_table_cache(table, path)
+        except PreconditionError:  # a count past u64 has no cached form; the rows are still exact
+            pass
         header.append(f"cache=miss path={path}")
     return [
         {
@@ -247,8 +250,7 @@ def _arcs_weyl(arcs, args, header):
 
 
 def _arcs_classify(arcs, args, header):
-    if args.k < 1:  # --k is read only with --M, but checked with --Q too
-        raise PreconditionError(f"need k >= 1, got k={args.k}")
+    require_integers(1, k=args.k)  # --k is read only with --M, but checked with --Q too
     if (args.Q is None) == (args.M is None):
         raise PreconditionError("classify takes exactly one of --Q (major/minor) and --M (mM)")
     if args.Q is not None:
@@ -426,9 +428,6 @@ def _dispatch(args) -> tuple[Iterable[dict], list[str]]:
     return rows, header
 
 
-_SWITCHES = {
-    flag for _, _, flags in COMMANDS.values() for flag, kw in flags.items() if kw.get("action") == "store_true"
-}
 _TRUE, _FALSE = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
 
 
@@ -441,23 +440,27 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     flag. The same pre-parse takes the global flags out of the file's flags,
     and those argv gives win. The file's other flags go in right after the
     command path, before those of argv, and argparse keeps a flag's last
-    value, so argv wins there too. A switch (`star=1`) goes in bare when
-    true and is left out when false."""
+    value, so argv wins there too. A key names the leaf's flag as argparse
+    reads it, by its exact name or else a unique prefix; when that flag is
+    a switch (`star=1`, `sta=1`) it goes in bare when true and is left out
+    when false."""
     pre = _Parser(prog="waringtk", add_help=False)
     _add_global_flags(pre, leaf=True)
     given, rest = pre.parse_known_args(argv)
+    at = next((len(path) for path in COMMANDS if tuple(rest[: len(path)]) == path), len(rest))
+    flags = COMMANDS.get(tuple(rest[:at]), (None, None, {}))[2]
     extra: list[str] = []
     for key, val in (_load_config(given.config) if "config" in given else {}).items():
-        flag = f"--{key}"
-        if flag not in _SWITCHES:
-            extra += [flag, val]
+        name = f"--{key}"
+        hits = [name] if name in flags else [flag for flag in flags if flag.startswith(name)]
+        if len(hits) != 1 or flags[hits[0]].get("action") != "store_true":
+            extra += [name, val]
         elif val.lower() in _TRUE:
-            extra.append(flag)
+            extra.append(hits[0])
         elif val.lower() not in _FALSE:
             raise PreconditionError(f"config value {key}={val!r} is not one of {_TRUE + _FALSE}")
     from_file, extra = pre.parse_known_args(extra)
     given = argparse.Namespace(**{**vars(from_file), **vars(given)})
-    at = next((len(path) for path in COMMANDS if tuple(rest[: len(path)]) == path), len(rest))
     return build_parser().parse_args(rest[:at] + extra + rest[at:], namespace=given)
 
 

@@ -61,10 +61,7 @@ import math
 
 import numpy as np
 
-from waringtk.errors import PreconditionError
-
-# read only by bench/tracer.py; removed with ROADMAP item 5's benchmark change
-NTT_PRIMES = (2013265921, 1811939329, 469762049, 2113929217, 1711276033, 167772161, 754974721, 998244353)
+from waringtk.errors import PreconditionError, require_integers
 
 _FFT_ERROR = 64  # c of the rounding bound in the module docstring
 _SCHOOLBOOK_CAP = 1 << 17  # len(a)*len(b) at most this: a short product
@@ -303,8 +300,8 @@ def exact_product(a: list[int] | np.ndarray, b: list[int] | np.ndarray, trunc: i
     object as a and b (a square) costs one set of forward transforms
     instead of two on the FFT kernel.
     """
-    if trunc is not None and trunc < 0:
-        raise PreconditionError(f"trunc must be nonnegative, got {trunc}")
+    if trunc is not None:
+        require_integers(0, trunc=trunc)
     return _product(*_operands(a, b), trunc)
 
 
@@ -330,8 +327,7 @@ def _binary_power(base, t: int, mul):
     powering: for each bit of t after the leading one, square, then
     multiply by base if the bit is set. That makes floor(log2 t) +
     popcount(t) - 1 products, each a square or a product with base."""
-    if t < 1:
-        raise PreconditionError(f"a convolution power needs t >= 1, got t={t}")
+    require_integers(1, t=t)
     result = base
     for bit in bin(t)[3:]:
         result = mul(result, result)
@@ -343,8 +339,7 @@ def _binary_power(base, t: int, mul):
 def convolution_power(base: list[int] | np.ndarray, t: int, trunc: int) -> np.ndarray:
     """base^(*t) truncated and zero-padded to trunc entries, by binary
     powering, as an int64 array (object when an entry reaches 2^63)."""
-    if trunc < 0:
-        raise PreconditionError(f"trunc must be nonnegative, got {trunc}")
+    require_integers(0, trunc=trunc)
     result = _binary_power(count_array(base[:trunc]), t, lambda a, b: _product(a, b, trunc))
     out = np.zeros(trunc, dtype=result.dtype)
     out[: len(result)] = result

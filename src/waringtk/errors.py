@@ -20,11 +20,14 @@ class ResourceError(RuntimeError):
     pass
 
 
-def require_integers(**values) -> None:
-    """Raise PreconditionError unless operator.index accepts every value:
-    ints and numpy integers pass, floats (integral ones too) do not."""
+def require_integers(least: int | None = None, **values) -> None:
+    """Raise PreconditionError unless operator.index accepts every value
+    (ints and numpy integers pass, floats, integral ones too, do not) and,
+    when least is given, every value is at least least."""
     for name, value in values.items():
         try:
             operator.index(value)
         except TypeError:
             raise PreconditionError(f"need an integer {name}, got {value!r}") from None
+        if least is not None and value < least:
+            raise PreconditionError(f"need {name} >= {least}, got {name}={value}")

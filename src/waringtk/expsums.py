@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from waringtk.arith import euler_phi, factorize
-from waringtk.errors import PreconditionError, ResourceError
+from waringtk.errors import PreconditionError, ResourceError, require_integers
 
 S_FORM_Q_BUDGET = 5000
 HIST_Q_BUDGET = 10**6
@@ -42,8 +42,8 @@ def omega_table(q: int) -> np.ndarray:
 
 
 def _check_coprime(q: int, a: int) -> None:
-    if q < 1:
-        raise PreconditionError("need q >= 1")
+    require_integers(1, q=q)
+    require_integers(a=a)
     if q > 1 and math.gcd(a % q, q) != 1:
         raise PreconditionError(f"need gcd(a, q) = 1, got a={a}, q={q}")
 
@@ -52,8 +52,7 @@ def _power_mod(r: np.ndarray, k: int, q: int) -> np.ndarray:
     """r^k mod q entrywise for an int64 array r of entries in [0, q], by
     square-and-multiply with a reduction after each product: the
     products stay below q^2, so nothing wraps int64 for q < 3 * 10^9."""
-    if k < 0:
-        raise PreconditionError(f"need k >= 0, got k={k}")
+    require_integers(0, k=k)
     out = np.full(len(r), 1 % q, dtype=np.int64)
     square = r % q
     while k:
@@ -121,8 +120,7 @@ def s_form(q: int, a: int, k: int, l: int, t: int) -> complex:
     The u-sum runs over a complete residue system: the u = q term (u = 0)
     is included and carries the main part p^{(t-1)h} S_k. Needs q, l, t >= 1.
     """
-    if min(q, l, t) < 1:
-        raise PreconditionError(f"need q, l, t >= 1, got q={q}, l={l}, t={t}")
+    require_integers(1, q=q, l=l, t=t)
     if q > S_FORM_Q_BUDGET:
         raise ResourceError(f"q = {q} exceeds the O(q^2) budget {S_FORM_Q_BUDGET}")
     if q == 1:
@@ -158,8 +156,7 @@ def s_form_direct(q: int, a: int, k: int, l: int, t: int) -> complex:
 def w_k_weight(q: int, k: int) -> float:
     """Multiplicative majorant w_k: on p^(uk+v), p^(-u-1) for 2 <= v <= k
     and k p^(-u-1/2) for v = 1; w_k(1) = 1."""
-    if q < 1 or k < 1:
-        raise PreconditionError(f"need q, k >= 1, got q={q}, k={k}")
+    require_integers(1, q=q, k=k)
     out = 1.0
     for p, e in factorize(q).entries:
         u, v = divmod(e - 1, k)
@@ -209,6 +206,7 @@ def weight_bound_sweep(Q: int, k: int, which: str = "Sk") -> float:
     """
     if which not in ("Sk", "W"):
         raise PreconditionError(f"which must be 'Sk' or 'W', got {which!r}")
+    require_integers(1, Q=Q, k=k)
     best = 1.0  # q = 1 gives ratio exactly 1
     for q in range(2, Q + 1):
         if which == "Sk":

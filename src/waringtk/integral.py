@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from waringtk.convolve import float_convolve
-from waringtk.errors import PreconditionError, ResourceError
+from waringtk.errors import PreconditionError, ResourceError, require_integers
 from waringtk.expsums import s_form
 
 N_BUDGET = 10**7
@@ -29,8 +29,7 @@ J_BUDGET = 10**6  # the largest n of J'_s(n) and J(n)
 
 def _x1(n: int, k: int) -> float:
     """X1 = 2^(-1) (2k)^(-1/(k-1)) n^(1/k), the scale of the v support."""
-    if k < 2:
-        raise PreconditionError(f"X1 needs k >= 2, got k={k}")
+    require_integers(2, k=k)
     return 0.5 * (2 * k) ** (-1.0 / (k - 1)) * n ** (1.0 / k)
 
 
@@ -107,8 +106,7 @@ def _u_grid(n: int, t: int, k: int, l: int) -> np.ndarray:
 
 def u_beta(beta: float, n: int, t: int, k: int, l: int) -> complex:
     """u(beta) by the baby-step/giant-step split of the n-term sum."""
-    if n < 1:
-        raise PreconditionError("need n >= 1")
+    require_integers(1, n=n)
     if n > N_BUDGET:
         raise ResourceError(f"n = {n} exceeds budget {N_BUDGET}")
     return _weighted_exp_sum(_u_grid(n, t, k, l), 1, beta)
@@ -116,8 +114,7 @@ def u_beta(beta: float, n: int, t: int, k: int, l: int) -> complex:
 
 def c_tl(t: int, l: int) -> float:
     """Gamma-ratio constant Gamma(1 + 1/l)^t / Gamma(t/l)."""
-    if t < 1 or l < 1:
-        raise PreconditionError("need t, l >= 1")
+    require_integers(1, t=t, l=l)
     return math.gamma(1 + 1 / l) ** t / math.gamma(t / l)
 
 
@@ -130,10 +127,9 @@ def u_decay_check(
     n: int, t: int, k: int, l: int, sample_count: int = 50, seed: int = 0
 ) -> float:
     """max over sampled beta of |u(beta)| (1 + n|beta|)^gamma / P^t."""
-    if sample_count < 10:
-        raise PreconditionError("need sample_count >= 10")
-    if min(t, k, l) < 1 or seed < 0:
-        raise PreconditionError(f"need t, k, l >= 1 and seed >= 0, got t={t}, k={k}, l={l}, seed={seed}")
+    require_integers(10, sample_count=sample_count)
+    require_integers(1, t=t, k=k, l=l)
+    require_integers(0, seed=seed)
     rng = np.random.default_rng(seed)
     gamma = decay_exponent(t, k, l)
     P = n ** (1.0 / (k * l))
@@ -147,8 +143,9 @@ def u_decay_check(
 
 def U_major(alpha: float, a: int, q: int, n: int, k: int, l: int, t: int) -> complex:
     """Major-arc approximant c_{t,l} q^-t S(q,a) u(alpha - a/q)."""
-    if q < 1 or abs(alpha - a / q) > 0.5:
-        raise PreconditionError(f"need q >= 1 and |alpha - a/q| <= 1/2, got alpha={alpha}, a={a}, q={q}")
+    require_integers(1, q=q)
+    if abs(alpha - a / q) > 0.5:
+        raise PreconditionError(f"need |alpha - a/q| <= 1/2, got alpha={alpha}, a={a}, q={q}")
     beta = alpha - a / q
     sq = 1 + 0j if q == 1 else s_form(q, a, k, l, t)
     return c_tl(t, l) * sq / q**t * u_beta(beta, n, t, k, l)
@@ -168,8 +165,7 @@ def v_beta(beta: float, n: int, k: int) -> complex:
 
 
 def w_beta(beta: float, n: int, k: int) -> complex:
-    if k < 1:
-        raise PreconditionError(f"need k >= 1, got k={k}")
+    require_integers(1, k=k)
     if n > N_BUDGET:
         raise ResourceError("w support exceeds budget")
     return _weighted_exp_sum(_split_grid(_w_weights(n, k)), 2, beta)
@@ -178,10 +174,8 @@ def w_beta(beta: float, n: int, k: int) -> complex:
 def _check_jprime_args(n: int, s: int, xi: int, k: int, l: int) -> None:
     """J'_s(n) and its main term need s >= 2; the weights m^(xi/kl - 1),
     m = 1..n, need n, xi, k, l >= 1."""
-    if s < 2:
-        raise PreconditionError("need s >= 2")
-    if min(n, xi, k, l) < 1:
-        raise PreconditionError(f"need n, xi, k, l >= 1, got n={n}, xi={xi}, k={k}, l={l}")
+    require_integers(2, s=s)
+    require_integers(1, n=n, xi=xi, k=k, l=l)
 
 
 def j_prime_exact(n: int, s: int, xi: int, k: int, l: int) -> float:
@@ -246,8 +240,9 @@ def j_singular_exact(n: int, s: int, k: int, l: int, t: int) -> tuple[float, flo
     It needs n >= 2 (the envelope divides by log n), k >= 2 (the v
     support by k - 1), l >= 1, s >= 0 and t >= 1.
     """
-    if n < 2 or k < 2 or l < 1 or s < 0 or t < 1:
-        raise PreconditionError(f"need n, k >= 2, l, t >= 1 and s >= 0, got n={n}, k={k}, l={l}, s={s}, t={t}")
+    require_integers(2, n=n, k=k)
+    require_integers(1, l=l, t=t)
+    require_integers(0, s=s)
     if n > J_BUDGET:
         raise ResourceError("n exceeds the singular-integral budget")
     lo, hi = v_support(n, k)

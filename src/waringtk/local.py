@@ -28,7 +28,7 @@ import numpy as np
 
 from waringtk.arith import factorize, gamma_exponent, is_prime, nu_exponent, p_adic_valuation
 from waringtk.convolve import _total, count_array, cyclic_convolve, cyclic_power
-from waringtk.errors import PreconditionError, ResourceError
+from waringtk.errors import PreconditionError, ResourceError, require_integers
 from waringtk.expsums import _power_mod, power_residue_histogram
 
 FORM_HIST_BUDGET = 10**5
@@ -92,10 +92,11 @@ def form_power_histogram(q: int, k: int, l: int, t: int) -> np.ndarray:
 
 def _check_local_args(p: int, h: int, k: int, l: int, t: int, s: int) -> None:
     """A local count needs a prime p, h >= 0, k, l, t >= 1 and s >= 0."""
-    if not is_prime(p) or h < 0 or min(k, l, t) < 1 or s < 0:
-        raise PreconditionError(
-            f"need a prime p, h >= 0, k, l, t >= 1 and s >= 0, got p={p}, h={h}, k={k}, l={l}, t={t}, s={s}"
-        )
+    require_integers(0, h=h, s=s)
+    require_integers(1, k=k, l=l, t=t)
+    require_integers(2, p=p)
+    if not is_prime(p):
+        raise PreconditionError(f"need a prime p, got p={p}")
 
 
 @lru_cache(maxsize=512)
@@ -114,6 +115,7 @@ def _m_n_histogram(p: int, h: int, k: int, l: int, t: int, s: int) -> np.ndarray
 def m_n(p: int, h: int, n: int, k: int, l: int, t: int, s: int) -> int:
     """|M_n(p^h)|, exact."""
     _check_local_args(p, h, k, l, t, s)
+    require_integers(n=n)
     if h == 0:
         # trivial modulus: the whole parameter space (one point per tuple class)
         return 1
@@ -125,8 +127,7 @@ def _m_star_histogram(p: int, h: int, k: int, l: int, t: int, s: int) -> np.ndar
     q = p**h
     if q > MN_BUDGET:
         raise ResourceError(f"p^h = {q} exceeds the local-count budget {MN_BUDGET}")
-    if s < 1:
-        raise PreconditionError("M* needs s >= 1")
+    require_integers(1, s=s)
     # first block: x_{1,1} a unit AND the form value T(x_1) a unit
     first = power_residue_histogram(q, l, units_only=True)
     if t > 1:
@@ -140,6 +141,7 @@ def _m_star_histogram(p: int, h: int, k: int, l: int, t: int, s: int) -> np.ndar
 def m_star_n(p: int, h: int, n: int, k: int, l: int, t: int, s: int) -> int:
     """|M*_n(p^h)|, exact."""
     _check_local_args(p, h, k, l, t, s)
+    require_integers(n=n)
     if h == 0:
         return 1
     return int(_m_star_histogram(p, h, k, l, t, s)[n % p**h])

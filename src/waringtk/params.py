@@ -17,23 +17,25 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from waringtk.errors import PreconditionError
+from waringtk.errors import require_integers
 
 
 def delta_r(r: int, l: int) -> float:
     """Density-loss exponent exp(1 - 2r/l)."""
-    if l < 1 or r < 0:
-        raise PreconditionError(f"need l >= 1 and r >= 0, got l={l}, r={r}")
+    require_integers(1, l=l)
+    require_integers(0, r=r)
     return math.exp(1.0 - 2.0 * r / l)
 
 
 def varphi(k: int, t1: int, l: int) -> float:
     """1 - k(k+1) delta_{t1}/2 - 1/e, positive once t1/l is large enough."""
+    require_integers(1, k=k)
     return 1.0 - k * (k + 1) * delta_r(t1, l) / 2.0 - math.exp(-1.0)
 
 
 def xi0(k: int, l: int) -> int:
     """ceil(l/2 * (log l + log(k(k+1)) + 2)), threshold for positive density."""
+    require_integers(1, k=k, l=l)
     return math.ceil(l / 2.0 * (math.log(l) + math.log(k * (k + 1)) + 2.0))
 
 
@@ -52,10 +54,8 @@ class ProblemParams:
     P: float = field(init=False)
 
     def __post_init__(self):
-        if self.k < 2 or self.l < 2:
-            raise PreconditionError("need k >= 2 and l >= 2")
-        if self.t < 1 or self.n < 1 or self.xi < 1:
-            raise PreconditionError("need t >= 1, n >= 1, xi >= 1")
+        require_integers(2, k=self.k, l=self.l)
+        require_integers(1, t=self.t, n=self.n, xi=self.xi)
         object.__setattr__(self, "X", self.n ** (1.0 / self.k))
         object.__setattr__(self, "P", self.n ** (1.0 / (self.k * self.l)))
 
@@ -69,8 +69,7 @@ class ProblemParams:
 
     @property
     def c1(self) -> float:
-        if self.t1 < 1:
-            raise PreconditionError("C1 needs t1 = t - l >= 1")
+        require_integers(1, t1=self.t1)
         k, l = self.k, self.l
         return (k * (k + 1) * 2 ** (k + 1) * self.t1**k) ** (-1.0 / (l * k))
 
@@ -81,8 +80,7 @@ class ProblemParams:
 
     @property
     def c3(self) -> float:
-        if self.xi1 < 1:
-            raise PreconditionError("C3 needs xi1 = xi - 1 >= 1")
+        require_integers(1, xi1=self.xi1)
         k, l = self.k, self.l
         return (2 ** (k + 1) * k * (k + 1)) ** (-1.0 / (k * l)) * self.xi1 ** (-1.0 / l)
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from waringtk.arith import smallest_prime_factors
 from waringtk.convolve import convolution_power, count_array, read_only_counts
-from waringtk.errors import PreconditionError, ResourceError
+from waringtk.errors import PreconditionError, ResourceError, require_integers
 from waringtk.params import delta_r
 
 N_BUDGET = 10**7
@@ -80,10 +80,10 @@ def power_indicator(l: int, limit: int) -> np.ndarray:
 
 def rep_count_table(l: int, t: int, limit: int) -> PowerSumTable:
     """rho via t successive convolutions of the single-power indicator."""
-    if not 1 <= t <= 64:
-        raise PreconditionError(f"need 1 <= t <= 64, got t={t}")
-    if l < 1 or limit < 0:
-        raise PreconditionError("need l >= 1 and limit >= 0")
+    require_integers(1, t=t, l=l)
+    if t > 64:
+        raise PreconditionError(f"need t <= 64, got t={t}")
+    require_integers(0, limit=limit)
     if limit > N_BUDGET:
         raise ResourceError(f"limit {limit} exceeds budget {N_BUDGET}")
     base = power_indicator(l, limit)
@@ -114,8 +114,7 @@ def rep_count_enumerate(l: int, t: int, limit: int) -> list[int]:
 
 def distinct_count(table: PowerSumTable, limit: int) -> int:
     """#{m <= limit : rho[m] > 0}."""
-    if limit < 0:
-        raise PreconditionError(f"need limit >= 0, got {limit}")
+    require_integers(0, limit=limit)
     if limit > table.limit:
         raise PreconditionError("limit exceeds table coverage")
     return int(np.count_nonzero(table.rho[1 : limit + 1]))
@@ -123,8 +122,7 @@ def distinct_count(table: PowerSumTable, limit: int) -> int:
 
 def smooth_set(Y: int, R: int) -> list[int]:
     """Sorted R-smooth integers in [1, Y] (1 included vacuously)."""
-    if Y < 1 or R < 1:
-        raise PreconditionError("need Y >= 1 and R >= 1")
+    require_integers(1, Y=Y, R=R)
     if Y == 1:
         return [1]
     spf = smallest_prime_factors(Y)
@@ -150,8 +148,8 @@ def realized_smoothness_bound(Y: int, eta: float) -> int:
 def restricted_power_sums(r: int, l: int, Y: int, eta: float = DEFAULT_ETA) -> SmoothPowerSumSet:
     """S_r(Y): distinct sums of r l-th powers of R-smooth integers,
     R = realized_smoothness_bound(Y, eta)."""
-    if r < 1 or l < 1 or Y < 0:
-        raise PreconditionError(f"need r, l >= 1 and Y >= 0, got r={r}, l={l}, Y={Y}")
+    require_integers(1, r=r, l=l)
+    require_integers(0, Y=Y)
     if r * Y**l > N_BUDGET:
         raise ResourceError(f"r * Y^l = {r * Y ** l} exceeds budget")
     R = realized_smoothness_bound(Y, eta)
@@ -165,8 +163,7 @@ def restricted_power_sums(r: int, l: int, Y: int, eta: float = DEFAULT_ETA) -> S
 def default_y_grid(r: int, l: int) -> list[int]:
     """Four-point doubling grid ending at the largest Y with r Y^l within
     N_BUDGET, capped at 400 (so l = 2 gives the standard 50/100/200/400)."""
-    if r < 1 or l < 1:
-        raise PreconditionError(f"need r, l >= 1, got r={r}, l={l}")
+    require_integers(1, r=r, l=l)
     y_max = min(400, math.floor((N_BUDGET / r) ** (1.0 / l)))
     if y_max < 16:
         raise PreconditionError(f"r Y^l <= N_BUDGET keeps Y below 16, too small for a 4-point grid (r={r}, l={l})")

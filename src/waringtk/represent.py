@@ -73,12 +73,10 @@ def count_conje(n_max: int, k: int, l: int, t: int, s: int, r_extra: int) -> Cou
     require_integers(n_max=n_max, k=k, l=l, t=t, s=s, r_extra=r_extra)
     if n_max > N_MAX_BUDGET:
         raise ResourceError(f"n_max {n_max} exceeds budget {N_MAX_BUDGET}")
-    if n_max < 0:
-        raise PreconditionError(f"need n_max >= 0, got {n_max}")
-    if s < 0 or r_extra < 0 or s + r_extra < 1:
-        raise PreconditionError("need s, r_extra >= 0 and s + r_extra >= 1")
-    if k < 1:
-        raise PreconditionError(f"need k >= 1, got k={k}")
+    require_integers(0, n_max=n_max, s=s, r_extra=r_extra)
+    if s + r_extra < 1:
+        raise PreconditionError(f"need s + r_extra >= 1, got s={s}, r_extra={r_extra}")
+    require_integers(1, k=k, l=l, t=t)
     trunc = n_max + 1
     acc = None
     if s > 0:
@@ -97,10 +95,8 @@ def count_theorem13(
     require_integers(n_max=n_max, k=k, l=l, xi=xi, s=s)
     if n_max > N_MAX_BUDGET:
         raise ResourceError(f"n_max {n_max} exceeds budget {N_MAX_BUDGET}")
-    if n_max < 0:
-        raise PreconditionError(f"need n_max >= 0, got {n_max}")
-    if s < 1 or k < 1:
-        raise PreconditionError(f"need s, k >= 1, got s={s}, k={k}")
+    require_integers(0, n_max=n_max)
+    require_integers(1, s=s, k=k)
     base = form_power_base(n_max, k, l, xi)
     if not weighted:
         base = (base > 0).astype(np.int64)
@@ -173,15 +169,14 @@ def count_enumerate(n_max: int, k: int, l: int, t: int, s: int, r_extra: int) ->
 
 def main_term_constant(k: int, l: int, xi: int, s: int) -> float:
     """C = k^-s c_{xi,l}^s Gamma(xi/kl)^s / Gamma(s xi/kl)."""
+    require_integers(1, k=k, l=l, xi=xi, s=s)
     c = xi / (k * l)
     return c_tl(xi, l) ** s * math.gamma(c) ** s / (k**s * math.gamma(s * c))
 
 
 def main_term(n: int, k: int, l: int, xi: int, s: int, Q: int = MAIN_TERM_Q) -> float:
     """C n^(s xi/kl - 1) S'(n), n >= 1, with the series truncated at Q."""
-    require_integers(n=n, k=k, l=l, xi=xi, s=s, Q=Q)
-    if n < 1:
-        raise PreconditionError(f"need n >= 1, got n={n}")
+    require_integers(1, n=n)
     series = truncated_series(n, Q, k, l, xi, s, series="SnPrime").value
     return main_term_constant(k, l, xi, s) * n ** (s * xi / (k * l) - 1.0) * series
 
@@ -242,8 +237,7 @@ def k2_mean_value(t: int, X_cap: int, l: int = 2, Y: int | None = None) -> tuple
     Split by x_1 = x_2 vs x_1 != x_2; the y-pairs enter only through the
     histogram of y_1^2 + y_2^2 values, joined across the two sides.
     """
-    if X_cap < 0:
-        raise PreconditionError(f"need X >= 0, got {X_cap}")
+    require_integers(0, X=X_cap)
     if Y is None:
         Y = max(2, math.floor(X_cap ** (1.0 / l)))
     values = restricted_power_sums(t, l, Y).values

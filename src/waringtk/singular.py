@@ -52,10 +52,8 @@ def _check_q_budget(Q: int) -> None:
 def _check_series_args(Q: int, k: int, l: int, t: int, s: int) -> None:
     """A series cut at Q needs Q >= 1 and k >= 1 (its tail estimate is
     Q^(-1/k)), l, t >= 1 and s >= 0, and Q within the budget."""
-    if Q < 1 or min(k, l, t) < 1 or s < 0:
-        raise PreconditionError(
-            f"need Q >= 1, k, l, t >= 1 and s >= 0, got Q={Q}, k={k}, l={l}, t={t}, s={s}"
-        )
+    require_integers(1, Q=Q, k=k, l=l, t=t)
+    require_integers(0, s=s)
     _check_q_budget(Q)
 
 
@@ -119,7 +117,7 @@ def truncated_series(
     variant='prime': Euler product over p <= DEFAULT_PRIME_CUTOFF,
     p^h <= Q.
     """
-    require_integers(n=n, Q=Q, k=k, l=l, t=t, s=s)
+    require_integers(n=n)
     if series not in ("Sn", "SnPrime"):
         raise PreconditionError(f"series must be 'Sn' or 'SnPrime', got {series!r}")
     if variant not in ("full", "prime"):
@@ -150,7 +148,7 @@ def window_series_sum(n_lo: int, n_hi: int, k: int, l: int, t: int, s: int, Q: i
     sum_n w_n d_q[n mod q] = sum_a coef_q(a) sum_r W_q[r] e_q(-a r) with
     W_q[r] the sum of w_n over n = r (mod q): one FFT of W_q per q, read
     at the units, so no d_q entry is computed."""
-    require_integers(n_lo=n_lo, n_hi=n_hi, k=k, l=l, t=t, s=s, Q=Q)
+    require_integers(n_lo=n_lo, n_hi=n_hi)
     if not 1 <= n_lo <= n_hi:
         raise PreconditionError(f"need 1 <= n_lo <= n_hi, got n_lo={n_lo}, n_hi={n_hi}")
     _check_series_args(Q, k, l, t, s)
@@ -172,7 +170,7 @@ def snm_identity_check(p: int, h: int, n: int, k: int, l: int, t: int, s: int) -
     Both sides start from the histograms of local.form_power_histogram
     and then part: complex exponential sums of them vs exact integer
     cyclic convolution. The count comes first: local.m_n checks that p
-    is prime, h >= 0, k, l, t >= 1 and s >= 0.
+    is prime, n is an integer, h >= 0, k, l, t >= 1 and s >= 0.
     """
     count = local.m_n(p, h, n, k, l, t, s)
     lhs = 1 + 0j  # j = 0 term

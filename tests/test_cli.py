@@ -9,6 +9,7 @@ import importlib.util
 import inspect
 import io
 import json
+import math
 import os
 import pathlib
 import pkgutil
@@ -396,6 +397,24 @@ def test_config_switch_bad_value_exits_two(tmp_path, capsys):
     assert "star='maybe'" in err and "Traceback" not in err
 
 
+_THM13 = ["count", "thm13", "--nmax", "30", "--k", "2", "--l", "2", "--xi", "3", "--s", "2"]
+
+
+@pytest.mark.parametrize("argv, line, flag", [
+    (_LOCAL + _LOCAL_REST, "sta=1", "--star"), (_LOCAL + _LOCAL_REST, "sta=0", None), (_THM13, "se=1", "--set"),
+])
+def test_config_key_abbreviating_a_switch(tmp_path, capsys, argv, line, flag):
+    """A key that abbreviates a switch of the command, as argparse reads
+    `--sta`, follows the switch rule."""
+    cfg = os.path.join(tmp_path, "cfg")
+    with open(cfg, "w") as fh:
+        fh.write(line + "\n")
+    code, via_cfg = run_capture(argv + ["--config", cfg], capsys)
+    _, direct = run_capture(argv + ([flag] if flag else []), capsys)
+    assert code == 0
+    assert via_cfg == direct
+
+
 def test_python_dash_m_runs_cli(capsys):
     argv = ["expsum", "--q", "5", "--a", "2", "--k", "2"]
     _, want = run_capture(argv, capsys)
@@ -491,6 +510,25 @@ def test_bad_cache_file_is_a_miss(tmp_path, capsys, damage):
     assert strip(out) == strip(fresh)
     _, again = run_capture(argv, capsys)  # the miss rewrote the file
     assert "cache=hit" in again
+
+
+def test_table_past_u64_is_printed_uncached(tmp_path, capsys):
+    """A table with a count past u64 has no cached form: each run computes
+    it, reports a miss and prints its rows, and no file is written."""
+    argv = ["sieve", "--l", "1", "--t", "30", "--limit", "200", "--cache-dir", str(tmp_path)]
+    runs = [run_capture(argv, capsys) for _ in range(2)]
+    assert [code for code, _ in runs] == [0, 0]
+    assert all("cache=miss" in out for _, out in runs)
+    # rho[m] = C(m - 1, 29), so the mass is C(200, 30), past 2^64
+    assert int(parse_csv(runs[0][1])[0]["mass"]) == math.comb(200, 30)
+    assert not os.listdir(tmp_path)
+
+
+def test_unwritable_cache_dir_exits_two(tmp_path, capsys):
+    blocker = os.path.join(tmp_path, "file")
+    open(blocker, "w").close()
+    assert run(["sieve", "--l", "2", "--t", "4", "--limit", "200", "--cache-dir", blocker]) == 2
+    assert "precondition violation" in capsys.readouterr().err
 
 
 _NOISE = (["--bogus", "1"], ["--format", "xml"], ["--out", "/nonexistent/dir/x.csv"], ["--config", "/nonexistent/cfg"])

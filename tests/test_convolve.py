@@ -360,8 +360,9 @@ def test_fft_result_is_int64_exactly_when_entries_fit():
         assert out.tolist() == schoolbook_convolve(a, b)
 
 
-# each prime of NTT_PRIMES with a generator of its multiplicative group
-_NTT_ROOTS = tuple(zip(convolve.NTT_PRIMES, (31, 13, 3, 5, 29, 3, 11, 3)))
+_NTT_PRIMES = (2013265921, 1811939329, 469762049, 2113929217, 1711276033, 167772161, 754974721, 998244353)
+# each prime of _NTT_PRIMES with a generator of its multiplicative group
+_NTT_ROOTS = tuple(zip(_NTT_PRIMES, (31, 13, 3, 5, 29, 3, 11, 3)))
 
 
 @pytest.mark.parametrize("p, g", _NTT_ROOTS)
