@@ -20,6 +20,7 @@ from itertools import product
 
 import numpy as np
 
+from waringtk.arith import kth_root
 from waringtk.errors import PreconditionError, ResourceError, require_integers
 from waringtk.expsums import coprime_residues
 from waringtk.integral import U_major
@@ -171,7 +172,7 @@ def major_residual_sweep(
     if Q >= P:
         raise PreconditionError("major-arc approximation needs q <= Q < P")
     rng = np.random.default_rng(seed)
-    table = _rho_table_for(l, t, math.floor(P**l))
+    table = _rho_table_for(l, t, kth_root(n, k))
     worst = 0.0
     for i in range(sample_count):
         q = 1 + i % Q
@@ -202,7 +203,7 @@ def weyl_bound_sweep(
     require_integers(0, seed=seed)
     P = n ** (1.0 / (k * l))
     rng = np.random.default_rng(seed)
-    table = _rho_table_for(l, t, math.floor(P**l))
+    table = _rho_table_for(l, t, kth_root(n, k))
     expo = 2.0 ** (1 - k * l)
     worst = 0.0
     for _ in range(sample_count):
@@ -224,7 +225,7 @@ def vinogradov_mean_value(
     """Exact J_{s,r}^(k_sys)(Y): solutions of sum x_i^j = sum x_{s+i}^j for
     j = 1..k_sys with all 2s variables in S_r(Y), by meet-in-the-middle."""
     require_integers(1, s=s, k_sys=k_sys, l=l)
-    values = restricted_power_sums(r, l, Y, eta).values
+    values = restricted_power_sums(r, l, Y, eta)
     if len(values) ** s > VMV_BUDGET:
         raise ResourceError(f"|S|^s = {len(values) ** s} exceeds budget {VMV_BUDGET}")
     from collections import Counter

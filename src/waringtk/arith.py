@@ -8,7 +8,6 @@ identical up to relabelling m -> 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from waringtk.errors import PreconditionError, ResourceError, require_integers
@@ -16,20 +15,6 @@ from waringtk.errors import PreconditionError, ResourceError, require_integers
 # trial division to the square root of 2^40 tries at most 2^19 odd divisors
 # (0.07 s with CPython 3.11 on a 2-core x86-64 VM)
 FACTOR_BUDGET = 2**40
-
-
-@dataclass(frozen=True)
-class Factorization:
-    """Prime factorization as strictly increasing (prime, exponent) pairs."""
-
-    entries: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        last = 1
-        for p, e in self.entries:
-            if p <= last or e < 1:
-                raise PreconditionError(f"bad factorization entries {self.entries}")
-            last = p
 
 
 def is_prime(n: int) -> bool:
@@ -57,9 +42,10 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def factorize(q: int) -> Factorization:
+def factorize(q: int) -> tuple[tuple[int, int], ...]:
     """Exact prime factorization of 1 <= q <= FACTOR_BUDGET by trial
-    division; q = 1 gives the empty product."""
+    division, as strictly increasing (prime, exponent) pairs; q = 1 gives
+    the empty product."""
     require_integers(1, q=q)
     if q > FACTOR_BUDGET:
         raise ResourceError(f"q = {q} exceeds the trial-division budget {FACTOR_BUDGET}")
@@ -75,14 +61,14 @@ def factorize(q: int) -> Factorization:
         d += 1 if d == 2 else 2
     if q > 1:
         entries.append((q, 1))
-    return Factorization(tuple(entries))
+    return tuple(entries)
 
 
 def euler_phi(q: int) -> int:
     """Euler's totient, via the factorization."""
     require_integers(1, q=q)
     out = 1
-    for p, e in factorize(q).entries:
+    for p, e in factorize(q):
         out *= p ** (e - 1) * (p - 1)
     return out
 
@@ -115,16 +101,28 @@ def nu_exponent(p: int, k: int, l: int) -> int:
     return 2 * p_adic_valuation(p, k * l) + 1
 
 
+def kth_root(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 0, k >= 1, exactly: integer Newton steps
+    x <- ((k-1) x + n // x^(k-1)) // k from 2^ceil(bits/k) >= n^(1/k)
+    decrease to the root and stop at the first step that does not
+    (Brent and Zimmermann, Modern Computer Arithmetic, 1.5.2)."""
+    require_integers(0, n=n)
+    require_integers(1, k=k)
+    n, k = int(n), int(k)
+    if n == 0:
+        return 0
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def sieve_primes(limit: int) -> list[int]:
-    """All primes <= limit."""
-    if limit < 2:
-        return []
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, math.isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [i for i in range(limit + 1) if sieve[i]]
+    """All primes <= limit, read off smallest_prime_factors."""
+    require_integers(limit=limit)
+    return [p for p, f in enumerate(smallest_prime_factors(max(limit, 1))) if f == p >= 2]
 
 
 @lru_cache(maxsize=None)

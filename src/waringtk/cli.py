@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import importlib
-import io
 import itertools
 import json
 import math
@@ -468,16 +467,14 @@ def run(argv: list[str]) -> int:
     try:
         args = _parse(argv)
         rows, header = _dispatch(args)
-        buf = io.StringIO()
-        emit_report(rows, args.format, buf, header)
         if args.out:
             with open(args.out, "w") as fh:
-                fh.write(buf.getvalue())
+                emit_report(rows, args.format, fh, header)
         else:
-            sys.stdout.write(buf.getvalue())
+            emit_report(rows, args.format, sys.stdout, header)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (PreconditionError, OSError) as exc:
+    except (PreconditionError, OSError, OverflowError) as exc:  # OverflowError: an integer past the float range
         print(f"precondition violation: {exc}", file=sys.stderr)
         return 2
     except ResourceError as exc:

@@ -90,14 +90,17 @@ def _hist_dft_at(q: int, hist, a: int) -> complex:
 
 
 def s_k(q: int, a: int, k: int) -> complex:
-    """Complete Weyl sum S_k(q, a) with (a, q) = 1."""
+    """Complete Weyl sum S_k(q, a) with (a, q) = 1 and k >= 0, checked
+    before the cached histogram, whose key reads k = 2.0 as k = 2."""
     _check_coprime(q, a)
+    require_integers(0, k=k)
     return _hist_dft_at(q, power_residue_histogram(q, k), a)
 
 
 def w_q(q: int, a: int, k: int) -> complex:
-    """W(q, a): the Weyl sum restricted to units."""
+    """W(q, a): the Weyl sum restricted to units, k >= 0 as in s_k."""
     _check_coprime(q, a)
+    require_integers(0, k=k)
     return _hist_dft_at(q, power_residue_histogram(q, k, units_only=True), a)
 
 
@@ -158,7 +161,7 @@ def w_k_weight(q: int, k: int) -> float:
     and k p^(-u-1/2) for v = 1; w_k(1) = 1."""
     require_integers(1, q=q, k=k)
     out = 1.0
-    for p, e in factorize(q).entries:
+    for p, e in factorize(q):
         u, v = divmod(e - 1, k)
         v += 1  # e = u*k + v with 1 <= v <= k
         if v == 1:

@@ -143,7 +143,7 @@ def u_decay_check(
 
 def U_major(alpha: float, a: int, q: int, n: int, k: int, l: int, t: int) -> complex:
     """Major-arc approximant c_{t,l} q^-t S(q,a) u(alpha - a/q)."""
-    require_integers(1, q=q)
+    require_integers(1, q=q, k=k, l=l, t=t)
     if abs(alpha - a / q) > 0.5:
         raise PreconditionError(f"need |alpha - a/q| <= 1/2, got alpha={alpha}, a={a}, q={q}")
     beta = alpha - a / q

@@ -78,7 +78,7 @@ def form_power_histogram(q: int, k: int, l: int, t: int) -> np.ndarray:
     counts[x] = counts_{p^e}[x mod p^e] counts_m[x mod m], a product
     taken in int64 when the largest one fits and in Python ints otherwise
     (it can pass 2^63 when neither factor does)."""
-    entries = factorize(q).entries
+    entries = factorize(q)
     if len(entries) <= 1:
         p, h = entries[0] if entries else (1, 1)
         return _frozen(pushforward_power(form_histogram(p, h, l, t), k))

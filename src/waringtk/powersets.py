@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from waringtk.arith import smallest_prime_factors
+from waringtk.arith import kth_root, smallest_prime_factors
 from waringtk.convolve import convolution_power, count_array, read_only_counts
 from waringtk.errors import PreconditionError, ResourceError, require_integers
 from waringtk.params import delta_r
@@ -47,34 +47,11 @@ class PowerSumTable:
             raise PreconditionError("rho length must be limit + 1")
 
 
-@dataclass(frozen=True)
-class SmoothPowerSumSet:
-    """The distinct values of x_1^l + ... + x_r^l over R-smooth x_i <= Y."""
-
-    r: int
-    l: int
-    Y: int
-    R: int
-    values: tuple[int, ...]
-
-
-def _kth_power_cap(limit: int, k: int) -> int:
-    """Largest m >= 0 with m^k <= limit (k >= 1)."""
-    if limit < 1:
-        return 0
-    m = int(round(limit ** (1.0 / k)))
-    while m**k > limit:
-        m -= 1
-    while (m + 1) ** k <= limit:
-        m += 1
-    return m
-
-
 def power_indicator(l: int, limit: int) -> np.ndarray:
     """Vector with 1 at x^l for x >= 1, x^l <= limit, as an int64 array
     (empty when limit < 0)."""
     base = np.zeros(max(limit + 1, 0), dtype=np.int64)
-    base[np.arange(1, _kth_power_cap(limit, l) + 1) ** l] = 1
+    base[np.arange(1, kth_root(max(limit, 0), l) + 1) ** l] = 1
     return base
 
 
@@ -145,9 +122,9 @@ def realized_smoothness_bound(Y: int, eta: float) -> int:
     return max(2, math.floor(Y**eta))
 
 
-def restricted_power_sums(r: int, l: int, Y: int, eta: float = DEFAULT_ETA) -> SmoothPowerSumSet:
-    """S_r(Y): distinct sums of r l-th powers of R-smooth integers,
-    R = realized_smoothness_bound(Y, eta)."""
+def restricted_power_sums(r: int, l: int, Y: int, eta: float = DEFAULT_ETA) -> tuple[int, ...]:
+    """S_r(Y): the sorted distinct sums of r l-th powers of R-smooth
+    integers in [1, Y], R = realized_smoothness_bound(Y, eta)."""
     require_integers(1, r=r, l=l)
     require_integers(0, Y=Y)
     if r * Y**l > N_BUDGET:
@@ -157,14 +134,14 @@ def restricted_power_sums(r: int, l: int, Y: int, eta: float = DEFAULT_ETA) -> S
     values = set(powers)
     for _ in range(r - 1):
         values = {a + b for a in values for b in powers}
-    return SmoothPowerSumSet(r=r, l=l, Y=Y, R=R, values=tuple(sorted(values)))
+    return tuple(sorted(values))
 
 
 def default_y_grid(r: int, l: int) -> list[int]:
     """Four-point doubling grid ending at the largest Y with r Y^l within
     N_BUDGET, capped at 400 (so l = 2 gives the standard 50/100/200/400)."""
     require_integers(1, r=r, l=l)
-    y_max = min(400, math.floor((N_BUDGET / r) ** (1.0 / l)))
+    y_max = min(400, kth_root(N_BUDGET // r, l))
     if y_max < 16:
         raise PreconditionError(f"r Y^l <= N_BUDGET keeps Y below 16, too small for a 4-point grid (r={r}, l={l})")
     return [y_max // 8, y_max // 4, y_max // 2, y_max]
@@ -184,7 +161,7 @@ def density_report(
     rows = []
     prev: tuple[int, int] | None = None
     for Y in Y_grid:
-        card = len(restricted_power_sums(r, l, Y, eta).values)
+        card = len(restricted_power_sums(r, l, Y, eta))
         point = math.log(card) / math.log(Y) if Y > 1 and card > 0 else float("nan")
         if prev is not None and Y > prev[0]:
             slope = math.log(card / prev[1]) / math.log(Y / prev[0])

@@ -21,11 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from waringtk.arith import kth_root
 from waringtk.convolve import convolution_power, exact_product, read_only_counts
 from waringtk.errors import PreconditionError, ResourceError, require_integers
 from waringtk.integral import c_tl
 from waringtk.params import ProblemParams
-from waringtk.powersets import DEFAULT_ETA, _kth_power_cap, power_indicator, rep_count_table, restricted_power_sums
+from waringtk.powersets import DEFAULT_ETA, power_indicator, rep_count_table, restricted_power_sums
 from waringtk.singular import truncated_series, window_series_sum
 
 N_MAX_BUDGET = 10**6
@@ -60,7 +61,7 @@ class CountVector:
 def form_power_base(n_max: int, k: int, l: int, t: int) -> np.ndarray:
     """Vector a with a[m^k] = rho_t[m]: one form block's contribution, as
     an int64 array (object when a weight reaches 2^63)."""
-    cap = _kth_power_cap(n_max, k)
+    cap = kth_root(n_max, k)
     rho = rep_count_table(l, t, cap).rho
     base = np.zeros(n_max + 1, dtype=rho.dtype)
     base[np.arange(1, cap + 1) ** k] = rho[1:]
@@ -214,8 +215,8 @@ def q_m_table(params: ProblemParams, eta: float = DEFAULT_ETA) -> CountVector:
     (y, z) in S1 x S2, H = k(k+1); verifies the support claim m <= n/2."""
     k = params.k
     H = k * (k + 1)
-    s1 = restricted_power_sums(params.t1, params.l, params.p1, eta).values
-    s2 = restricted_power_sums(params.l, params.l, params.p2, eta).values
+    s1 = restricted_power_sums(params.t1, params.l, params.p1, eta)
+    s2 = restricted_power_sums(params.l, params.l, params.p2, eta)
     pair_max = (max(s1) + max(s2)) ** k
     if H * pair_max > params.n // 2:
         raise PreconditionError(
@@ -238,9 +239,10 @@ def k2_mean_value(t: int, X_cap: int, l: int = 2, Y: int | None = None) -> tuple
     histogram of y_1^2 + y_2^2 values, joined across the two sides.
     """
     require_integers(0, X=X_cap)
+    require_integers(1, t=t, l=l)
     if Y is None:
-        Y = max(2, math.floor(X_cap ** (1.0 / l)))
-    values = restricted_power_sums(t, l, Y).values
+        Y = max(2, kth_root(X_cap, l))
+    values = restricted_power_sums(t, l, Y)
     if len(values) ** 2 * X_cap > 10**8:
         raise ResourceError("k=2 mean-value instance too large")
     hist: Counter = Counter()

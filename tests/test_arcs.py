@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from waringtk import arcs
 from waringtk.arcs import (
     CLASSIFY_Q_BUDGET,
     classify_major,
@@ -127,8 +128,19 @@ def test_weyl_sweep_below_envelope():
     assert weyl_bound_sweep(10**4, 2, 2, 8, sample_count=12, seed=2) < 1.0
 
 
+def test_rho_table_reaches_the_exact_root(monkeypatch):
+    """f sums over T(z) <= P^l = n^(1/k): at n = 169, k = 2 that is 13
+    exactly, where the float P^l = (169^(1/4))^2 falls just below 13."""
+    limits = []
+    table_for = arcs._rho_table_for
+    monkeypatch.setattr(arcs, "_rho_table_for", lambda l, t, limit: limits.append(limit) or table_for(l, t, limit))
+    weyl_bound_sweep(169, 2, 2, 2, sample_count=2)
+    major_residual_sweep(169, 2, 2, 2, Q=3, sample_count=2)
+    assert limits == [13, 13]
+
+
 def vmv_brute(s, k_sys, r, Y):
-    values = restricted_power_sums(r, 2, Y, 0.25).values
+    values = restricted_power_sums(r, 2, Y, 0.25)
     count = 0
     for lhs in product(values, repeat=s):
         for rhs in product(values, repeat=s):
@@ -147,7 +159,7 @@ def test_vmv_brute_oracle():
 def test_vmv_diagonal_lower_bound():
     # diagonal solutions alone give J >= s! * C(|S|, s) + ... >= |S|^s count
     s, k_sys, r, Y = 2, 2, 2, 12
-    card = len(restricted_power_sums(r, 2, Y, 0.25).values)
+    card = len(restricted_power_sums(r, 2, Y, 0.25))
     J = vinogradov_mean_value(s, k_sys, r, Y)
     assert J >= math.factorial(s) * math.comb(card, s) + card
 
@@ -157,7 +169,7 @@ def test_vmv_power_saving_emerges():
     # off-diagonal saving is real
     ratios = []
     for Y in (16, 32, 64):
-        card = len(restricted_power_sums(2, 2, Y, 0.25).values)
+        card = len(restricted_power_sums(2, 2, Y, 0.25))
         ratios.append(vinogradov_mean_value(2, 2, 2, Y) / card**4)
     assert ratios[0] > ratios[1] > ratios[2]
 

@@ -1,5 +1,7 @@
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from waringtk.arith import (
     factorize,
     gamma_exponent,
     is_prime,
+    kth_root,
     nu_exponent,
     p_adic_valuation,
     sieve_primes,
@@ -37,7 +40,7 @@ def trial_factor(n):
 @given(st.integers(min_value=2, max_value=10**6))
 @settings(max_examples=200, deadline=None)
 def test_factorize_matches_trial_division(n):
-    assert factorize(n).entries == trial_factor(n)
+    assert factorize(n) == trial_factor(n)
 
 
 @given(st.integers(min_value=1, max_value=3000))
@@ -47,6 +50,7 @@ def test_euler_phi_brute(n):
 
 
 def test_is_prime_against_sieve():
+    assert sieve_primes(1) == sieve_primes(-5) == []
     primes = set(sieve_primes(2000))
     for n in range(2, 2000):
         assert is_prime(n) == (n in primes)
@@ -54,7 +58,7 @@ def test_is_prime_against_sieve():
 
 def test_large_semiprime():
     p, q = 1000003, 1000033
-    assert factorize(p * q).entries == ((p, 1), (q, 1))
+    assert factorize(p * q) == ((p, 1), (q, 1))
 
 
 def test_p_adic_valuation():
@@ -92,6 +96,38 @@ def test_p_adic_valuation_rejects_where_it_would_not_end(call):
         call()
 
 
+def test_kth_root_small_against_brute_force():
+    for k in range(1, 8):
+        x = 0
+        for n in range(20000):
+            while (x + 1) ** k <= n:
+                x += 1
+            assert kth_root(n, k) == x, (n, k)
+
+
+def test_kth_root_big_and_at_exact_powers():
+    """x = floor(n^(1/k)) is the one integer with x^k <= n < (x+1)^k; at
+    n = m^k and m^k - 1 a float root is one off in either direction."""
+    rng = random.Random(5)
+    for _ in range(300):
+        k = rng.randint(1, 7)
+        n = rng.getrandbits(rng.randint(1, 700))
+        x = kth_root(n, k)
+        assert x**k <= n < (x + 1) ** k, (n, k)
+        m = rng.randint(2, 10**30)
+        assert kth_root(m**k, k) == m and kth_root(m**k - 1, k) == m - 1
+    x = kth_root(10**400, 3)
+    assert x**3 <= 10**400 < (x + 1) ** 3
+    assert kth_root(10**400, 2) == 10**200 and kth_root(10**400, 400) == 10 and kth_root(10**400 - 1, 400) == 9
+    assert kth_root(np.int64(169), np.int64(2)) == 13 and kth_root(np.uint64(2**64 - 1), 2) == 2**32 - 1
+
+
+@pytest.mark.parametrize("n, k", [(-1, 2), (4, 0), (4, -1), (4.0, 2), (4, 2.0)])
+def test_kth_root_domain(n, k):
+    with pytest.raises(PreconditionError):
+        kth_root(n, k)
+
+
 def test_smallest_prime_factors():
     spf = smallest_prime_factors(30)
     assert spf[2] == 2 and spf[15] == 3 and spf[29] == 29 and spf[30] == 2
@@ -105,8 +141,8 @@ def test_factorize_rejects_zero():
 def test_factorize_budget():
     """Trial division runs up to FACTOR_BUDGET = 2^40 and refuses above it;
     primality of larger numbers stays with Miller-Rabin."""
-    assert factorize(FACTOR_BUDGET).entries == ((2, 40),)
-    assert factorize(1099511627689).entries == ((1099511627689, 1),)  # the largest prime below 2^40
+    assert factorize(FACTOR_BUDGET) == ((2, 40),)
+    assert factorize(1099511627689) == ((1099511627689, 1),)  # the largest prime below 2^40
     with pytest.raises(ResourceError):
         factorize(FACTOR_BUDGET + 1)
     assert is_prime(10**18 + 3) and not is_prime((10**9 + 7) * (10**9 + 9))

@@ -639,6 +639,28 @@ def test_zero_and_negative_integers_never_raise(tmp_path, capsys, path, flag, va
     assert "Traceback" not in capsys.readouterr().err
 
 
+# integer flags that reach a float power (n^(1/k), X^(1/l)) or a float
+# product before any budget: 10^400 has no float, so each ended in an
+# OverflowError. count k2 leaves --Y to its default X^(1/l).
+_BIG = str(10**400)
+_PAST_FLOAT = {
+    "arcs weyl --n": _with_value(("arcs", "weyl"), "--n", _BIG),
+    "arcs residual --n": _with_value(("arcs", "residual"), "--n", _BIG),
+    "arcs classify --n": ["arcs", "classify", "--alpha", "0.3", "--n", _BIG, "--M", "5", "--k", "2"],
+    "integral udecay --n": _with_value(("integral", "udecay"), "--n", _BIG),
+    "count k2 --X": ["count", "k2", "--t", "2", "--X", _BIG, "--l", "2"],
+    "report --n": _with_value(("report",), "--n", _BIG),
+    "count qm --n": _with_value(("count", "qm"), "--n", _BIG),
+}
+
+
+@pytest.mark.parametrize("name", list(_PAST_FLOAT))
+def test_integer_past_the_float_range_exits_cleanly(tmp_path, capsys, name):
+    code = run(_PAST_FLOAT[name] + ["--cache-dir", str(tmp_path)])
+    assert code in (2, 3), code
+    assert "Traceback" not in capsys.readouterr().err
+
+
 # The domain of each integer flag of each leaf, from the docstrings and
 # input checks of the functions the leaf calls: the least value inside it,
 # with the other flags as in _SMALL, or None where the flag has no lower
@@ -779,7 +801,7 @@ def test_every_defaulted_parameter_is_set():
 
 # The underscore names that one waringtk module imports from another:
 # each is a helper that the module owning it shares with one neighbour.
-SHARED_PRIVATES = {("convolve", "_total"), ("expsums", "_power_mod"), ("powersets", "_kth_power_cap")}
+SHARED_PRIVATES = {("convolve", "_total"), ("expsums", "_power_mod")}
 
 
 def test_no_module_reads_another_modules_privates():

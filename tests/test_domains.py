@@ -183,3 +183,31 @@ def test_value_outside_is_a_precondition_violation(name, param, value):
     PreconditionError, never another exception."""
     with pytest.raises(PreconditionError):
         _call(name, param, value)
+
+
+# a call outside its domain, and the call inside it that fills the lru
+# caches the first would reach: the check runs before any cached callee
+# (an lru key reads 2.0 as 2), so the first call raises PreconditionError
+# both on cold caches and after the second.
+_COLD_WARM = {
+    "expsums.s_k": ((49, 3, 2.0), (49, 3, 2)),
+    "expsums.w_q": ((49, 3, 2.0), (49, 3, 2)),
+    "arith.sieve_primes": ((13.0,), (13,)),
+    "integral.U_major": ((0.1, 0, 1, 100, 0, 2, 3), (0.1, 0, 1, 100, 2, 2, 3)),
+}
+
+
+@pytest.mark.parametrize("name", list(_COLD_WARM))
+def test_checks_run_before_cached_callees(name):
+    module, attr = name.split(".")
+    fn = getattr(importlib.import_module(f"waringtk.{module}"), attr)
+    bad, good = _COLD_WARM[name]
+    for mod in ("arith", "expsums", "integral"):
+        for obj in vars(importlib.import_module(f"waringtk.{mod}")).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+    with pytest.raises(PreconditionError):
+        fn(*bad)
+    fn(*good)
+    with pytest.raises(PreconditionError):
+        fn(*bad)

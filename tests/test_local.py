@@ -175,7 +175,7 @@ def test_crt_product_across_the_int64_bound(q, t):
     """The CRT product at composite q is int64 when the product of the two
     factors' largest entries is below 2^63 and object otherwise; by CRT
     that product is the largest entry."""
-    entries = factorize(q).entries
+    entries = factorize(q)
     pe = entries[0][0] ** entries[0][1]
     factors = int(form_power_histogram(pe, 2, 2, t).max()) * int(form_power_histogram(q // pe, 2, 2, t).max())
     want = _form_power_oracle(q, 2, 2, t)

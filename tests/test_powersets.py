@@ -87,10 +87,10 @@ def test_realized_smoothness_bound():
 def test_restricted_power_sums_tiny():
     # r=1, l=2, Y=4, R=2: smooth = {1,2,4}; squares {1,4,16}
     out = restricted_power_sums(1, 2, 4)
-    assert out.R == 2 and out.values == (1, 4, 16)
+    assert realized_smoothness_bound(4, 0.25) == 2 and out == (1, 4, 16)
     # r=2: pairwise sums
     out2 = restricted_power_sums(2, 2, 4)
-    assert out2.values == (2, 5, 8, 17, 20, 32)
+    assert out2 == (2, 5, 8, 17, 20, 32)
 
 
 def test_restricted_power_sums_budget():
@@ -104,8 +104,8 @@ def test_restricted_power_sums_budget():
 def test_smooth_sums_monotone_in_y(y1, y2):
     # R = max(2, floor(Y^eta)) never falls as Y grows
     lo, hi = sorted((y1, y2))
-    a = set(restricted_power_sums(2, 2, lo).values)
-    b = set(restricted_power_sums(2, 2, hi).values)
+    a = set(restricted_power_sums(2, 2, lo))
+    b = set(restricted_power_sums(2, 2, hi))
     assert a <= b
 
 
@@ -136,6 +136,12 @@ def test_power_indicator_matches_loop():
                 x += 1
             got = power_indicator(l, limit)
             assert got.dtype == np.int64 and got.tolist() == want, (l, limit)
+
+
+def test_default_y_grid_ends_at_the_exact_root():
+    """r Y^l <= N_BUDGET at r = 10, l = 3 gives Y <= 100 exactly; a float
+    cube root of 10^6 falls just below 100."""
+    assert default_y_grid(10, 3) == [12, 25, 50, 100]
 
 
 def test_default_y_grid_respects_budget():

@@ -196,8 +196,8 @@ def test_count_vector_entries():
 def test_q_m_table_support_and_mass():
     params = ProblemParams(k=2, l=2, t=8, n=10**6, xi=5)
     vec = q_m_table(params)
-    s1 = restricted_power_sums(params.t1, params.l, params.p1, 0.25).values
-    s2 = restricted_power_sums(params.l, params.l, params.p2, 0.25).values
+    s1 = restricted_power_sums(params.t1, params.l, params.p1, 0.25)
+    s2 = restricted_power_sums(params.l, params.l, params.p2, 0.25)
     H = params.k * (params.k + 1)
     assert vec.mass == (len(s1) * len(s2)) ** H
     support = [m for m, c in enumerate(vec.entries) if c]
@@ -215,7 +215,7 @@ def test_q_m_support_claim_gate():
 def test_k2_mean_value_brute():
     t, X_cap, Y = 2, 6, 4
     diag, off = k2_mean_value(t, X_cap, Y=Y)
-    values = restricted_power_sums(t, 2, Y, 0.25).values
+    values = restricted_power_sums(t, 2, Y, 0.25)
     xs = range(X_cap // 2 + 1, X_cap + 1)
     brute_d = brute_o = 0
     for x1, y1, y2, x2, y3, y4 in product(xs, values, values, xs, values, values):
@@ -225,6 +225,14 @@ def test_k2_mean_value_brute():
             else:
                 brute_o += 1
     assert (diag, off) == (brute_d, brute_o)
+
+
+def test_k2_default_y_is_the_exact_root():
+    """At X = 64, l = 3 the default Y is 64^(1/3) = 4 exactly, where a
+    float root gives 3.999... and Y = 3."""
+    assert k2_mean_value(2, 64, 3) == k2_mean_value(2, 64, 3, Y=4) == (2112, 98)
+    with pytest.raises(PreconditionError):  # l = 0 has no root; X^(1/0) divided by zero
+        k2_mean_value(2, 64, 0)
 
 
 def test_k2_diagonal_dominates():

@@ -155,7 +155,7 @@ def test_cyclic_powers_only_at_prime_powers():
                 form_power_histogram(q, k, 2, 6)
             s_n_prime_q(49, 0, k, 2, 6, 1)
             local.m_n(7, 2, 4, k, 2, 6, 2)
-    prime_powers = [q for q in range(1, 101) if len(factorize(q).entries) <= 1]
+    prime_powers = [q for q in range(1, 101) if len(factorize(q)) <= 1]
     assert moduli == prime_powers
 
 
