@@ -14,6 +14,7 @@ is evaluated through the rho table, never by t-fold loops.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -21,7 +22,7 @@ from itertools import product
 import numpy as np
 
 from waringtk.arith import kth_root
-from waringtk.errors import PreconditionError, ResourceError, require_integers
+from waringtk.errors import PreconditionError, require_integers, require_within
 from waringtk.expsums import coprime_residues
 from waringtk.integral import U_major
 from waringtk.powersets import (
@@ -78,8 +79,7 @@ def classify_major(alpha: float, n: int, Q: int) -> ArcPoint:
     if not 0 <= alpha < 1:
         raise PreconditionError("need alpha in [0, 1)")
     require_integers(1, n=n, Q=Q)
-    if Q > CLASSIFY_Q_BUDGET:
-        raise ResourceError(f"Q = {Q} exceeds the scan budget {CLASSIFY_Q_BUDGET}")
+    require_within(CLASSIFY_Q_BUDGET, Q=Q)
     best: tuple[float, int, int] | None = None
     for q in range(1, Q + 1):
         a = round(alpha * q)
@@ -128,8 +128,7 @@ def f_alpha(alpha: float, k: int, table: PowerSumTable) -> complex:
 
 def f_alpha_direct(alpha: float, k: int, l: int, t: int, limit: int) -> complex:
     """Oracle: t-nested-loop evaluation of f (tiny instances only)."""
-    if (limit + 1) ** t > 10**7:
-        raise ResourceError("direct f evaluation instance too large")
+    require_within(10**7, **{"(limit+1)^t": (limit + 1, t)})
     acc = 0j
     bound = int(limit ** (1.0 / l)) + 2
     for z in product(range(1, bound + 1), repeat=t):
@@ -223,15 +222,11 @@ def vinogradov_mean_value(
     eta: float = DEFAULT_ETA,
 ) -> int:
     """Exact J_{s,r}^(k_sys)(Y): solutions of sum x_i^j = sum x_{s+i}^j for
-    j = 1..k_sys with all 2s variables in S_r(Y), by meet-in-the-middle."""
+    j = 1..k_sys with all 2s variables in S_r(Y), by meet-in-the-middle:
+    |S|^s tuples of s terms, each summed at k_sys powers, within VMV_BUDGET."""
     require_integers(1, s=s, k_sys=k_sys, l=l)
     values = restricted_power_sums(r, l, Y, eta)
-    if len(values) ** s > VMV_BUDGET:
-        raise ResourceError(f"|S|^s = {len(values) ** s} exceeds budget {VMV_BUDGET}")
-    from collections import Counter
-
-    sums: Counter = Counter()
-    for tup in product(values, repeat=s):
-        sums[tuple(sum(x**j for x in tup) for j in range(1, k_sys + 1))] += 1
+    require_within(VMV_BUDGET, **{"|S|^s s k_sys": (len(values), s, s * k_sys)})
+    sums = Counter(tuple(sum(x**j for x in tup) for j in range(1, k_sys + 1)) for tup in product(values, repeat=s))
     return sum(c * c for c in sums.values())
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from waringtk.errors import PreconditionError, ResourceError, require_integers
+from waringtk.errors import PreconditionError, require_integers, require_within
 
 # trial division to the square root of 2^40 tries at most 2^19 odd divisors
 # (0.07 s with CPython 3.11 on a 2-core x86-64 VM)
@@ -47,8 +47,7 @@ def factorize(q: int) -> tuple[tuple[int, int], ...]:
     division, as strictly increasing (prime, exponent) pairs; q = 1 gives
     the empty product."""
     require_integers(1, q=q)
-    if q > FACTOR_BUDGET:
-        raise ResourceError(f"q = {q} exceeds the trial-division budget {FACTOR_BUDGET}")
+    require_within(FACTOR_BUDGET, q=q)
     entries = []
     d = 2
     while d * d <= q:
@@ -105,12 +104,13 @@ def kth_root(n: int, k: int) -> int:
     """floor(n^(1/k)) for n >= 0, k >= 1, exactly: integer Newton steps
     x <- ((k-1) x + n // x^(k-1)) // k from 2^ceil(bits/k) >= n^(1/k)
     decrease to the root and stop at the first step that does not
-    (Brent and Zimmermann, Modern Computer Arithmetic, 1.5.2)."""
+    (Brent and Zimmermann, Modern Computer Arithmetic, 1.5.2); n < 2^k
+    gives min(n, 1) at once, with no x^(k-1) of k bits."""
     require_integers(0, n=n)
     require_integers(1, k=k)
     n, k = int(n), int(k)
-    if n == 0:
-        return 0
+    if k >= n.bit_length():
+        return min(n, 1)
     x = 1 << -(-n.bit_length() // k)
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k

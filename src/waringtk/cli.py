@@ -464,9 +464,14 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 
 
 def run(argv: list[str]) -> int:
+    # Python's cap on an int's decimal digits (0: none; absent before 3.10.7) is
+    # lifted while the report is written, so exact counts of any length print
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     try:
         args = _parse(argv)
         rows, header = _dispatch(args)
+        if limit:
+            sys.set_int_max_str_digits(0)
         if args.out:
             with open(args.out, "w") as fh:
                 emit_report(rows, args.format, fh, header)
@@ -480,6 +485,9 @@ def run(argv: list[str]) -> int:
     except ResourceError as exc:
         print(f"resource budget exceeded: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     return 0
 
 

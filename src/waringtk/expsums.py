@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from waringtk.arith import euler_phi, factorize
-from waringtk.errors import PreconditionError, ResourceError, require_integers
+from waringtk.errors import PreconditionError, require_integers, require_within
 
 S_FORM_Q_BUDGET = 5000
 HIST_Q_BUDGET = 10**6
@@ -68,8 +68,7 @@ def _power_mod(r: np.ndarray, k: int, q: int) -> np.ndarray:
 def power_residue_histogram(q: int, k: int, units_only: bool = False) -> np.ndarray:
     """counts[m] = #{r in [1, q] : r^k = m (mod q)}, optionally unit r, as
     a read-only int64 array, for q <= HIST_Q_BUDGET."""
-    if q > HIST_Q_BUDGET:
-        raise ResourceError(f"q = {q} exceeds the histogram budget {HIST_Q_BUDGET}")
+    require_within(HIST_Q_BUDGET, q=q)
     r = coprime_residues(q) if units_only else np.arange(1, q + 1, dtype=np.int64)
     counts = np.bincount(_power_mod(r, k, q), minlength=q)
     counts.flags.writeable = False
@@ -124,8 +123,7 @@ def s_form(q: int, a: int, k: int, l: int, t: int) -> complex:
     is included and carries the main part p^{(t-1)h} S_k. Needs q, l, t >= 1.
     """
     require_integers(1, q=q, l=l, t=t)
-    if q > S_FORM_Q_BUDGET:
-        raise ResourceError(f"q = {q} exceeds the O(q^2) budget {S_FORM_Q_BUDGET}")
+    require_within(S_FORM_Q_BUDGET, q=q)
     if q == 1:
         return 1 + 0j
     _check_coprime(q, a)
@@ -142,8 +140,7 @@ def s_form(q: int, a: int, k: int, l: int, t: int) -> complex:
 
 def s_form_direct(q: int, a: int, k: int, l: int, t: int) -> complex:
     """Oracle: direct t-dimensional enumeration of S(q, a)."""
-    if q**t > _DIRECT_ENUM_CAP:
-        raise ResourceError("direct enumeration instance too large")
+    require_within(_DIRECT_ENUM_CAP, **{"q^t": (q, t)})
     _check_coprime(q, a)
     om = omega_table(q) if q > 1 else np.array([1 + 0j])
     re = []

@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from waringtk.convolve import float_convolve
-from waringtk.errors import PreconditionError, ResourceError, require_integers
+from waringtk.errors import PreconditionError, require_integers, require_within
 from waringtk.expsums import s_form
 
 N_BUDGET = 10**7
@@ -107,8 +107,7 @@ def _u_grid(n: int, t: int, k: int, l: int) -> np.ndarray:
 def u_beta(beta: float, n: int, t: int, k: int, l: int) -> complex:
     """u(beta) by the baby-step/giant-step split of the n-term sum."""
     require_integers(1, n=n)
-    if n > N_BUDGET:
-        raise ResourceError(f"n = {n} exceeds budget {N_BUDGET}")
+    require_within(N_BUDGET, n=n)
     return _weighted_exp_sum(_u_grid(n, t, k, l), 1, beta)
 
 
@@ -159,32 +158,30 @@ def v_support(n: int, k: int) -> tuple[int, int]:
 
 def v_beta(beta: float, n: int, k: int) -> complex:
     lo, hi = v_support(n, k)
-    if hi > N_BUDGET:
-        raise ResourceError("v support exceeds budget")
+    require_within(N_BUDGET, **{"v support end": hi})
     return _weighted_exp_sum(_split_grid(_v_weights(lo, hi, k)), lo + 1, beta)
 
 
 def w_beta(beta: float, n: int, k: int) -> complex:
     require_integers(1, k=k)
-    if n > N_BUDGET:
-        raise ResourceError("w support exceeds budget")
+    require_within(N_BUDGET, **{"w support end": n})
     return _weighted_exp_sum(_split_grid(_w_weights(n, k)), 2, beta)
 
 
-def _check_jprime_args(n: int, s: int, xi: int, k: int, l: int) -> None:
-    """J'_s(n) and its main term need s >= 2; the weights m^(xi/kl - 1),
-    m = 1..n, need n, xi, k, l >= 1."""
-    require_integers(2, s=s)
-    require_integers(1, n=n, xi=xi, k=k, l=l)
+def _check_j_args(n: int, k: int, s: int, *, least: int, least_s: int, **positive: int) -> None:
+    """The argument check of J'_s(n) and J(n): n, k >= least, s >= least_s, the
+    other integers >= 1, and n <= J_BUDGET, as both work on the points 0..n."""
+    require_integers(least_s, s=s)
+    require_integers(least, n=n, k=k)
+    require_integers(1, **positive)
+    require_within(J_BUDGET, n=n)
 
 
 def j_prime_exact(n: int, s: int, xi: int, k: int, l: int) -> float:
     """J'_s(n) as the weighted composition count: s - 2 FFT convolutions,
     then one dot product for the entry at n (k^-2 (n-1) when s = 2 and
     xi = kl)."""
-    _check_jprime_args(n, s, xi, k, l)
-    if n > J_BUDGET:
-        raise ResourceError("n exceeds the singular-integral budget")
+    _check_j_args(n, k, s, least=1, least_s=2, xi=xi, l=l)
     if n < s:
         return 0.0
     w = _on_grid(_u_weights(n, xi, k, l), n)
@@ -203,9 +200,7 @@ def j_prime_quadrature(n: int, s: int, xi: int, k: int, l: int) -> float:
     Every step after the FFT works in place on its output or on the
     phases, and runs the operation of the out-of-place form in the same
     order, so the result is the same to the bit."""
-    _check_jprime_args(n, s, xi, k, l)
-    if n > J_BUDGET:
-        raise ResourceError("n exceeds the singular-integral budget")
+    _check_j_args(n, k, s, least=1, least_s=2, xi=xi, l=l)
     N = 1
     while N < 8 * n:
         N *= 2
@@ -224,8 +219,9 @@ def j_prime_quadrature(n: int, s: int, xi: int, k: int, l: int) -> float:
 
 def j_prime_main_term(n: int, s: int, xi: int, k: int, l: int) -> tuple[float, float]:
     """(main, B): main = n^(s xi/kl - 1) k^-s Gamma(xi/kl)^s / Gamma(s xi/kl),
-    B(n) = n^-1 + n^(-xi/kl)."""
-    _check_jprime_args(n, s, xi, k, l)
+    B(n) = n^-1 + n^(-xi/kl), at the arguments of J'_s(n) but at any n >= 1."""
+    require_integers(2, s=s)
+    require_integers(1, n=n, xi=xi, k=k, l=l)
     c = xi / (k * l)
     main = n ** (s * c - 1.0) * math.gamma(c) ** s / (k**s * math.gamma(s * c))
     B = 1.0 / n + n ** (-c)
@@ -240,11 +236,7 @@ def j_singular_exact(n: int, s: int, k: int, l: int, t: int) -> tuple[float, flo
     It needs n >= 2 (the envelope divides by log n), k >= 2 (the v
     support by k - 1), l >= 1, s >= 0 and t >= 1.
     """
-    require_integers(2, n=n, k=k)
-    require_integers(1, l=l, t=t)
-    require_integers(0, s=s)
-    if n > J_BUDGET:
-        raise ResourceError("n exceeds the singular-integral budget")
+    _check_j_args(n, k, s, least=2, least_s=0, l=l, t=t)
     lo, hi = v_support(n, k)
     v = _on_grid(_v_weights(lo, min(hi, n), k), min(hi, n))
     wv = _on_grid(_w_weights(n, k), n)

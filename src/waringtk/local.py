@@ -28,7 +28,7 @@ import numpy as np
 
 from waringtk.arith import factorize, gamma_exponent, is_prime, nu_exponent, p_adic_valuation
 from waringtk.convolve import _total, count_array, cyclic_convolve, cyclic_power
-from waringtk.errors import PreconditionError, ResourceError, require_integers
+from waringtk.errors import PreconditionError, require_integers, require_within
 from waringtk.expsums import _power_mod, power_residue_histogram
 
 FORM_HIST_BUDGET = 10**5
@@ -62,9 +62,8 @@ def mask_units(hist: np.ndarray, p: int) -> np.ndarray:
 @lru_cache(maxsize=512)
 def form_histogram(p: int, h: int, l: int, t: int) -> np.ndarray:
     """Distribution of T(x) = x_1^l + ... + x_t^l mod p^h over x in [0,p^h)^t."""
+    require_within(FORM_HIST_BUDGET, **{"p^h": (p, h)})
     q = p**h
-    if q > FORM_HIST_BUDGET:
-        raise ResourceError(f"p^h = {q} exceeds the histogram budget {FORM_HIST_BUDGET}")
     return _frozen(cyclic_power(power_residue_histogram(q, l), t, q))
 
 
@@ -99,11 +98,15 @@ def _check_local_args(p: int, h: int, k: int, l: int, t: int, s: int) -> None:
         raise PreconditionError(f"need a prime p, got p={p}")
 
 
+def _local_modulus(p: int, h: int) -> int:
+    """p^h, formed once MN_BUDGET admits it: the modulus of both local counts."""
+    require_within(MN_BUDGET, **{"p^h": (p, h)})
+    return p**h
+
+
 @lru_cache(maxsize=512)
 def _m_n_histogram(p: int, h: int, k: int, l: int, t: int, s: int) -> np.ndarray:
-    q = p**h
-    if q > MN_BUDGET:
-        raise ResourceError(f"p^h = {q} exceeds the local-count budget {MN_BUDGET}")
+    q = _local_modulus(p, h)
     unitpow = power_residue_histogram(q, k, units_only=True)
     allpow = power_residue_histogram(q, k)
     acc = cyclic_convolve(cyclic_convolve(cyclic_convolve(unitpow, unitpow, q), allpow, q), allpow, q)
@@ -124,9 +127,7 @@ def m_n(p: int, h: int, n: int, k: int, l: int, t: int, s: int) -> int:
 
 @lru_cache(maxsize=512)
 def _m_star_histogram(p: int, h: int, k: int, l: int, t: int, s: int) -> np.ndarray:
-    q = p**h
-    if q > MN_BUDGET:
-        raise ResourceError(f"p^h = {q} exceeds the local-count budget {MN_BUDGET}")
+    q = _local_modulus(p, h)
     require_integers(1, s=s)
     # first block: x_{1,1} a unit AND the form value T(x_1) a unit
     first = power_residue_histogram(q, l, units_only=True)

@@ -17,7 +17,7 @@ import numpy as np
 
 from waringtk.arith import kth_root, smallest_prime_factors
 from waringtk.convolve import convolution_power, count_array, read_only_counts
-from waringtk.errors import PreconditionError, ResourceError, require_integers
+from waringtk.errors import PreconditionError, require_integers, require_within
 from waringtk.params import delta_r
 
 N_BUDGET = 10**7
@@ -61,8 +61,7 @@ def rep_count_table(l: int, t: int, limit: int) -> PowerSumTable:
     if t > 64:
         raise PreconditionError(f"need t <= 64, got t={t}")
     require_integers(0, limit=limit)
-    if limit > N_BUDGET:
-        raise ResourceError(f"limit {limit} exceeds budget {N_BUDGET}")
+    require_within(N_BUDGET, limit=limit)
     base = power_indicator(l, limit)
     rho = convolution_power(base, t, trunc=limit + 1)
     return PowerSumTable(l=l, t=t, limit=limit, rho=rho)
@@ -70,8 +69,7 @@ def rep_count_table(l: int, t: int, limit: int) -> PowerSumTable:
 
 def rep_count_enumerate(l: int, t: int, limit: int) -> list[int]:
     """Direct nested enumeration oracle (small instances only)."""
-    if (limit + 1) ** t > 10**8:
-        raise ResourceError("enumeration oracle instance too large")
+    require_within(10**8, **{"(limit+1)^t": (limit + 1, t)})
     rho = [0] * (limit + 1)
 
     def rec(depth: int, acc: int):
@@ -127,8 +125,7 @@ def restricted_power_sums(r: int, l: int, Y: int, eta: float = DEFAULT_ETA) -> t
     integers in [1, Y], R = realized_smoothness_bound(Y, eta)."""
     require_integers(1, r=r, l=l)
     require_integers(0, Y=Y)
-    if r * Y**l > N_BUDGET:
-        raise ResourceError(f"r * Y^l = {r * Y ** l} exceeds budget")
+    require_within(N_BUDGET, **{"r Y^l": (Y, l, r)})
     R = realized_smoothness_bound(Y, eta)
     powers = [x**l for x in smooth_set(Y, R)]
     values = set(powers)

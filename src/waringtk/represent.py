@@ -23,7 +23,7 @@ import numpy as np
 
 from waringtk.arith import kth_root
 from waringtk.convolve import convolution_power, exact_product, read_only_counts
-from waringtk.errors import PreconditionError, ResourceError, require_integers
+from waringtk.errors import PreconditionError, require_integers, require_within
 from waringtk.integral import c_tl
 from waringtk.params import ProblemParams
 from waringtk.powersets import DEFAULT_ETA, power_indicator, rep_count_table, restricted_power_sums
@@ -72,8 +72,7 @@ def count_conje(n_max: int, k: int, l: int, t: int, s: int, r_extra: int) -> Cou
     """Ordered solutions of n = sum_i T_t(x_i)^k + sum_j y_j^k, all
     variables positive integers."""
     require_integers(n_max=n_max, k=k, l=l, t=t, s=s, r_extra=r_extra)
-    if n_max > N_MAX_BUDGET:
-        raise ResourceError(f"n_max {n_max} exceeds budget {N_MAX_BUDGET}")
+    require_within(N_MAX_BUDGET, n_max=n_max)
     require_integers(0, n_max=n_max, s=s, r_extra=r_extra)
     if s + r_extra < 1:
         raise PreconditionError(f"need s + r_extra >= 1, got s={s}, r_extra={r_extra}")
@@ -94,8 +93,7 @@ def count_theorem13(
     """Ordered solutions of n = sum_{i<=s} x_i^k with x_i in the value set
     of the xi-variable form; weighted=True counts preimage tuples."""
     require_integers(n_max=n_max, k=k, l=l, xi=xi, s=s)
-    if n_max > N_MAX_BUDGET:
-        raise ResourceError(f"n_max {n_max} exceeds budget {N_MAX_BUDGET}")
+    require_within(N_MAX_BUDGET, n_max=n_max)
     require_integers(0, n_max=n_max)
     require_integers(1, s=s, k=k)
     base = form_power_base(n_max, k, l, xi)
@@ -111,22 +109,14 @@ def count_oracle(n_max: int, k: int, l: int, t: int, s: int, r_extra: int) -> li
     out = [0] * (n_max + 1)
     out[0] = 1
     block = form_power_base(n_max, k, l, t).tolist()
-    for _ in range(s):
-        nxt = [0] * (n_max + 1)
-        for i, c in enumerate(out):
-            if c:
-                for v in range(1, n_max + 1 - i):
-                    if block[v]:
-                        nxt[i + v] += c * block[v]
-        out = nxt
     power = power_indicator(k, n_max).tolist()
-    for _ in range(r_extra):
+    for weights in [block] * s + [power] * r_extra:
         nxt = [0] * (n_max + 1)
         for i, c in enumerate(out):
             if c:
                 for v in range(1, n_max + 1 - i):
-                    if power[v]:
-                        nxt[i + v] += c
+                    if weights[v]:
+                        nxt[i + v] += c * weights[v]
         out = nxt
     return out
 
@@ -236,20 +226,20 @@ def k2_mean_value(t: int, X_cap: int, l: int = 2, Y: int | None = None) -> tuple
     eta = DEFAULT_ETA.
 
     Split by x_1 = x_2 vs x_1 != x_2; the y-pairs enter only through the
-    histogram of y_1^2 + y_2^2 values, joined across the two sides.
+    histogram of y_1^2 + y_2^2 values, joined across the two sides. Its |S|^2
+    steps and the x-pair loop's |xs|^2 |hist| <= (|xs| |S|)^2 stay within 10^8.
     """
     require_integers(0, X=X_cap)
     require_integers(1, t=t, l=l)
     if Y is None:
         Y = max(2, kth_root(X_cap, l))
     values = restricted_power_sums(t, l, Y)
-    if len(values) ** 2 * X_cap > 10**8:
-        raise ResourceError("k=2 mean-value instance too large")
+    require_within(10**8, **{"(|S| |xs|)^2": (len(values) * max(1, X_cap - X_cap // 2)) ** 2})
     hist: Counter = Counter()
     for y1 in values:
         for y2 in values:
             hist[y1**2 + y2**2] += 1
-    xs = [x for x in range(X_cap // 2 + 1, X_cap + 1)]
+    xs = range(X_cap // 2 + 1, X_cap + 1)
     pair_sq = sum(c * c for c in hist.values())
     diagonal = len(xs) * pair_sq
     offdiagonal = 0

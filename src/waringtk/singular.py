@@ -35,7 +35,7 @@ import numpy as np
 
 from waringtk import local
 from waringtk.arith import euler_phi, sieve_primes
-from waringtk.errors import PreconditionError, ResourceError, require_integers
+from waringtk.errors import PreconditionError, require_integers, require_within
 from waringtk.expsums import S_FORM_Q_BUDGET, coprime_residues, hist_dft_all, omega_table, power_residue_histogram
 from waringtk.local import form_power_histogram
 
@@ -44,17 +44,12 @@ DEFAULT_PRIME_CUTOFF = 50
 POSITIVITY_FLOOR = 0.01
 
 
-def _check_q_budget(Q: int) -> None:
-    if Q > S_FORM_Q_BUDGET:
-        raise ResourceError(f"q = {Q} exceeds the budget {S_FORM_Q_BUDGET}")
-
-
 def _check_series_args(Q: int, k: int, l: int, t: int, s: int) -> None:
     """A series cut at Q needs Q >= 1 and k >= 1 (its tail estimate is
     Q^(-1/k)), l, t >= 1 and s >= 0, and Q within the budget."""
     require_integers(1, Q=Q, k=k, l=l, t=t)
     require_integers(0, s=s)
-    _check_q_budget(Q)
+    require_within(S_FORM_Q_BUDGET, Q=Q)
 
 
 @lru_cache(maxsize=2048)
@@ -63,7 +58,7 @@ def _d_table(q: int, k: int, l: int, t: int, s: int, series: str) -> tuple[np.nd
     S'_n(q) (series 'SnPrime'): the units a of q and the weight of each."""
     if series not in ("Sn", "SnPrime"):
         raise PreconditionError(f"series must be 'Sn' or 'SnPrime', got {series!r}")
-    _check_q_budget(q)
+    require_within(S_FORM_Q_BUDGET, q=q)
     units = coprime_residues(q)
     coef = (hist_dft_all(q, form_power_histogram(q, k, l, t), units) / q**t) ** s
     if series == "Sn":

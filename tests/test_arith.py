@@ -122,6 +122,15 @@ def test_kth_root_big_and_at_exact_powers():
     assert kth_root(np.int64(169), np.int64(2)) == 13 and kth_root(np.uint64(2**64 - 1), 2) == 2**32 - 1
 
 
+def test_kth_root_past_the_bit_length():
+    """A k of at least n's bit length gives min(n, 1) at once (n < 2^k),
+    and the bit length itself is the first such k."""
+    for bits in range(2, 80):
+        assert kth_root(2 ** (bits - 1), bits - 1) == 2, bits
+        assert kth_root(2 ** (bits - 1), bits) == kth_root(2**bits - 1, bits) == 1, bits
+    assert kth_root(0, 10**400) == 0 and kth_root(1, 10**400) == 1 and kth_root(10**400, 10**400) == 1
+
+
 @pytest.mark.parametrize("n, k", [(-1, 2), (4, 0), (4, -1), (4.0, 2), (4, 2.0)])
 def test_kth_root_domain(n, k):
     with pytest.raises(PreconditionError):

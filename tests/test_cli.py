@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 import waringtk
 from waringtk.cli import COMMANDS, emit_report, run
+from waringtk.errors import require_within
 from waringtk.powersets import rep_count_table, write_table_cache
 
 
@@ -659,6 +660,122 @@ def test_integer_past_the_float_range_exits_cleanly(tmp_path, capsys, name):
     code = run(_PAST_FLOAT[name] + ["--cache-dir", str(tmp_path)])
     assert code in (2, 3), code
     assert "Traceback" not in capsys.readouterr().err
+
+
+# argv with one flag at 10^6 or 10^4. The first five formed a power of it
+# (3^h, 6^s, 5^l, 2^l) and put it in the message of a budget check, which
+# ended in Python's 4300-digit ValueError; the two loop budgets admitted
+# k_sys and X of any size and ran for minutes; local --t 10000 computed
+# its count and then failed to print it.
+_E6 = str(10**6)
+_HUGE_FLAGS = {
+    "local --h 10^6": _with_value(("local",), "--h", _E6),
+    "series snm --h 10^6": _with_value(("series", "snm"), "--h", _E6),
+    "arcs vmv --s 10^6": _with_value(("arcs", "vmv"), "--s", _E6),
+    "arcs vmv --l 10^6": _with_value(("arcs", "vmv"), "--l", _E6),
+    "count k2 --l 10^6": ["count", "k2", "--t", "2", "--X", "30", "--l", _E6],
+    "arcs vmv --ksys 10^6": _with_value(("arcs", "vmv"), "--ksys", _E6),
+    "count k2 --X 10^6": _with_value(("count", "k2"), "--X", _E6),
+    "local --t 10^4": _with_value(("local",), "--t", "10000"),
+    # one flag at 10^400, which never ended: p^h, r Y^l and |S|^s were
+    # formed before their budgets, and kth_root(n, k) formed 2^(k-1)
+    "local --h 10^400": _with_value(("local",), "--h", _BIG),
+    "series snm --h 10^400": _with_value(("series", "snm"), "--h", _BIG),
+    "arcs vmv --s 10^400": _with_value(("arcs", "vmv"), "--s", _BIG),
+    "arcs vmv --l 10^400": _with_value(("arcs", "vmv"), "--l", _BIG),
+    "count k2 --l 10^400": ["count", "k2", "--t", "2", "--X", "30", "--l", _BIG],
+    "sieve --l 10^400": _with_value(("sieve",), "--l", _BIG),
+    "density --l 10^400": _with_value(("density",), "--l", _BIG),
+    "count conje --k 10^400": _with_value(("count", "conje"), "--k", _BIG),
+    "count thm13 --k 10^400": _with_value(("count", "thm13"), "--k", _BIG),
+}
+
+
+@pytest.mark.parametrize("name", list(_HUGE_FLAGS))
+def test_huge_flag_exits_at_once(tmp_path, capsys, name):
+    """A flag at 10^4, 10^6 or 10^400 gives a report (local --t, whose count is
+    exact work with no budget) or exits 2 or 3 within seconds."""
+    start = time.perf_counter()
+    code = run(_HUGE_FLAGS[name] + ["--cache-dir", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert time.perf_counter() - start < 5.0
+    assert "Traceback" not in err
+    if name.startswith("local --t"):
+        assert code == 0 and len(out) > 4300, code
+    else:
+        assert code in (2, 3), (code, err)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_count_past_4300_digits_prints_exactly(capsys, fmt):
+    """Python refuses the decimal form of an int past 4300 digits by
+    default; run lifts that limit only while it writes the report, so an
+    in-process run leaves the interpreter's limit as it found it."""
+    from waringtk.local import m_n
+
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        assert run(["local", "--p", "3", "--h", "1", "--n", "1", "--k", "2", "--l", "2", "--t", "12000",
+                    "--s", "1", "--format", fmt]) == 0
+        assert sys.get_int_max_str_digits() == 5000
+        assert run(_HUGE_FLAGS["local --h 10^6"]) == 3
+        assert sys.get_int_max_str_digits() == 5000
+        count = m_n(3, 1, 1, 2, 2, 12000, 1)
+        sys.set_int_max_str_digits(0)
+        text = capsys.readouterr().out
+        assert str(count) in text and len(str(count)) > 5000
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+def test_budget_message_has_no_huge_decimal():
+    """A budget message gives a power it did not form as base^exponent and
+    an integer past 64 bits by its bit length."""
+    with pytest.raises(waringtk.ResourceError) as info:
+        require_within(10**4, **{"p^h": (3, 10**400)})
+    assert str(info.value) == "p^h = 3^<1329-bit integer> exceeds the budget 10000"
+    with pytest.raises(waringtk.ResourceError) as info:
+        require_within(10**6, n_max=10**5000)
+    assert str(info.value) == "n_max = <16610-bit integer> exceeds the budget 1000000"
+    with pytest.raises(waringtk.ResourceError) as info:
+        require_within(10, q=11)
+    assert str(info.value) == "q = 11 exceeds the budget 10"
+    with pytest.raises(waringtk.ResourceError) as info:
+        require_within(4 * 10**6, **{"|S|^s s k_sys": (6, 10**6, 2 * 10**6)})
+    assert str(info.value) == "|S|^s s k_sys = 2000000*6^1000000 exceeds the budget 4000000"
+
+
+def test_require_within_matches_the_formed_value():
+    """require_within(most, v=(base, exponent, factor)) raises exactly when
+    factor * base**exponent > most, whether it forms the power or not."""
+    for most in range(1, 70):
+        for base in range(0, 9):
+            for exponent in range(0, 9):
+                for factor in (1, 2, 5):
+                    value = (base, exponent, factor) if factor > 1 else (base, exponent)
+                    try:
+                        require_within(most, v=value)
+                        refused = False
+                    except waringtk.ResourceError:
+                        refused = True
+                    assert refused == (factor * base**exponent > most), (most, base, exponent, factor)
+    require_within(10, a=10, b=-(10**400), c=(1, 10**400), d=(0, 10**400), e=(2, -1))  # nothing past 10
+    with pytest.raises(waringtk.ResourceError):
+        require_within(10, a=10, b=11)
+
+
+def test_only_errors_raises_resource_error():
+    """Every budget goes through errors.require_within: no other waringtk
+    module raises ResourceError."""
+    raisers = set()
+    for path in sorted((_ROOT / "src" / "waringtk").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if getattr(exc, "id", getattr(exc, "attr", None)) == "ResourceError":
+                    raisers.add(path.name)
+    assert raisers == {"errors.py"}
 
 
 # The domain of each integer flag of each leaf, from the docstrings and
