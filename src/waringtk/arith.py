@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from waringtk.errors import PreconditionError, require_integers, require_within
+from waringtk.errors import PreconditionError, require_integers, require_within, shown
 
 # trial division to the square root of 2^40 tries at most 2^19 odd divisors
 # (0.07 s with CPython 3.11 on a 2-core x86-64 VM)
@@ -40,6 +40,13 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def require_prime(p: int) -> None:
+    """Raise PreconditionError unless p is a prime integer."""
+    require_integers(2, p=p)
+    if not is_prime(p):
+        raise PreconditionError(f"need a prime p, got p={shown(p)}")
 
 
 def factorize(q: int) -> tuple[tuple[int, int], ...]:
@@ -85,8 +92,7 @@ def p_adic_valuation(p: int, m: int) -> int:
 
 def gamma_exponent(p: int, k: int) -> int:
     """Hensel level gamma for x^k: tau+1, except tau+2 when p=2 and tau>0."""
-    if not is_prime(p):
-        raise PreconditionError(f"{p} is not prime")
+    require_prime(p)
     tau = p_adic_valuation(p, k)
     if p == 2 and tau > 0:
         return tau + 2
@@ -95,8 +101,7 @@ def gamma_exponent(p: int, k: int) -> int:
 
 def nu_exponent(p: int, k: int, l: int) -> int:
     """Level nu = 2*tau1 + 1 with p^tau1 || kl."""
-    if not is_prime(p):
-        raise PreconditionError(f"{p} is not prime")
+    require_prime(p)
     return 2 * p_adic_valuation(p, k * l) + 1
 
 
@@ -126,13 +131,13 @@ def sieve_primes(limit: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def smallest_prime_factors(limit: int) -> list[int]:
-    """spf[i] = smallest prime factor of i (spf[1] = 1)."""
+def smallest_prime_factors(limit: int) -> tuple[int, ...]:
+    """spf[i] = smallest prime factor of i (spf[1] = 1), as a tuple."""
     spf = list(range(limit + 1))
     for p in range(2, math.isqrt(limit) + 1):
         if spf[p] == p:
             for m in range(p * p, limit + 1, p):
                 if spf[m] == m:
                     spf[m] = p
-    return spf
+    return tuple(spf)
 

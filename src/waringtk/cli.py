@@ -101,6 +101,7 @@ def _add_global_flags(p, leaf: bool) -> None:
 
 
 def _sieve(powersets, args, header):
+    from waringtk.convolve import count_total
     cache_dir = args.cache_dir or os.environ.get("WFC_CACHE_DIR", DEFAULT_CACHE_DIR)
     path = cache_path(cache_dir, args.l, args.t, args.limit)
     try:
@@ -113,7 +114,7 @@ def _sieve(powersets, args, header):
         table = powersets.rep_count_table(args.l, args.t, args.limit)
         try:
             powersets.write_table_cache(table, path)
-        except PreconditionError:  # a count past u64 has no cached form; the rows are still exact
+        except PreconditionError:  # a header or count past u64 has no cached form; the rows are still exact
             pass
         header.append(f"cache=miss path={path}")
     return [
@@ -122,7 +123,7 @@ def _sieve(powersets, args, header):
             "t": args.t,
             "limit": args.limit,
             "distinct": powersets.distinct_count(table, args.limit),
-            "mass": sum(table.rho.tolist()),
+            "mass": count_total(table.rho),
         }
     ]
 

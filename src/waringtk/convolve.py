@@ -113,11 +113,11 @@ def read_only_counts(a: list[int] | np.ndarray) -> np.ndarray:
     return counts
 
 
-def _total(arr: np.ndarray) -> int:
-    """sum(arr) as a Python int; int64 summation only where it cannot wrap."""
-    if arr.dtype == object or int(arr.max()) * len(arr) >= 1 << 63:
-        return sum(arr.tolist())
-    return int(arr.sum())
+def count_total(counts: np.ndarray) -> int:
+    """The exact total of counts as a Python int (0 if empty); int64 summation only where it cannot wrap."""
+    if counts.dtype == object or (len(counts) and int(counts.max()) * len(counts) >= 1 << 63):
+        return sum(counts.tolist())
+    return int(counts.sum())
 
 
 def _direct(a: np.ndarray, b: np.ndarray, keep: int) -> np.ndarray:
@@ -272,7 +272,7 @@ def _product(a: np.ndarray, b: np.ndarray, trunc: int | None) -> np.ndarray:
     if negative and not short:
         raise PreconditionError("an exact product needs nonnegative entries beyond the schoolbook cap")
     max_a, max_b = int(a.max()), int(b.max())
-    bound = None if negative else min(_total(a) * max_b, _total(b) * max_a) + 1
+    bound = None if negative else min(count_total(a) * max_b, count_total(b) * max_a) + 1
     if short:
         if bound is None or bound > 1 << 63:  # int64 products or sums could wrap
             a, b = a.astype(object), b.astype(object)

@@ -30,10 +30,10 @@ def require_integers(least: int | None = None, **values) -> None:
         except TypeError:
             raise PreconditionError(f"need an integer {name}, got {value!r}") from None
         if least is not None and value < least:
-            raise PreconditionError(f"need {name} >= {least}, got {name}={_shown(value)}")
+            raise PreconditionError(f"need {name} >= {least}, got {name}={shown(value)}")
 
 
-def _shown(value) -> str:
+def shown(value) -> str:
     """value in decimal, or by its bit length past 64 bits: a huge int's
     decimal form is slow to make and, past 4300 digits, refused."""
     bits = value.bit_length() if isinstance(value, int) else 0
@@ -49,9 +49,9 @@ def require_within(most: int, **values) -> None:
         if isinstance(value, tuple):
             base, exponent, factor = value if len(value) == 3 else (*value, 1)
             if base >= 2 and exponent >= most.bit_length():
-                shown = f"{_shown(base)}^{_shown(exponent)}"
-                shown = shown if factor == 1 else f"{_shown(factor)}*{shown}"
-                raise ResourceError(f"{name} = {shown} exceeds the budget {most}")
+                power = f"{shown(base)}^{shown(exponent)}"
+                power = power if factor == 1 else f"{shown(factor)}*{power}"
+                raise ResourceError(f"{name} = {power} exceeds the budget {most}")
             value = factor * base**exponent
         if value > most:
-            raise ResourceError(f"{name} = {_shown(value)} exceeds the budget {most}")
+            raise ResourceError(f"{name} = {shown(value)} exceeds the budget {most}")

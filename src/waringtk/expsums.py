@@ -37,8 +37,10 @@ _GEMV_SINGLE_THREAD = 4096
 
 @lru_cache(maxsize=2048)
 def omega_table(q: int) -> np.ndarray:
-    """exp(2 pi i j / q) for j in [0, q), kept for as many q as singular._d_table."""
-    return np.exp(2j * np.pi * np.arange(q) / q)
+    """exp(2 pi i j / q) for j in [0, q), read-only; kept for as many q as singular._d_table."""
+    table = np.exp(2j * np.pi * np.arange(q) / q)
+    table.flags.writeable = False
+    return table
 
 
 def _check_coprime(q: int, a: int) -> None:
@@ -48,7 +50,7 @@ def _check_coprime(q: int, a: int) -> None:
         raise PreconditionError(f"need gcd(a, q) = 1, got a={a}, q={q}")
 
 
-def _power_mod(r: np.ndarray, k: int, q: int) -> np.ndarray:
+def power_mod(r: np.ndarray, k: int, q: int) -> np.ndarray:
     """r^k mod q entrywise for an int64 array r of entries in [0, q], by
     square-and-multiply with a reduction after each product: the
     products stay below q^2, so nothing wraps int64 for q < 3 * 10^9."""
@@ -70,7 +72,7 @@ def power_residue_histogram(q: int, k: int, units_only: bool = False) -> np.ndar
     a read-only int64 array, for q <= HIST_Q_BUDGET."""
     require_within(HIST_Q_BUDGET, q=q)
     r = coprime_residues(q) if units_only else np.arange(1, q + 1, dtype=np.int64)
-    counts = np.bincount(_power_mod(r, k, q), minlength=q)
+    counts = np.bincount(power_mod(r, k, q), minlength=q)
     counts.flags.writeable = False
     return counts
 
@@ -105,7 +107,7 @@ def w_q(q: int, a: int, k: int) -> complex:
 
 @lru_cache(maxsize=256)
 def _s_l_table(q: int, l: int) -> np.ndarray:
-    """S_l(q, u) for u = 0..q-1 (index u % q; u = q means u = 0)."""
+    """S_l(q, u) for u = 0..q-1 (index u % q; u = q means u = 0), read-only."""
     hist = np.array(power_residue_histogram(q, l), dtype=np.float64)
     om = omega_table(q)
     out = np.empty(q, dtype=np.complex128)
@@ -113,6 +115,7 @@ def _s_l_table(q: int, l: int) -> np.ndarray:
     weights = hist[support]
     for u in range(q):
         out[u] = np.dot(weights, om[(u * support) % q])
+    out.flags.writeable = False
     return out
 
 
@@ -130,7 +133,7 @@ def s_form(q: int, a: int, k: int, l: int, t: int) -> complex:
     sl = _s_l_table(q, l)
     om = omega_table(q)
     rr = np.arange(1, q + 1, dtype=np.int64)
-    g = om[(a * _power_mod(rr, k, q)) % q]  # e_q(a r^k) for r = 1..q
+    g = om[(a * power_mod(rr, k, q)) % q]  # e_q(a r^k) for r = 1..q
     acc = 0j
     for u in range(q):
         sklin = np.dot(g, om[(-u * rr) % q])

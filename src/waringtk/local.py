@@ -26,10 +26,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from waringtk.arith import factorize, gamma_exponent, is_prime, nu_exponent, p_adic_valuation
-from waringtk.convolve import _total, count_array, cyclic_convolve, cyclic_power
+from waringtk.arith import factorize, gamma_exponent, nu_exponent, p_adic_valuation, require_prime
+from waringtk.convolve import count_array, count_total, cyclic_convolve, cyclic_power
 from waringtk.errors import PreconditionError, require_integers, require_within
-from waringtk.expsums import _power_mod, power_residue_histogram
+from waringtk.expsums import power_mod, power_residue_histogram
 
 FORM_HIST_BUDGET = 10**5
 MN_BUDGET = 10**4
@@ -46,9 +46,9 @@ def pushforward_power(hist: np.ndarray, expo: int) -> np.ndarray:
     int64 when the exact total fits and in Python ints otherwise (a bin
     can pass 2^63 when no entry does)."""
     q = len(hist)
-    dtype = np.int64 if _total(hist) < 1 << 63 else object
+    dtype = np.int64 if count_total(hist) < 1 << 63 else object
     out = np.zeros(q, dtype=dtype)
-    np.add.at(out, _power_mod(np.arange(q), expo, q), hist.astype(dtype, copy=False))
+    np.add.at(out, power_mod(np.arange(q), expo, q), hist.astype(dtype, copy=False))
     return count_array(out)
 
 
@@ -93,9 +93,7 @@ def _check_local_args(p: int, h: int, k: int, l: int, t: int, s: int) -> None:
     """A local count needs a prime p, h >= 0, k, l, t >= 1 and s >= 0."""
     require_integers(0, h=h, s=s)
     require_integers(1, k=k, l=l, t=t)
-    require_integers(2, p=p)
-    if not is_prime(p):
-        raise PreconditionError(f"need a prime p, got p={p}")
+    require_prime(p)
 
 
 def _local_modulus(p: int, h: int) -> int:

@@ -17,7 +17,7 @@ import numpy as np
 
 from waringtk.arith import kth_root, smallest_prime_factors
 from waringtk.convolve import convolution_power, count_array, read_only_counts
-from waringtk.errors import PreconditionError, require_integers, require_within
+from waringtk.errors import PreconditionError, require_integers, require_within, shown
 from waringtk.params import delta_r
 
 N_BUDGET = 10**7
@@ -51,7 +51,8 @@ def power_indicator(l: int, limit: int) -> np.ndarray:
     """Vector with 1 at x^l for x >= 1, x^l <= limit, as an int64 array
     (empty when limit < 0)."""
     base = np.zeros(max(limit + 1, 0), dtype=np.int64)
-    base[np.arange(1, kth_root(max(limit, 0), l) + 1) ** l] = 1
+    # numpy takes no exponent past a C long; an l past 62 leaves x = 1 alone
+    base[np.arange(1, kth_root(max(limit, 0), l) + 1) ** min(l, 63)] = 1
     return base
 
 
@@ -140,7 +141,7 @@ def default_y_grid(r: int, l: int) -> list[int]:
     require_integers(1, r=r, l=l)
     y_max = min(400, kth_root(N_BUDGET // r, l))
     if y_max < 16:
-        raise PreconditionError(f"r Y^l <= N_BUDGET keeps Y below 16, too small for a 4-point grid (r={r}, l={l})")
+        raise PreconditionError(f"r Y^l <= N_BUDGET keeps Y below 16, too small for a 4-point grid (r={shown(r)}, l={shown(l)})")
     return [y_max // 8, y_max // 4, y_max // 2, y_max]
 
 
@@ -191,8 +192,8 @@ def write_table_cache(table: PowerSumTable, path: str) -> None:
 
     The file is written under a temporary name and renamed into place,
     so a reader never sees a partly written table."""
-    if len(table.rho) and table.rho.max() >= 1 << 64:
-        raise PreconditionError("a count exceeds u64; refusing to write cache")
+    if max(table.l, table.t, table.limit, table.rho.max(initial=0)) >= 1 << 64:
+        raise PreconditionError("l, t, limit or a count exceeds u64; refusing to write cache")
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"
     with open(tmp, "wb") as fh:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from waringtk.arith import kth_root
-from waringtk.convolve import convolution_power, exact_product, read_only_counts
+from waringtk.convolve import convolution_power, count_total, exact_product, read_only_counts
 from waringtk.errors import PreconditionError, require_integers, require_within
 from waringtk.integral import c_tl
 from waringtk.params import ProblemParams
@@ -52,7 +52,7 @@ class CountVector:
 
     @property
     def mass(self) -> int:
-        return sum(self.entries.tolist())
+        return count_total(self.entries)
 
     def __getitem__(self, n: int) -> int:
         return int(self.entries[n])
@@ -64,7 +64,7 @@ def form_power_base(n_max: int, k: int, l: int, t: int) -> np.ndarray:
     cap = kth_root(n_max, k)
     rho = rep_count_table(l, t, cap).rho
     base = np.zeros(n_max + 1, dtype=rho.dtype)
-    base[np.arange(1, cap + 1) ** k] = rho[1:]
+    base[np.arange(1, cap + 1) ** min(k, 63)] = rho[1:]  # min: as in power_indicator
     return base
 
 
@@ -221,32 +221,24 @@ def q_m_table(params: ProblemParams, eta: float = DEFAULT_ETA) -> CountVector:
 
 
 def k2_mean_value(t: int, X_cap: int, l: int = 2, Y: int | None = None) -> tuple[int, int]:
-    """(diagonal, offdiagonal) counts of x_1^2 + y_1^2 + y_2^2 =
-    x_2^2 + y_3^2 + y_4^2 with X/2 <= x_i <= X and y_i in S_t(Y) at
-    eta = DEFAULT_ETA.
+    """(diagonal, offdiagonal) counts of x_1^2 + y_1^2 + y_2^2 = x_2^2 + y_3^2 + y_4^2
+    with X/2 < x_i <= X and y_i in S_t(Y) at eta = DEFAULT_ETA.
 
-    Split by x_1 = x_2 vs x_1 != x_2; the y-pairs enter only through the
-    histogram of y_1^2 + y_2^2 values, joined across the two sides. Its |S|^2
-    steps and the x-pair loop's |xs|^2 |hist| <= (|xs| |S|)^2 stay within 10^8.
-    """
+    The count is the additive energy sum_m R[m]^2 (Tao and Vu, Additive
+    Combinatorics, 2.3), R[m] = sum of c[v] over x^2 + v = m, where c[v]
+    counts the y-pairs with y_1^2 + y_2^2 = v; x_1 = x_2 forces v_1 = v_2,
+    so the diagonal is |xs| sum_v c[v]^2. The |S|^2 + |xs| |S|^2 steps stay
+    within twice the budget (|S| max(1, |xs|))^2 <= 10^8."""
     require_integers(0, X=X_cap)
     require_integers(1, t=t, l=l)
     if Y is None:
         Y = max(2, kth_root(X_cap, l))
     values = restricted_power_sums(t, l, Y)
     require_within(10**8, **{"(|S| |xs|)^2": (len(values) * max(1, X_cap - X_cap // 2)) ** 2})
-    hist: Counter = Counter()
-    for y1 in values:
-        for y2 in values:
-            hist[y1**2 + y2**2] += 1
+    c = Counter(y1**2 + y2**2 for y1 in values for y2 in values)
     xs = range(X_cap // 2 + 1, X_cap + 1)
-    pair_sq = sum(c * c for c in hist.values())
-    diagonal = len(xs) * pair_sq
-    offdiagonal = 0
-    for x1 in xs:
-        for x2 in xs:
-            if x1 == x2:
-                continue
-            d = x2 * x2 - x1 * x1  # need v1 = v2 + d
-            offdiagonal += sum(c * hist.get(v + d, 0) for v, c in hist.items())
-    return diagonal, offdiagonal
+    R = Counter()
+    for x in xs:
+        R.update({x * x + v: cv for v, cv in c.items()})
+    diagonal = len(xs) * sum(cv * cv for cv in c.values())
+    return diagonal, sum(r * r for r in R.values()) - diagonal

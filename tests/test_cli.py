@@ -18,11 +18,13 @@ import sys
 import textwrap
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import waringtk
+from waringtk import arith, local, powersets
 from waringtk.cli import COMMANDS, emit_report, run
 from waringtk.errors import require_within
 from waringtk.powersets import rep_count_table, write_table_cache
@@ -691,17 +693,31 @@ _HUGE_FLAGS = {
 }
 
 
+# the rows of the argv above that give a report: local --t prints a count
+# past 4300 digits (None), and at l or k = 10^400 only x = 1 has its power
+# within the limit, so the sieve finds only 1^l + 1^l = 2 and no form value
+# T(x) >= 2 has its k-th power within nmax
+_HUGE_REPORTS = {
+    "local --t 10^4": None,
+    "sieve --l 10^400": ["l,t,limit,distinct,mass", f"{_BIG},2,50,1,1"],
+    "count conje --k 10^400": ["n,count"] + [f"{n},0" for n in range(51)],
+    "count thm13 --k 10^400": ["n,count"] + [f"{n},0" for n in range(51)],
+}
+
+
 @pytest.mark.parametrize("name", list(_HUGE_FLAGS))
 def test_huge_flag_exits_at_once(tmp_path, capsys, name):
-    """A flag at 10^4, 10^6 or 10^400 gives a report (local --t, whose count is
-    exact work with no budget) or exits 2 or 3 within seconds."""
+    """A flag at 10^4, 10^6 or 10^400 gives the report of _HUGE_REPORTS or
+    exits 2 or 3, within seconds."""
     start = time.perf_counter()
     code = run(_HUGE_FLAGS[name] + ["--cache-dir", str(tmp_path)])
     out, err = capsys.readouterr()
     assert time.perf_counter() - start < 5.0
     assert "Traceback" not in err
-    if name.startswith("local --t"):
-        assert code == 0 and len(out) > 4300, code
+    if name in _HUGE_REPORTS:
+        assert code == 0, (code, err)
+        rows = [line for line in out.splitlines() if not line.startswith("#")]
+        assert len(out) > 4300 if _HUGE_REPORTS[name] is None else rows == _HUGE_REPORTS[name]
     else:
         assert code in (2, 3), (code, err)
 
@@ -744,6 +760,23 @@ def test_budget_message_has_no_huge_decimal():
     with pytest.raises(waringtk.ResourceError) as info:
         require_within(4 * 10**6, **{"|S|^s s k_sys": (6, 10**6, 2 * 10**6)})
     assert str(info.value) == "|S|^s s k_sys = 2000000*6^1000000 exceeds the budget 4000000"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: powersets.default_y_grid(2, 10**5000),
+        lambda: local.m_n(10**5000, 1, 1, 2, 2, 2, 1),
+        lambda: arith.gamma_exponent(10**5000, 2),
+        lambda: arith.nu_exponent(10**5000, 2, 2),
+    ],
+    ids=["default_y_grid", "m_n", "gamma_exponent", "nu_exponent"],
+)
+def test_precondition_message_has_no_huge_decimal(call):
+    """A precondition message gives an integer past 64 bits by its bit
+    length, where its decimal form would pass Python's 4300-digit limit."""
+    with pytest.raises(waringtk.PreconditionError, match="<16610-bit integer>"):
+        call()
 
 
 def test_require_within_matches_the_formed_value():
@@ -916,9 +949,9 @@ def test_every_defaulted_parameter_is_set():
     assert unset == UNSET_DEFAULTS
 
 
-# The underscore names that one waringtk module imports from another:
-# each is a helper that the module owning it shares with one neighbour.
-SHARED_PRIVATES = {("convolve", "_total"), ("expsums", "_power_mod")}
+# The underscore names that one waringtk module imports from another: none,
+# as a helper that one module shares with another is public.
+SHARED_PRIVATES = set()
 
 
 def test_no_module_reads_another_modules_privates():
@@ -940,6 +973,51 @@ def test_no_module_reads_another_modules_privates():
                 if node.attr.startswith("_"):
                     shared.add((modules[node.value.id], node.attr))
     assert shared == SHARED_PRIVATES
+
+
+# small arguments for each lru-cached function of waringtk
+_LRU_CALLS = {
+    "arcs._rho_table_for": (2, 2, 10),
+    "arith.smallest_prime_factors": (30,),
+    "expsums.omega_table": (7,),
+    "expsums.power_residue_histogram": (7, 2),
+    "expsums._s_l_table": (7, 2),
+    "integral._u_grid": (100, 8, 2, 2),
+    "local.form_histogram": (3, 1, 2, 2),
+    "local.form_power_histogram": (6, 2, 2, 2),
+    "local._m_n_histogram": (3, 1, 2, 2, 2, 1),
+    "local._m_star_histogram": (3, 1, 2, 2, 2, 1),
+    "singular._d_table": (5, 2, 2, 8, 2, "Sn"),
+}
+
+
+def _changeable(obj) -> bool:
+    """Whether obj, or an array or field inside it, can be changed in place."""
+    if isinstance(obj, np.ndarray):
+        return obj.flags.writeable
+    if isinstance(obj, tuple):
+        return any(_changeable(item) for item in obj)
+    if dataclasses.is_dataclass(obj):
+        fields = [getattr(obj, field.name) for field in dataclasses.fields(obj)]
+        return not obj.__dataclass_params__.frozen or any(_changeable(field) for field in fields)
+    return not isinstance(obj, (int, float, complex, str))
+
+
+def test_every_lru_cached_table_is_read_only():
+    """An lru cache hands the same object to every caller, so no caller may
+    change it in place: each cached result is read-only, and every
+    lru-cached function of waringtk has an entry in _LRU_CALLS."""
+    cached = {}
+    for info in pkgutil.iter_modules(waringtk.__path__):
+        if info.name == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"waringtk.{info.name}")
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
+                cached[f"{info.name}.{name}"] = obj
+    assert sorted(cached) == sorted(_LRU_CALLS)
+    for name, fn in cached.items():
+        assert not _changeable(fn(*_LRU_CALLS[name])), name
 
 
 # the arguments of each script's run and a line of its header

@@ -183,6 +183,15 @@ def test_cache_round_trips_counts_past_int64(tmp_path):
         write_table_cache(PowerSumTable(l=2, t=40, limit=0, rho=[2**64]), path)
 
 
+@pytest.mark.parametrize("l, t, limit", [(2**64, 1, 0), (2, 2**64, 0), (10**46, 1, 0)])
+def test_cache_refuses_a_header_past_u64(tmp_path, l, t, limit):
+    """The header holds l, t and limit as u64, so a table with one past u64
+    has no cached form, and no file is left."""
+    with pytest.raises(PreconditionError):
+        write_table_cache(PowerSumTable(l=l, t=t, limit=limit, rho=[1]), os.path.join(tmp_path, "t.bin"))
+    assert not os.listdir(tmp_path)
+
+
 def test_cache_rejects_bad_magic(tmp_path):
     path = os.path.join(tmp_path, "bad.bin")
     with open(path, "wb") as fh:

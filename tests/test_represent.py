@@ -5,6 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from waringtk.arith import kth_root
 from waringtk.errors import PreconditionError, ResourceError
 from waringtk.expsums import S_FORM_Q_BUDGET
 from waringtk.params import ProblemParams
@@ -225,6 +226,32 @@ def test_k2_mean_value_brute():
             else:
                 brute_o += 1
     assert (diag, off) == (brute_d, brute_o)
+
+
+def _k2_pair_loop(t, X_cap, l, Y):
+    """The x-pair loop: for each ordered pair x_1 != x_2, count the y-pairs
+    whose sums differ by x_2^2 - x_1^2."""
+    values = restricted_power_sums(t, l, Y)
+    hist = Counter(y1**2 + y2**2 for y1 in values for y2 in values)
+    xs = range(X_cap // 2 + 1, X_cap + 1)
+    diagonal = len(xs) * sum(c * c for c in hist.values())
+    offdiagonal = 0
+    for x1 in xs:
+        for x2 in xs:
+            if x1 != x2:
+                d = x2 * x2 - x1 * x1  # need v1 = v2 + d
+                offdiagonal += sum(c * hist.get(v + d, 0) for v, c in hist.items())
+    return diagonal, offdiagonal
+
+
+@pytest.mark.parametrize("t", [2, 3])
+@pytest.mark.parametrize("l", [2, 3])
+@pytest.mark.parametrize("X_cap", [0, 1, 2, 30, 64, 200, 300])
+@pytest.mark.parametrize("Y", [None, 5])
+def test_k2_energy_matches_pair_loop(t, l, X_cap, Y):
+    """The additive-energy sum gives the x-pair loop's split."""
+    default = max(2, kth_root(X_cap, l))
+    assert k2_mean_value(t, X_cap, l, Y) == _k2_pair_loop(t, X_cap, l, default if Y is None else Y)
 
 
 def test_k2_default_y_is_the_exact_root():
