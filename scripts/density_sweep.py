@@ -6,15 +6,15 @@ Usage: python scripts/density_sweep.py [eta]
 
 import sys
 
-from waringtk import powersets
+from waringtk import smooth
 
-eta = float(sys.argv[1]) if len(sys.argv) > 1 else powersets.DEFAULT_ETA
+eta = float(sys.argv[1]) if len(sys.argv) > 1 else smooth.DEFAULT_ETA
 
 print("r,l,Y,cardinality,pointwise_exponent,pair_slope,reference_exponent,grid_exponent")
 for r, l in [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3)]:
-    grid = powersets.default_y_grid(r, l)
-    rows = powersets.density_report(r, l, grid, eta)
-    ge = powersets.grid_exponent(rows)
+    grid = smooth.default_y_grid(r, l)
+    rows = smooth.density_report(r, l, grid, eta)
+    ge = smooth.grid_exponent(rows)
     for row in rows:
         print(
             f"{r},{l},{row['Y']},{row['cardinality']},{row['pointwise_exponent']:.6g},"

@@ -9,12 +9,15 @@ Submodules:
 
   arith      exact integer / modular / multiplicative-function machinery
   convolve   exact integer convolution (direct int64 kernel + split-limb float FFT)
-  powersets  power-sum value sets, smooth sets, density diagnostics
+  powersets  representation-count tables and their binary cache
+  smooth     smooth power-sum sets S_r(Y), density reports, the vmv and k = 2
+             mean values (no numpy)
+  rational   Dirichlet approximation and arc classification (no numpy)
   expsums    complete exponential sums S_k, S(q,a), W(q,a) and the weight w_k
   local      p-adic solution counts M_n(p^h), M*_n(p^h)
   singular   singular series factors S_n(q), S'_n(q) and truncations
   integral   weighted generating sums u, v, w and singular integrals
-  arcs       Hardy-Littlewood dissections and the generating function f
+  arcs       the generating function f and its major-arc and Weyl sweeps
   represent  exact global representation counting
   cli        command-line interface
 """

@@ -15,21 +15,30 @@ from waringtk.errors import PreconditionError, require_integers, require_within,
 # trial division to the square root of 2^40 tries at most 2^19 odd divisors
 # (0.07 s with CPython 3.11 on a 2-core x86-64 VM)
 FACTOR_BUDGET = 2**40
+# Miller-Rabin to the prime bases 2..41 is exact below psi_13 =
+# 3317044064679887385961981, the least strong pseudoprime to all of them
+# (Sorenson and Webster, Math. Comp. 86, 2017); psi_12, to the bases
+# 2..37, is 318665857834031151167461.
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BUDGET = 3317044064679887385961981 - 1
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin, deterministic for n < 3.3 * 10^24 with these witnesses."""
+    """Exact primality: trial division by PRIME_BASES, then Miller-Rabin
+    to those bases, deterministic for n <= PRIME_BUDGET; a larger n that
+    no base divides is refused (ResourceError)."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in PRIME_BASES:
         if n % p == 0:
             return n == p
+    require_within(PRIME_BUDGET, **{"prime candidate": n})
     d = n - 1
     r = 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in PRIME_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

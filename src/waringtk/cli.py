@@ -136,10 +136,10 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}") from None
 
 
-def _density(powersets, args, header):
-    grid = args.grid if args.grid is not None else powersets.default_y_grid(args.r, args.l)
-    report = powersets.density_report(args.r, args.l, grid, args.eta)
-    header.append(f"grid_exponent={powersets.grid_exponent(report):.12g}")
+def _density(smooth, args, header):
+    grid = args.grid if args.grid is not None else smooth.default_y_grid(args.r, args.l)
+    report = smooth.density_report(args.r, args.l, grid, args.eta)
+    header.append(f"grid_exponent={smooth.grid_exponent(report):.12g}")
     return [dict(r) for r in report]
 
 
@@ -249,19 +249,19 @@ def _arcs_weyl(arcs, args, header):
     return [{"n": args.n, "samples": args.samples, "max_ratio": worst}]
 
 
-def _arcs_classify(arcs, args, header):
+def _arcs_classify(rational, args, header):
     require_integers(1, k=args.k)  # --k is read only with --M, but checked with --Q too
     if (args.Q is None) == (args.M is None):
         raise PreconditionError("classify takes exactly one of --Q (major/minor) and --M (mM)")
     if args.Q is not None:
-        ap = arcs.classify_major(args.alpha, args.n, args.Q)
+        ap = rational.classify_major(args.alpha, args.n, args.Q)
     else:
-        ap = arcs.classify_mm(args.alpha, args.n, args.k, args.M)
+        ap = rational.classify_mm(args.alpha, args.n, args.k, args.M)
     return [{"alpha": ap.alpha, "a": ap.a, "q": ap.q, "beta": ap.beta, "classification": ap.classification}]
 
 
-def _arcs_vmv(arcs, args, header):
-    J = arcs.vinogradov_mean_value(args.s, args.ksys, args.r, args.Y, args.l, args.eta)
+def _arcs_vmv(smooth, args, header):
+    J = smooth.vinogradov_mean_value(args.s, args.ksys, args.r, args.Y, args.l, args.eta)
     return [{"s": args.s, "k_sys": args.ksys, "r": args.r, "Y": args.Y, "J": J}]
 
 
@@ -298,8 +298,8 @@ def _count_qm(represent, args, header):
     return [{"n": args.n, "max_support": supp, "half_n": args.n // 2, "mass": vec.mass}]
 
 
-def _count_k2(represent, args, header):
-    diag, off = represent.k2_mean_value(args.t, args.X, args.l, args.Y)
+def _count_k2(smooth, args, header):
+    diag, off = smooth.k2_mean_value(args.t, args.X, args.l, args.Y)
     return [{"t": args.t, "X": args.X, "diagonal": diag, "offdiagonal": off}]
 
 
@@ -350,7 +350,7 @@ def _sampled(samples: int) -> dict:
 
 COMMANDS: dict[tuple[str, ...], tuple] = {
     ("sieve",): ("powersets", _sieve, _ints("--l", "--t", "--limit")),
-    ("density",): ("powersets", _density, {
+    ("density",): ("smooth", _density, {
         **_ints("--r", "--l"),
         "--grid": {"type": _int_list, "default": None,
                    "help": "comma-separated Y values (default: budget-aware doubling grid)"},
@@ -376,11 +376,11 @@ COMMANDS: dict[tuple[str, ...], tuple] = {
     ("integral", "udecay"): ("integral", _integral_udecay, {**_ints("--n", "--t", "--k", "--l"), **_sampled(50)}),
     ("arcs", "residual"): ("arcs", _arcs_residual, {**_ints("--n", "--k", "--l", "--t", "--Q"), **_sampled(24)}),
     ("arcs", "weyl"): ("arcs", _arcs_weyl, {**_ints("--n", "--k", "--l", "--t"), **_sampled(24)}),
-    ("arcs", "classify"): ("arcs", _arcs_classify, {
+    ("arcs", "classify"): ("rational", _arcs_classify, {
         "--alpha": {"type": float, "required": True}, "--n": _INT, "--Q": {"type": int, "default": None},
         "--M": {"type": float, "default": None}, "--k": {"type": int, "default": 2},
     }),
-    ("arcs", "vmv"): ("arcs", _arcs_vmv, {
+    ("arcs", "vmv"): ("smooth", _arcs_vmv, {
         **_ints("--s", "--ksys", "--r", "--Y"), "--l": {"type": int, "default": 2}, "--eta": _ETA,
     }),
     ("count", "conje"): ("represent", _count_conje, _ints("--nmax", "--k", "--l", "--t", "--s", "--r")),
@@ -392,7 +392,7 @@ COMMANDS: dict[tuple[str, ...], tuple] = {
         **_ints("--k", "--l", "--xi", "--s", "--n"), "--Q": {"type": int, "default": 100},
     }),
     ("count", "qm"): ("represent", _count_qm, {**_ints("--n", "--k", "--l", "--t"), "--eta": _ETA}),
-    ("count", "k2"): ("represent", _count_k2, {
+    ("count", "k2"): ("smooth", _count_k2, {
         **_ints("--t", "--X"), "--l": {"type": int, "default": 2}, "--Y": {"type": int, "default": None},
     }),
     ("report",): ("singular", _report, _ints("--k", "--l", "--t", "--xi", "--n")),

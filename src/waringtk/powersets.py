@@ -1,27 +1,24 @@
-"""Power-sum value sets and smooth-number machinery.
+"""Power-sum value sets: the representation-count table and its cache.
 
 rho[m] counts ordered tuples x in N_{>=1}^t with x_1^l + ... + x_t^l = m,
 i.e. the t-fold convolution of the indicator of positive l-th powers.
-S_r(Y) is the set of sums of r l-th powers of R-smooth integers in [1, Y]
-with R realised as max(2, floor(Y^eta)).
+The smooth sets S_r(Y) and their density report live in waringtk.smooth.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from waringtk.arith import kth_root, smallest_prime_factors
+from waringtk.arith import kth_root
 from waringtk.convolve import convolution_power, count_array, read_only_counts
-from waringtk.errors import PreconditionError, require_integers, require_within, shown
-from waringtk.params import delta_r
+from waringtk.errors import PreconditionError, require_integers, require_within
+from waringtk.smooth import N_BUDGET
+from waringtk.smooth import density_report as density_report  # bench/workloads.run_op reads it here
 
-N_BUDGET = 10**7
-DEFAULT_ETA = 0.25
 CACHE_MAGIC = b"WFC1"
 CACHE_VERSION = 1
 CACHE_HEADER_BYTES = 32  # magic, version u32, l/t/limit u64
@@ -94,97 +91,6 @@ def distinct_count(table: PowerSumTable, limit: int) -> int:
     if limit > table.limit:
         raise PreconditionError("limit exceeds table coverage")
     return int(np.count_nonzero(table.rho[1 : limit + 1]))
-
-
-def smooth_set(Y: int, R: int) -> list[int]:
-    """Sorted R-smooth integers in [1, Y] (1 included vacuously)."""
-    require_integers(1, Y=Y, R=R)
-    if Y == 1:
-        return [1]
-    spf = smallest_prime_factors(Y)
-    out = [1]
-    for m in range(2, Y + 1):
-        v = m
-        while v > 1 and spf[v] <= R:
-            p = spf[v]
-            while v % p == 0:
-                v //= p
-        if v == 1:
-            out.append(m)
-    return out
-
-
-def realized_smoothness_bound(Y: int, eta: float) -> int:
-    """R = max(2, floor(Y^eta)); never degenerate at desk scale."""
-    if not 0 < eta < 1:
-        raise PreconditionError(f"eta must lie in (0,1), got {eta}")
-    return max(2, math.floor(Y**eta))
-
-
-def restricted_power_sums(r: int, l: int, Y: int, eta: float = DEFAULT_ETA) -> tuple[int, ...]:
-    """S_r(Y): the sorted distinct sums of r l-th powers of R-smooth
-    integers in [1, Y], R = realized_smoothness_bound(Y, eta)."""
-    require_integers(1, r=r, l=l)
-    require_integers(0, Y=Y)
-    require_within(N_BUDGET, **{"r Y^l": (Y, l, r)})
-    R = realized_smoothness_bound(Y, eta)
-    powers = [x**l for x in smooth_set(Y, R)]
-    values = set(powers)
-    for _ in range(r - 1):
-        values = {a + b for a in values for b in powers}
-    return tuple(sorted(values))
-
-
-def default_y_grid(r: int, l: int) -> list[int]:
-    """Four-point doubling grid ending at the largest Y with r Y^l within
-    N_BUDGET, capped at 400 (so l = 2 gives the standard 50/100/200/400)."""
-    require_integers(1, r=r, l=l)
-    y_max = min(400, kth_root(N_BUDGET // r, l))
-    if y_max < 16:
-        raise PreconditionError(f"r Y^l <= N_BUDGET keeps Y below 16, too small for a 4-point grid (r={shown(r)}, l={shown(l)})")
-    return [y_max // 8, y_max // 4, y_max // 2, y_max]
-
-
-def density_report(
-    r: int,
-    l: int,
-    Y_grid: list[int],
-    eta: float = DEFAULT_ETA,
-) -> list[dict]:
-    """One row per Y: cardinality, pointwise exponent log|S|/log Y, the
-    consecutive-pair slope, and the reference exponent l - l*delta_r."""
-    if len(Y_grid) < 1 or sorted(Y_grid) != list(Y_grid):
-        raise PreconditionError("Y_grid must be ascending and nonempty")
-    ref = l - l * delta_r(r, l)
-    rows = []
-    prev: tuple[int, int] | None = None
-    for Y in Y_grid:
-        card = len(restricted_power_sums(r, l, Y, eta))
-        point = math.log(card) / math.log(Y) if Y > 1 and card > 0 else float("nan")
-        if prev is not None and Y > prev[0]:
-            slope = math.log(card / prev[1]) / math.log(Y / prev[0])
-        else:
-            slope = float("nan")
-        rows.append(
-            {
-                "Y": Y,
-                "cardinality": card,
-                "pointwise_exponent": point,
-                "pair_slope": slope,
-                "reference_exponent": ref,
-            }
-        )
-        prev = (Y, card)
-    return rows
-
-
-def grid_exponent(rows: list[dict]) -> float:
-    """Log-log slope between the first and last grid rows."""
-    y0, c0 = rows[0]["Y"], rows[0]["cardinality"]
-    y1, c1 = rows[-1]["Y"], rows[-1]["cardinality"]
-    if y1 == y0:
-        raise PreconditionError("grid needs at least two distinct Y values")
-    return math.log(c1 / c0) / math.log(y1 / y0)
 
 
 def write_table_cache(table: PowerSumTable, path: str) -> None:

@@ -16,7 +16,6 @@ Two shapes are counted:
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +25,9 @@ from waringtk.convolve import convolution_power, count_total, exact_product, rea
 from waringtk.errors import PreconditionError, require_integers, require_within
 from waringtk.integral import c_tl
 from waringtk.params import ProblemParams
-from waringtk.powersets import DEFAULT_ETA, power_indicator, rep_count_table, restricted_power_sums
+from waringtk.powersets import power_indicator, rep_count_table
 from waringtk.singular import truncated_series, window_series_sum
+from waringtk.smooth import DEFAULT_ETA, restricted_power_sums
 
 N_MAX_BUDGET = 10**6
 MAIN_TERM_Q = 100
@@ -218,27 +218,3 @@ def q_m_table(params: ProblemParams, eta: float = DEFAULT_ETA) -> CountVector:
     out = np.zeros(params.n + 1, dtype=acc.dtype)
     out[: len(acc)] = acc
     return CountVector(out, f"qm k={k} H={H} P1={params.p1} P2={params.p2}")
-
-
-def k2_mean_value(t: int, X_cap: int, l: int = 2, Y: int | None = None) -> tuple[int, int]:
-    """(diagonal, offdiagonal) counts of x_1^2 + y_1^2 + y_2^2 = x_2^2 + y_3^2 + y_4^2
-    with X/2 < x_i <= X and y_i in S_t(Y) at eta = DEFAULT_ETA.
-
-    The count is the additive energy sum_m R[m]^2 (Tao and Vu, Additive
-    Combinatorics, 2.3), R[m] = sum of c[v] over x^2 + v = m, where c[v]
-    counts the y-pairs with y_1^2 + y_2^2 = v; x_1 = x_2 forces v_1 = v_2,
-    so the diagonal is |xs| sum_v c[v]^2. The |S|^2 + |xs| |S|^2 steps stay
-    within twice the budget (|S| max(1, |xs|))^2 <= 10^8."""
-    require_integers(0, X=X_cap)
-    require_integers(1, t=t, l=l)
-    if Y is None:
-        Y = max(2, kth_root(X_cap, l))
-    values = restricted_power_sums(t, l, Y)
-    require_within(10**8, **{"(|S| |xs|)^2": (len(values) * max(1, X_cap - X_cap // 2)) ** 2})
-    c = Counter(y1**2 + y2**2 for y1 in values for y2 in values)
-    xs = range(X_cap // 2 + 1, X_cap + 1)
-    R = Counter()
-    for x in xs:
-        R.update({x * x + v: cv for v, cv in c.items()})
-    diagonal = len(xs) * sum(cv * cv for cv in c.values())
-    return diagonal, sum(r * r for r in R.values()) - diagonal

@@ -22,7 +22,6 @@ from waringtk.expsums import s_form, s_form_direct, s_k, w_q, weight_bound_sweep
 from waringtk.integral import j_prime_exact, j_prime_main_term
 from waringtk.local import verify_local_solubility
 from waringtk.params import delta_r
-from waringtk.powersets import default_y_grid, density_report, grid_exponent
 from waringtk.represent import (
     count_conje,
     count_enumerate,
@@ -30,6 +29,7 @@ from waringtk.represent import (
     window_ratio,
 )
 from waringtk.singular import snm_identity_check
+from waringtk.smooth import default_y_grid, density_report, grid_exponent
 
 
 def _report(capsys, idx, ok, detail):

@@ -8,18 +8,15 @@ from hypothesis import strategies as st
 
 from waringtk import arcs
 from waringtk.arcs import (
-    CLASSIFY_Q_BUDGET,
-    classify_major,
-    classify_mm,
-    dirichlet_approx,
     f_alpha,
     f_alpha_direct,
     major_residual_sweep,
-    vinogradov_mean_value,
     weyl_bound_sweep,
 )
 from waringtk.errors import PreconditionError, ResourceError
-from waringtk.powersets import rep_count_table, restricted_power_sums
+from waringtk.powersets import rep_count_table
+from waringtk.rational import CLASSIFY_Q_BUDGET, classify_major, classify_mm, dirichlet_approx
+from waringtk.smooth import restricted_power_sums, vinogradov_mean_value
 
 
 def test_dirichlet_examples():

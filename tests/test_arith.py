@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from waringtk.arith import (
     FACTOR_BUDGET,
+    PRIME_BUDGET,
     euler_phi,
     factorize,
     gamma_exponent,
@@ -54,6 +55,26 @@ def test_is_prime_against_sieve():
     primes = set(sieve_primes(2000))
     for n in range(2, 2000):
         assert is_prime(n) == (n in primes)
+
+
+# the least strong pseudoprimes to the first 12 and 13 prime bases
+_PSI_12 = 318665857834031151167461
+_PSI_13 = 3317044064679887385961981
+
+
+def test_is_prime_is_exact_or_refuses():
+    """The bases 2..37 pass psi_12; base 41 rejects it, and the test is
+    exact up to PRIME_BUDGET = psi_13 - 1. Past it, a number that a base
+    divides is still answered, and any other is refused before Miller-Rabin."""
+    assert _PSI_12 == 399165290221 * 798330580441 and _PSI_13 == 1287836182261 * 2575672364521
+    assert not is_prime(_PSI_12)
+    assert is_prime(399165290221) and is_prime(798330580441)
+    assert is_prime(2**61 - 1) and not is_prime(2**67 - 1)  # 2^67 - 1 = 193707721 * 761838257287
+    assert PRIME_BUDGET == _PSI_13 - 1
+    assert not is_prime(10**5000) and not is_prime(41 * (10**4000 + 1)) and is_prime(41)
+    for n in (_PSI_13, 10**4000 + 1):
+        with pytest.raises(ResourceError):
+            is_prime(n)
 
 
 def test_large_semiprime():

@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import waringtk
-from waringtk import arith, local, powersets
+from waringtk import arith, local, smooth
 from waringtk.cli import COMMANDS, emit_report, run
 from waringtk.errors import require_within
 from waringtk.powersets import rep_count_table, write_table_cache
@@ -428,6 +428,68 @@ def test_python_dash_m_runs_cli(capsys):
     assert proc.stdout == want
 
 
+# the leaves that compute in Python integers, and the modules they read
+_NUMPY_FREE = {
+    ("density",): ["--r", "2", "--l", "2"],
+    ("arcs", "classify"): ["--alpha", "0.6181", "--n", "100000", "--Q", "20"],
+    ("arcs", "vmv"): ["--s", "2", "--ksys", "2", "--r", "2", "--Y", "20"],
+    ("count", "k2"): ["--t", "2", "--X", "30"],
+}
+_NUMPY_FREE_MODULES = ("smooth", "rational")
+
+
+@pytest.mark.parametrize("path", list(_NUMPY_FREE), ids=" ".join)
+def test_integer_leaves_start_without_numpy(path):
+    """A fresh process that runs one of these leaves gives its report and
+    never imports numpy."""
+    assert COMMANDS[path][0] in _NUMPY_FREE_MODULES
+    code = "import sys; from waringtk.cli import run; c = run(sys.argv[1:]); print('numpy' in sys.modules); sys.exit(c)"
+    src = os.path.dirname(os.path.dirname(waringtk.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *path, *_NUMPY_FREE[path]], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
+def _outside_imports(name: str) -> set[str]:
+    """The top-level modules other than waringtk that an import statement
+    names anywhere in the source of waringtk.<name>, of the package's
+    __init__, or of a waringtk module one of those imports, transitively."""
+    pending, seen, other = [name, "__init__"], set(), set()
+    while pending:
+        module = pending.pop()
+        if module in seen:
+            continue
+        seen.add(module)
+        for node in ast.walk(ast.parse((_ROOT / "src" / "waringtk" / f"{module}.py").read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module == "waringtk":
+                names = [f"waringtk.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for full in names:
+                top, _, rest = full.partition(".")
+                if top == "waringtk":
+                    pending.append(rest.partition(".")[0] or "__init__")
+                else:
+                    other.add(top)
+    return other
+
+
+@pytest.mark.parametrize("name", _NUMPY_FREE_MODULES)
+def test_numpy_free_modules_import_only_the_standard_library(name):
+    """smooth and rational, and every waringtk module they import, directly
+    or through another, import only the standard library, so no import of
+    theirs reaches numpy."""
+    other = _outside_imports(name)
+    assert other <= sys.stdlib_module_names, other - sys.stdlib_module_names
+
+
 def test_seed_recorded_in_header(capsys):
     _, out = run_capture(
         ["integral", "udecay", "--n", "500", "--t", "8", "--k", "2", "--l", "2", "--samples", "12", "--seed", "7"],
@@ -605,9 +667,12 @@ def _with_value(path, flag, value):
 
 
 # values that exit 2: each ended in a traceback or printed a report
-# (a count for a non-prime p, a series for s < 0) before it was checked
+# (a count for a non-prime p, a series for s < 0) before it was checked.
+# 318665857834031151167461 = 399165290221 * 798330580441 passes
+# Miller-Rabin to the bases 2..37.
 _PRECONDITION = {
     (("local",), "--p", "0"), (("local",), "--p", "4"), (("local",), "--h", "-1"), (("local",), "--t", "0"),
+    (("local",), "--p", "318665857834031151167461"),
     (("series", "snm"), "--p", "4"), (("series", "snm"), "--h", "-1"), (("series", "trunc"), "--s", "-1"),
     (("density",), "--r", "0"), (("count", "thm13"), "--k", "0"), (("count", "conje"), "--k", "0"),
     (("integral", "jprime"), "--n", "0"), (("integral", "jprime"), "--k", "0"), (("integral", "jn"), "--n", "0"),
@@ -690,6 +755,9 @@ _HUGE_FLAGS = {
     "density --l 10^400": _with_value(("density",), "--l", _BIG),
     "count conje --k 10^400": _with_value(("count", "conje"), "--k", _BIG),
     "count thm13 --k 10^400": _with_value(("count", "thm13"), "--k", _BIG),
+    # Miller-Rabin on a 13,288-bit p took seconds before the p^h budget;
+    # is_prime now refuses a p past its exact range
+    "local --p 10^4000+1": _with_value(("local",), "--p", str(10**4000 + 1)),
 }
 
 
@@ -765,7 +833,7 @@ def test_budget_message_has_no_huge_decimal():
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: powersets.default_y_grid(2, 10**5000),
+        lambda: smooth.default_y_grid(2, 10**5000),
         lambda: local.m_n(10**5000, 1, 1, 2, 2, 2, 1),
         lambda: arith.gamma_exponent(10**5000, 2),
         lambda: arith.nu_exponent(10**5000, 2, 2),

@@ -26,7 +26,9 @@ _TABLE = powersets.rep_count_table(2, 3, 20)
 _DOMAIN = {
     "powersets.rep_count_table": ({"l": 2, "t": 3, "limit": 20}, {"l": 1, "t": 1, "limit": 0}),
     "powersets.distinct_count": ({"table": _TABLE, "limit": 20}, {"limit": 0}),
-    "powersets.default_y_grid": ({"r": 2, "l": 2}, {"r": 1, "l": 1}),
+    "smooth.default_y_grid": ({"r": 2, "l": 2}, {"r": 1, "l": 1}),
+    # the CLI reads density_report in smooth, bench/workloads.run_op in powersets
+    "smooth.density_report": ({"r": 2, "l": 2, "Y_grid": [4, 8]}, {"r": 1, "l": 1}),
     "powersets.density_report": ({"r": 2, "l": 2, "Y_grid": [4, 8]}, {"r": 1, "l": 1}),
     "expsums.s_k": ({"q": 7, "a": 3, "k": 2}, {"q": 1, "a": None, "k": 0}),
     "expsums.w_q": ({"q": 7, "a": 3, "k": 2}, {"q": 1, "a": None, "k": 0}),
@@ -83,8 +85,15 @@ _DOMAIN = {
         {"n": 82, "k": 2, "l": 2, "t": 3, "sample_count": 2, "seed": 0},
         {"n": 1, "k": 1, "l": 1, "t": 1, "sample_count": 1, "seed": 0},
     ),
+    # classify_major and vinogradov_mean_value: the CLI reads them in
+    # rational and smooth, bench/workloads.run_op in arcs
+    "rational.classify_major": ({"alpha": 0.3, "n": 100, "Q": 5}, {"n": 1, "Q": 1}),
     "arcs.classify_major": ({"alpha": 0.3, "n": 100, "Q": 5}, {"n": 1, "Q": 1}),
-    "arcs.classify_mm": ({"alpha": 0.3, "n": 100, "k": 2, "M": 4.0}, {"n": 1, "k": 1}),
+    "rational.classify_mm": ({"alpha": 0.3, "n": 100, "k": 2, "M": 4.0}, {"n": 1, "k": 1}),
+    "smooth.vinogradov_mean_value": (
+        {"s": 2, "k_sys": 2, "r": 2, "Y": 10, "l": 2},
+        {"s": 1, "k_sys": 1, "r": 1, "Y": 1, "l": 1},
+    ),
     "arcs.vinogradov_mean_value": (
         {"s": 2, "k_sys": 2, "r": 2, "Y": 10, "l": 2},
         {"s": 1, "k_sys": 1, "r": 1, "Y": 1, "l": 1},
@@ -106,7 +115,7 @@ _DOMAIN = {
         {"vec": _VEC, "n_lo": 10, "n_hi": 20, "k": 2, "l": 2, "xi": 5, "s": 2, "Q": 10},
         {"n_lo": 1, "n_hi": 10, "k": 1, "l": 1, "xi": 1, "s": 1, "Q": 1},
     ),
-    "represent.k2_mean_value": ({"t": 2, "X_cap": 10, "l": 2, "Y": 3}, {"t": 1, "X_cap": 0, "l": 1, "Y": 1}),
+    "smooth.k2_mean_value": ({"t": 2, "X_cap": 10, "l": 2, "Y": 3}, {"t": 1, "X_cap": 0, "l": 1, "Y": 1}),
     "params.ProblemParams": ({"k": 2, "l": 2, "t": 3, "n": 100, "xi": 2}, {"k": 2, "l": 2, "t": 1, "n": 1, "xi": 1}),
     "params.varphi": ({"k": 2, "t1": 1, "l": 2}, {"k": 1, "t1": 0, "l": 1}),
     "params.xi0": ({"k": 2, "l": 2}, {"k": 1, "l": 1}),

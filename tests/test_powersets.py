@@ -12,18 +12,20 @@ from waringtk.powersets import (
     CACHE_MAGIC,
     CACHE_VERSION,
     PowerSumTable,
-    default_y_grid,
-    density_report,
     distinct_count,
-    grid_exponent,
     power_indicator,
     read_table_cache,
-    realized_smoothness_bound,
     rep_count_enumerate,
     rep_count_table,
+    write_table_cache,
+)
+from waringtk.smooth import (
+    default_y_grid,
+    density_report,
+    grid_exponent,
+    realized_smoothness_bound,
     restricted_power_sums,
     smooth_set,
-    write_table_cache,
 )
 
 

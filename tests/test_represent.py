@@ -9,15 +9,14 @@ from waringtk.arith import kth_root
 from waringtk.errors import PreconditionError, ResourceError
 from waringtk.expsums import S_FORM_Q_BUDGET
 from waringtk.params import ProblemParams
-from waringtk.powersets import restricted_power_sums
 from waringtk.singular import _d_table, s_n_prime_q, truncated_series, window_series_sum
+from waringtk.smooth import k2_mean_value, restricted_power_sums
 from waringtk.represent import (
     CountVector,
     count_conje,
     count_enumerate,
     count_oracle,
     count_theorem13,
-    k2_mean_value,
     main_term,
     main_term_constant,
     q_m_table,
